@@ -33,10 +33,8 @@ from .detector.model import DetectorConfig, detector_forward, init_parameters, s
 from .detector.params import load_parameters, save_parameters
 from .features import log_mel
 from .metrics import (
-    EvalProtocol,
     TrialScore,
     checkpoint_eval,
-    checkpoint_reports,
     det_curve,
     per_dataset_eval,
     pooled_eval,
@@ -74,7 +72,11 @@ def _report_failures(failures) -> bool:
 @click.pass_context
 def main(ctx, config_path):
     """Deepfake-detection evaluation toolkit."""
-    ctx.obj = load_run_config(config_path)
+    try:
+        ctx.obj = load_run_config(config_path)
+    except (TypeError, ValueError) as exc:  # unknown key, bad value or bad JSON
+        click.echo(f"error: {config_path}: {exc}", err=True)
+        sys.exit(1)
 
 
 @main.command("vad")
@@ -123,16 +125,15 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
     defaults to the input file stem.
     """
     global_seed = cfg.global_seed if seed is None else seed
-    jobs = []
     with open(jobs_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                jobs.append((lineno, json.loads(line)))
+        jobs = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
 
     def run(item):
-        lineno, job = item
-        name = job.get("utt_id") or Path(job.get("input", f"line {lineno}")).stem
+        lineno, line = item
+        name = f"line {lineno}"
         try:
+            job = json.loads(line)
+            name = job.get("utt_id") or Path(job.get("input", name)).stem
             clip = resample(load_wav(job["input"]), cfg.sample_rate_hz)
             ir = None
             if job.get("ir"):
@@ -264,11 +265,11 @@ def _full_length(trials):
 @click.pass_obj
 def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, checkpoint_avg, no_timestamp, out_path):
     """Compute EER / MDR@FAR reports from a score CSV."""
-    trials = read_scores_csv(scores_path)
     report: dict = {"far_target": far_target}
     if not (pooled or per_dataset or checkpoint_avg):
         pooled = True
     try:
+        trials = read_scores_csv(scores_path)
         if pooled:
             report["pooled"] = pooled_eval(_full_length(trials), far_target).to_dict()
         if per_dataset:
@@ -276,12 +277,14 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
             report["per_dataset"] = {ds: r.to_dict() for ds, r in by_ds.items()}
             report["per_dataset_average"] = average.to_dict()
         if checkpoint_avg:
-            cp_trials = [t for t in trials if t.checkpoint_s is not None]
-            report["checkpoint_avg"] = checkpoint_eval(cp_trials, cfg.protocol, far_target).to_dict()
-            report["per_checkpoint"] = {
-                f"{cp:g}": r.to_dict()
-                for cp, r in checkpoint_reports(cp_trials, cfg.protocol, far_target).items()
-            }
+            known = {None, *cfg.protocol.checkpoints_s}
+            dropped = [t.checkpoint_s for t in trials if t.checkpoint_s not in known]
+            if dropped:
+                values = ",".join(f"{cp:g}s" for cp in sorted(set(dropped)))
+                click.echo(f"note: dropped {len(dropped)} rows at checkpoints not in the protocol: {values}", err=True)
+            by_cp, average = checkpoint_eval(trials, cfg.protocol, far_target)
+            report["checkpoint_avg"] = average.to_dict()
+            report["per_checkpoint"] = {f"{cp:g}": r.to_dict() for cp, r in by_cp.items()}
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -295,9 +298,8 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_det(scores_path, out_path):
     """Emit the DET-curve staircase as CSV (threshold, far, mdr)."""
-    trials = read_scores_csv(scores_path)
     try:
-        curve = det_curve(_full_length(trials))
+        curve = det_curve(_full_length(read_scores_csv(scores_path)))
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

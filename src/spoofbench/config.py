@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audio import VadConfig
@@ -28,9 +28,6 @@ class RunConfig:
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         doc = dict(doc)
@@ -51,7 +48,3 @@ def load_run_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     return RunConfig.from_dict(json.loads(Path(path).read_text()))
-
-
-def save_run_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")

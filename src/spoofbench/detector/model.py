@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ops import (
+    _window_accumulate,
     attentive_stats_pool,
     batch_norm,
     conv1x1,
@@ -195,20 +196,12 @@ def cot_block_forward(x, params):
               the window
     returns   static + dynamic  (shape-preserving)
     """
-    key_w = params["key.weight"]
-    k = key_w.shape[-1]
-    pad = k // 2
-    static = depthwise_conv2d(x, key_w, params["key.bias"], padding=pad)
+    static = depthwise_conv2d(x, params["key.weight"], params["key.bias"])
     head = relu(conv1x1(np.concatenate([static, x], axis=0), params["attn1.weight"], params["attn1.bias"]))
     logits = conv1x1(head, params["attn2.weight"], params["attn2.bias"])
     weights = softmax(logits, axis=0)
     values = conv1x1(x, params["value.weight"], params["value.bias"])
-    c, f, t = values.shape
-    vp = np.pad(values, ((0, 0), (pad, pad), (pad, pad)))
-    dynamic = np.zeros_like(values)
-    for o in range(k * k):
-        di, dj = divmod(o, k)
-        dynamic += weights[o][None, :, :] * vp[:, di : di + f, dj : dj + t]
+    dynamic = _window_accumulate(values, weights[:, None], params["key.weight"].shape[-1])
     return static + dynamic
 
 

@@ -54,16 +54,23 @@ def conv1x1(x, weight, bias=None):
     return out
 
 
-def depthwise_conv2d(x, weight, bias=None, padding=1):
-    """Per-channel (fully grouped) convolution; weight (C, kh, kw)."""
-    c, f, t = x.shape
-    kh, kw = weight.shape[1:]
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+def _window_accumulate(x, weights, k):
+    """Sum of weights[o] * x shifted by offset o = di*k + dj over a zero-padded
+    k x k window; weights[o] broadcasts against one (C, F, T) shift."""
+    _, f, t = x.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     out = np.zeros_like(x)
-    w = weight.astype(np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            out += w[:, di, dj][:, None, None] * xp[:, di : di + f, dj : dj + t]
+    for o in range(k * k):
+        di, dj = divmod(o, k)
+        out += weights[o] * xp[:, di : di + f, dj : dj + t]
+    return out
+
+
+def depthwise_conv2d(x, weight, bias=None):
+    """Per-channel (fully grouped) 'same' convolution; weight (C, k, k), k odd."""
+    c, k = weight.shape[0], weight.shape[-1]
+    out = _window_accumulate(x, weight.reshape(c, k * k).T[:, :, None, None].astype(np.float64), k)
     if bias is not None:
         out += bias.astype(np.float64)[:, None, None]
     return out

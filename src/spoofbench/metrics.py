@@ -15,12 +15,16 @@ Conventions (fixed so results are reproducible across implementations):
 from __future__ import annotations
 
 import csv
-import json
+import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .corpus import LABELS
+
+
+SCORES_HEADER = ["utt_id", "dataset", "label", "checkpoint_s", "score"]
 
 
 class EvalError(ValueError):
@@ -38,8 +42,10 @@ class TrialScore:
     def __post_init__(self):
         if self.label not in LABELS:
             raise EvalError(f"{self.utt_id}: label must be one of {LABELS}")
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise EvalError(f"{self.utt_id}: score must be finite")
+        if self.checkpoint_s is not None and not (0 < self.checkpoint_s < math.inf):
+            raise EvalError(f"{self.utt_id}: checkpoint_s must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,6 @@ class MetricReport:
 @dataclass(frozen=True)
 class EvalProtocol:
     checkpoints_s: tuple = (2.0, 3.0, 6.0, 9.0, 12.0, 15.0)
-    pooled: bool = True
 
     def __post_init__(self):
         cps = tuple(float(c) for c in self.checkpoints_s)
@@ -112,38 +117,23 @@ def _eer_from_points(thresholds, far, mdr):
     return float(eer), float(threshold)
 
 
-def compute_eer(trials) -> tuple[float, float]:
-    """Equal error rate and its (interpolated) threshold."""
-    bona, spoof = _split_scores(trials)
-    return _eer_from_points(*_operating_points(bona, spoof))
-
-
 def _mdr_candidates(vals: np.ndarray) -> np.ndarray:
     mids = (vals[:-1] + vals[1:]) / 2.0
     return np.sort(np.concatenate([[vals[0] - 1.0], vals, mids, [vals[-1] + 1.0]]))
 
 
-def compute_mdr_at_far(trials, far_target: float = 0.01) -> tuple[float, float]:
-    """Missed-detection rate at the smallest achievable threshold with
-    FAR <= far_target (no interpolation)."""
+def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricReport:
+    """EER and MDR@FAR over one trial list, as a full report.
+
+    The only place scores become thresholds; every other metric reads it.
+    """
     if not (0.0 < far_target <= 1.0):
         raise EvalError("far_target must be in (0, 1]")
-    bona, spoof = _split_scores(trials)
-    cands = _mdr_candidates(np.unique(np.concatenate([bona, spoof])))
-    far, mdr = _rates_at(cands, bona, spoof)
-    idx = int(np.argmax(far <= far_target))  # first hit; far is non-increasing
-    return float(mdr[idx]), float(cands[idx])
-
-
-def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricReport:
-    """EER and MDR@FAR over one trial list, as a full report."""
     bona, spoof = _split_scores(trials, context)
     eer, eer_thr = _eer_from_points(*_operating_points(bona, spoof))
     cands = _mdr_candidates(np.unique(np.concatenate([bona, spoof])))
     far, mdr = _rates_at(cands, bona, spoof)
-    if not (0.0 < far_target <= 1.0):
-        raise EvalError("far_target must be in (0, 1]")
-    idx = int(np.argmax(far <= far_target))
+    idx = int(np.argmax(far <= far_target))  # first hit; far is non-increasing
     return MetricReport(
         eer=eer,
         eer_threshold=eer_thr,
@@ -156,21 +146,22 @@ def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricRepor
     )
 
 
+def compute_eer(trials) -> tuple[float, float]:
+    """Equal error rate and its (interpolated) threshold."""
+    report = evaluate(trials)
+    return report.eer, report.eer_threshold
+
+
+def compute_mdr_at_far(trials, far_target: float = 0.01) -> tuple[float, float]:
+    """Missed-detection rate at the smallest achievable threshold with
+    FAR <= far_target (no interpolation)."""
+    report = evaluate(trials, far_target)
+    return report.mdr_at_far, report.threshold_at_far
+
+
 def pooled_eval(trials, far_target: float = 0.01) -> MetricReport:
     """Single-threshold metrics over the union of all datasets."""
     return evaluate(trials, far_target, context="pool")
-
-
-def per_dataset_eval(trials, far_target: float = 0.01):
-    """Per-dataset reports plus their arithmetic average row."""
-    by_dataset: dict[str, list] = {}
-    for t in trials:
-        by_dataset.setdefault(t.dataset, []).append(t)
-    reports = {
-        ds: evaluate(sub, far_target, context=f"dataset {ds}")
-        for ds, sub in sorted(by_dataset.items())
-    }
-    return reports, _average_reports(list(reports.values()), far_target)
 
 
 def _average_reports(reports, far_target: float) -> MetricReport:
@@ -187,25 +178,32 @@ def _average_reports(reports, far_target: float) -> MetricReport:
     )
 
 
-def checkpoint_eval(trials, protocol: EvalProtocol = EvalProtocol(), far_target: float = 0.01) -> MetricReport:
-    """Metrics per decision checkpoint, averaged across checkpoints.
+def _evaluate_groups(trials, attr: str, keys, far_target: float, context: str):
+    """One report per group of trials sharing `attr`, in sorted order or in
+    `keys` order (other groups ignored), plus the average row of the reports."""
+    groups: dict = {}
+    for t in trials:
+        groups.setdefault(getattr(t, attr), []).append(t)
+    keys = sorted(groups) if keys is None else [k for k in keys if k in groups]
+    if not keys:
+        raise EvalError(f"no trials in any {attr} group")
+    reports = {k: evaluate(groups[k], far_target, context=context.format(k)) for k in keys}
+    return reports, _average_reports(list(reports.values()), far_target)
+
+
+def per_dataset_eval(trials, far_target: float = 0.01):
+    """Per-dataset reports (sorted by name) plus their arithmetic average row."""
+    return _evaluate_groups(trials, "dataset", None, far_target, "dataset {}")
+
+
+def checkpoint_eval(trials, protocol: EvalProtocol = EvalProtocol(), far_target: float = 0.01):
+    """Per-checkpoint reports (protocol order) plus their average row.
 
     Trials missing a longer checkpoint simply do not appear at it; protocol
-    checkpoints with no trials at all are skipped.
+    checkpoints with no trials at all are skipped, and trials at other
+    checkpoints are ignored.
     """
-    reports = checkpoint_reports(trials, protocol, far_target)
-    if not reports:
-        raise EvalError("no trials at any protocol checkpoint")
-    return _average_reports(list(reports.values()), far_target)
-
-
-def checkpoint_reports(trials, protocol: EvalProtocol = EvalProtocol(), far_target: float = 0.01):
-    reports = {}
-    for cp in protocol.checkpoints_s:
-        sub = [t for t in trials if t.checkpoint_s == cp]
-        if sub:
-            reports[cp] = evaluate(sub, far_target, context=f"checkpoint {cp:g}s")
-    return reports
+    return _evaluate_groups(trials, "checkpoint_s", protocol.checkpoints_s, far_target, "checkpoint {:g}s")
 
 
 def det_curve(trials) -> DetCurve:
@@ -232,32 +230,36 @@ def write_det_csv(curve: DetCurve, path) -> None:
 def write_scores_csv(trials, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["utt_id", "dataset", "label", "checkpoint_s", "score"])
+        writer.writerow(SCORES_HEADER)
         for t in trials:
             cp = "" if t.checkpoint_s is None else repr(float(t.checkpoint_s))
             writer.writerow([t.utt_id, t.dataset, t.label, cp, repr(float(t.score))])
 
 
 def read_scores_csv(path) -> list[TrialScore]:
+    """Parse a scores CSV; a malformed or duplicate row raises EvalError at path:line."""
     trials = []
+    seen = set()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["utt_id", "dataset", "label", "checkpoint_s", "score"]
-        if reader.fieldnames != expected:
-            raise EvalError(f"{path}: expected header {','.join(expected)}")
+        reader = csv.reader(fh)
+        if next(reader, None) != SCORES_HEADER:
+            raise EvalError(f"{path}:1: expected header {','.join(SCORES_HEADER)}")
         for row in reader:
-            cp = row["checkpoint_s"]
-            trials.append(
-                TrialScore(
-                    utt_id=row["utt_id"],
-                    dataset=row["dataset"],
-                    label=row["label"],
-                    checkpoint_s=float(cp) if cp else None,
-                    score=float(row["score"]),
-                )
-            )
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(SCORES_HEADER):
+                raise EvalError(f"{where}: expected {len(SCORES_HEADER)} fields, got {len(row)}")
+            # one string object per distinct name keeps large files compact
+            utt_id, dataset, label = map(sys.intern, row[:3])
+            cp, value = row[3:]
+            try:
+                trial = TrialScore(utt_id, label, float(value), dataset, float(cp) if cp else None)
+            except ValueError as exc:  # EvalError included
+                raise EvalError(f"{where}: {exc}") from exc
+            key = (utt_id, trial.checkpoint_s)
+            if key in seen:
+                raise EvalError(f"{where}: duplicate row for {utt_id!r} at checkpoint {cp or 'full'}")
+            seen.add(key)
+            trials.append(trial)
     return trials
-
-
-def report_to_json(report: MetricReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2)

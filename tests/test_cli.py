@@ -141,6 +141,18 @@ class TestCmdPresent:
         assert result.exit_code == 1
         assert "impulse response" in result.stderr
 
+    def test_malformed_line_fails_only_that_job(self, runner, tmp_path):
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        dst = tmp_path / "out.wav"
+        good = {"input": str(src), "output": str(dst), "path": "injection_digital"}
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("{not json\n" + json.dumps(good) + "\n")
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: line 1:" in result.stderr
+        assert dst.read_bytes() == src.read_bytes()
+
 
 class TestCmdPool:
     def make_dataset_manifests(self, tmp_path, n_datasets=7, per_class=40):
@@ -329,6 +341,62 @@ class TestCmdEval:
         assert runner.invoke(main, ["eval", "--scores", str(scores), "--out", str(out)]).exit_code == 0
         assert "generated_at" in json.loads(out.read_text())
 
+    def assert_fails_closed(self, result, message):
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith("error: ")
+        assert message in result.stderr
+
+    @pytest.mark.parametrize("command", ["eval", "det"])
+    def test_nan_score_fails_closed(self, runner, tmp_path, command):
+        scores = self.write_toy_scores(tmp_path)
+        lines = scores.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        scores.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--scores", str(scores), "--out", str(out)])
+        self.assert_fails_closed(result, f"{scores}:4: ")
+        assert "finite" in result.stderr
+        assert not out.exists()
+
+    def test_bad_header_fails_closed(self, runner, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("utt_id,label,score\nb0,bonafide,0.1\n")
+        result = runner.invoke(main, ["eval", "--scores", str(scores), "--out", str(tmp_path / "r.json")])
+        self.assert_fails_closed(result, f"{scores}:1: expected header")
+
+    def test_duplicate_row_rejected(self, runner, tmp_path):
+        scores = self.write_toy_scores(tmp_path)
+        lines = scores.read_text().splitlines()
+        scores.write_text("\n".join(lines + [lines[1]]) + "\n")
+        result = runner.invoke(main, ["eval", "--scores", str(scores), "--out", str(tmp_path / "r.json")])
+        self.assert_fails_closed(result, f"{scores}:{len(lines) + 1}: duplicate row")
+
+    def test_header_only_per_dataset_fails(self, runner, tmp_path):
+        scores = tmp_path / "scores.csv"
+        write_scores_csv([], scores)
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["eval", "--scores", str(scores), "--per-dataset", "--out", str(out)])
+        self.assert_fails_closed(result, "no trials")
+        assert not out.exists()
+
+    def test_off_protocol_checkpoint_rows_named(self, runner, tmp_path):
+        on = [TrialScore(f"{c}{i}", label, s, "dsA", 2.0)
+              for c, label, base in (("b", "bonafide", 0.1), ("s", "spoof", 0.7))
+              for i, s in enumerate((base, base + 0.1))]
+        off = [TrialScore(t.utt_id, t.label, t.score, t.dataset, 4.0) for t in on]
+        reports = []
+        for name, trials in (("on", on), ("all", on + off)):
+            scores, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            write_scores_csv(trials, scores)
+            result = runner.invoke(
+                main, ["eval", "--scores", str(scores), "--checkpoint-avg", "--no-timestamp", "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+        assert "dropped 4 rows at checkpoints not in the protocol: 4s" in result.stderr
+        assert reports[0] == reports[1]
+
 
 class TestCmdDet:
     def test_header_and_monotonicity(self, runner, tmp_path):
@@ -379,6 +447,14 @@ class TestConfigEnvVar:
 
         store = load_parameters(weights)
         assert store.config["stage_channels"] == COMPACT_DETECTOR["stage_channels"]
+
+    def test_unknown_config_key_fails_closed(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"protocol": {"pooled": True}}))
+        result = runner.invoke(main, ["--config", str(config), "init-weights", "--out", str(tmp_path / "w.bin")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "pooled" in result.stderr
 
 
 class TestDeterminism:

@@ -237,6 +237,21 @@ class TestDetectorForward:
         assert abs(logits.l_spoof) < 1e-3
         assert abs(logits.l_bonafide) < 1e-3
 
+    # Logits recorded before the depthwise conv and the CoT aggregation
+    # shared one windowed-accumulate loop; inputs are random_feat(n, n).
+    GOLDEN = {
+        64: (-0.005482838917342445, 0.011829102931369568),
+        203: (-0.006764174802104657, 0.011385961427660794),
+    }
+
+    @pytest.mark.parametrize("n_frames", sorted(GOLDEN))
+    def test_golden_logits(self, n_frames):
+        cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), embedding_dim=128)
+        logits = detector_forward(random_feat(n_frames, n_frames), init_parameters(cfg, seed=0), cfg)
+        got = np.array([logits.l_spoof, logits.l_bonafide])
+        want = np.array(self.GOLDEN[n_frames])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
 
 class TestScore:
     def test_formula(self):

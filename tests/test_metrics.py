@@ -17,7 +17,6 @@ from spoofbench import (
 )
 from spoofbench.metrics import (
     EvalError,
-    checkpoint_reports,
     eer_from_curve,
     evaluate,
     read_scores_csv,
@@ -228,7 +227,7 @@ class TestCheckpointEval:
         trials = []
         for cp in self.CPS:
             trials += trials_from([0.1, 0.4, 0.6], [0.3, 0.7, 0.9], checkpoint_s=cp)
-        report = checkpoint_eval(trials, EvalProtocol())
+        _, report = checkpoint_eval(trials, EvalProtocol())
         single = evaluate(trials_from([0.1, 0.4, 0.6], [0.3, 0.7, 0.9]), 0.01)
         assert report.eer == pytest.approx(single.eer, abs=1e-12)
         assert report.mdr_at_far == pytest.approx(single.mdr_at_far, abs=1e-12)
@@ -239,14 +238,13 @@ class TestCheckpointEval:
         bona = list(range(100))
         cp2 = trials_from(bona, [50] + list(range(100, 109)), checkpoint_s=2.0)
         cp3 = trials_from(bona, [50, 51, 52] + list(range(100, 107)), checkpoint_s=3.0)
-        report = checkpoint_eval(cp2 + cp3, EvalProtocol(checkpoints_s=(2.0, 3.0)))
+        _, report = checkpoint_eval(cp2 + cp3, EvalProtocol(checkpoints_s=(2.0, 3.0)))
         assert report.mdr_at_far == pytest.approx(0.2, abs=1e-12)
         assert report.detection_rate == pytest.approx(80.0, abs=1e-9)
 
     def test_protocol_mean_matches_per_checkpoint_oracle(self):
         trials = self.make_checkpoint_trials()
-        report = checkpoint_eval(trials, EvalProtocol())
-        per_cp = checkpoint_reports(trials, EvalProtocol())
+        per_cp, report = checkpoint_eval(trials, EvalProtocol())
         assert set(per_cp) == set(self.CPS)
         assert abs(report.eer - np.mean([r.eer for r in per_cp.values()])) < 1e-12
         assert abs(report.mdr_at_far - np.mean([r.mdr_at_far for r in per_cp.values()])) < 1e-12
@@ -254,8 +252,7 @@ class TestCheckpointEval:
     def test_missing_longer_checkpoints_skipped(self):
         trials = self.make_checkpoint_trials()
         short = [t for t in trials if t.checkpoint_s <= 6.0]
-        report = checkpoint_eval(short, EvalProtocol())
-        per_cp = checkpoint_reports(short, EvalProtocol())
+        per_cp, report = checkpoint_eval(short, EvalProtocol())
         assert set(per_cp) == {2.0, 3.0, 6.0}
         assert abs(report.eer - np.mean([r.eer for r in per_cp.values()])) < 1e-12
 
