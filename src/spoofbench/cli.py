@@ -28,10 +28,10 @@ from .audio import (
     trim_nonspeech,
 )
 from .config import RunConfig, load_run_config
-from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, read_manifest, write_manifest
+from .corpus import MIN_NET_SPEECH_S, ManifestError, PoolSpec, build_pool, read_manifest, write_manifest
 from .detector.model import DetectorConfig, detector_forward, init_parameters, score
-from .detector.params import load_parameters, save_parameters
-from .features import log_mel
+from .detector.params import WeightsError, load_parameters, save_parameters
+from .features import frame_count, log_mel
 from .metrics import (
     TrialScore,
     checkpoint_eval,
@@ -52,6 +52,15 @@ def _map_entries(fn, items, workers: int):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _read_or_exit(read, path):
+    """read(path), or one `error:` line and exit 1 for an unreadable manifest or weights file."""
+    try:
+        return read(path)
+    except (ManifestError, WeightsError) as exc:  # their messages start with the path
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 def _report_failures(failures) -> bool:
@@ -87,7 +96,7 @@ def main(ctx, config_path):
 @click.pass_obj
 def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
     """Fill net_speech_s for each manifest entry; optionally write trimmed WAVs."""
-    entries = read_manifest(in_path)
+    entries = _read_or_exit(read_manifest, in_path)
     if trim_dir:
         Path(trim_dir).mkdir(parents=True, exist_ok=True)
 
@@ -171,7 +180,7 @@ def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out
     paths = list(manifest_opts) + list(manifest_args)
     if not paths:
         raise click.UsageError("no manifests given")
-    manifests = [read_manifest(p) for p in paths]
+    manifests = [_read_or_exit(read_manifest, p) for p in paths]
     spec = PoolSpec(
         per_class_per_dataset=per_class,
         seed=cfg.global_seed if seed is None else seed,
@@ -200,8 +209,8 @@ def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out
 @click.pass_obj
 def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoints, parallelism):
     """Score manifest entries: VAD -> (checkpoint prefix) -> log-mel -> detector."""
-    entries = read_manifest(manifest_path)
-    store = load_parameters(weights_path)
+    entries = _read_or_exit(read_manifest, manifest_path)
+    store = _read_or_exit(load_parameters, weights_path)
     det_cfg = DetectorConfig.from_dict(store.config) if store.config else cfg.detector
     if checkpoints is None:
         cps = None
@@ -217,22 +226,22 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
             net = net_speech_seconds(mask)
             if net < MIN_NET_SPEECH_S:
                 return [], None, f"{entry.utt_id}: skipped ({net:.2f}s net speech < {MIN_NET_SPEECH_S}s)"
-            rows = []
             if cps is None:
-                speech = trim_nonspeech(clip, mask)
-                logits = detector_forward(log_mel(speech, cfg.features), store, det_cfg)
-                rows.append(
-                    TrialScore(entry.utt_id, entry.label, score(logits).s, entry.dataset, None)
-                )
+                logits = detector_forward(log_mel(trim_nonspeech(clip, mask), cfg.features), store, det_cfg)
+                return [TrialScore(entry.utt_id, entry.label, score(logits).s, entry.dataset, None)], None, None
+            ks = [k for k in cps if k <= net + 1e-9]
+            if not ks:
+                return [], None, None
+            prefixes = [net_speech_prefix(clip, mask, k) for k in ks]
+            if cfg.features.mean_var_norm:
+                # normalized features of a prefix are not rows of the longest prefix's
+                logits = [detector_forward(log_mel(p, cfg.features), store, det_cfg) for p in prefixes]
             else:
-                for k in cps:
-                    if k > net + 1e-9:
-                        continue
-                    speech = net_speech_prefix(clip, mask, k)
-                    logits = detector_forward(log_mel(speech, cfg.features), store, det_cfg)
-                    rows.append(
-                        TrialScore(entry.utt_id, entry.label, score(logits).s, entry.dataset, k)
-                    )
+                # one log-mel and one forward over the longest prefix score them all
+                counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
+                feat = log_mel(max(prefixes, key=len), cfg.features)
+                logits = detector_forward(feat, store, det_cfg, prefix_frames=counts)
+            rows = [TrialScore(entry.utt_id, entry.label, score(l).s, entry.dataset, k) for k, l in zip(ks, logits)]
             return rows, None, None
         except Exception as exc:
             return [], (entry.utt_id, str(exc)), None
@@ -249,9 +258,12 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         sys.exit(1)
 
 
-def _full_length(trials):
+def _full_length(trials, path):
+    """The full-length rows; a file of checkpoint rows alone is an error, not a pool of them."""
     full = [t for t in trials if t.checkpoint_s is None]
-    return full if full else trials
+    if trials and not full:
+        raise ValueError(f"{path}: no full-length rows, only checkpoint rows; evaluate those with eval --checkpoint-avg")
+    return full
 
 
 @main.command("eval")
@@ -271,9 +283,9 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
     try:
         trials = read_scores_csv(scores_path)
         if pooled:
-            report["pooled"] = pooled_eval(_full_length(trials), far_target).to_dict()
+            report["pooled"] = pooled_eval(_full_length(trials, scores_path), far_target).to_dict()
         if per_dataset:
-            by_ds, average = per_dataset_eval(_full_length(trials), far_target)
+            by_ds, average = per_dataset_eval(_full_length(trials, scores_path), far_target)
             report["per_dataset"] = {ds: r.to_dict() for ds, r in by_ds.items()}
             report["per_dataset_average"] = average.to_dict()
         if checkpoint_avg:
@@ -299,7 +311,7 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
 def cmd_det(scores_path, out_path):
     """Emit the DET-curve staircase as CSV (threshold, far, mdr)."""
     try:
-        curve = det_curve(_full_length(read_scores_csv(scores_path)))
+        curve = det_curve(_full_length(read_scores_csv(scores_path), scores_path))
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -13,6 +13,7 @@ and a linear head emits (spoof, bonafide) logits.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -157,14 +158,6 @@ def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
     return store
 
 
-def init_res_cot_params(cin: int, cout: int, kernel: int, seed: int) -> dict:
-    """Standalone parameter dict for one residual block (unit-test helper)."""
-    rng = np.random.default_rng(seed)
-    tensors: dict = {}
-    _init_block(tensors, "block", cin, cout, kernel, rng)
-    return {name.removeprefix("block."): np.asarray(v, dtype=np.float32) for name, v in tensors.items()}
-
-
 class _Sub:
     """Read-only view of a store restricted to one dotted prefix."""
 
@@ -231,23 +224,62 @@ def res_cot_forward(x, params):
     return relu(y + shortcut)
 
 
-
-def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig) -> Logits:
-    """Full forward pass from a log-mel spectrogram to the two class logits."""
-    values = feat.values
-    if values.shape[0] < MIN_INPUT_FRAMES:
-        raise ValueError(
-            f"input has {values.shape[0]} frames; detector needs >= {MIN_INPUT_FRAMES}"
-        )
-    x = values.T[None, :, :]  # (1, mels, frames)
+def _units(store, cfg: DetectorConfig):
+    """Each unit of the network in call order, as (forward, stride, halo):
+    output frame t of a unit reads input frames stride*t - halo .. stride*t + halo."""
+    block_halo = 2 + cfg.cot_kernel // 2  # two 3x3 convs, then the k x k attention window
     for s, n_blocks in enumerate(cfg.blocks_per_stage, start=1):
-        x = adapter_forward(x, _Sub(store, f"stage{s}.adapter"), stride=1 if s == 1 else 2)
+        stride = 1 if s == 1 else 2
+        yield partial(adapter_forward, params=_Sub(store, f"stage{s}.adapter"), stride=stride), stride, 1
         for b in range(1, n_blocks + 1):
-            x = res_cot_forward(x, _Sub(store, f"stage{s}.block{b}"))
+            yield partial(res_cot_forward, params=_Sub(store, f"stage{s}.block{b}")), 1, block_halo
+
+
+def _head(x, store) -> Logits:
+    """Frequency mean, attentive statistics pooling and the linear head."""
     h = x.mean(axis=1).T  # collapse frequency -> (T', C)
     emb = attentive_stats_pool(h, store["pool.w"], store["pool.b"], store["pool.v"])
     out = store["fc.weight"].astype(np.float64) @ emb + store["fc.bias"].astype(np.float64)
     return Logits(l_spoof=float(out[0]), l_bonafide=float(out[1]))
+
+
+def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_frames=None):
+    """Forward pass from a log-mel spectrogram to the two class logits.
+
+    With prefix_frames, a sequence of frame counts, returns one Logits per
+    count, in order, each bit-identical to the forward of feat.values[:n].
+    Every unit runs once over the longest prefix.  A shorter prefix differs
+    from that pass only in a right-edge fringe of each activation, so the
+    unit runs again on just that fringe plus its halo, and only the fringe
+    is kept: the prefix's activation is the long pass's leading frames
+    followed by its fringe (streaming convolution, Rybakov et al.,
+    arXiv:2005.06720).
+    """
+    values = feat.values
+    counts = [values.shape[0]] if prefix_frames is None else [int(n) for n in prefix_frames]
+    for n in counts:
+        if n < MIN_INPUT_FRAMES:
+            raise ValueError(f"input has {n} frames; detector needs >= {MIN_INPUT_FRAMES}")
+        if n > values.shape[0]:
+            raise ValueError(f"prefix of {n} frames exceeds the input's {values.shape[0]}")
+    longest = max(counts)
+    x = values[:longest].T[None, :, :]  # (1, mels, frames)
+    # shorter prefix n -> (its length at this layer, first frame that differs from x, its frames from there on)
+    fringes = {n: (n, n, x[:, :, n:n]) for n in set(counts) if n < longest}
+    for unit, stride, halo in _units(store, cfg):
+        y = unit(x)
+        for n, (length, start, fringe) in fringes.items():
+            first = max(0, -((halo - start) // stride))  # first output frame reading the fringe
+            lo = max(0, (stride * first - halo) // stride * stride)  # window start on the stride grid
+            out = unit(np.concatenate([x[:, :, lo:start], fringe], axis=2))
+            fringes[n] = (-(-length // stride), first, out[:, :, first - lo // stride :])
+        x = y
+    logits = {longest: _head(x, store)}
+    for n, (_, start, fringe) in fringes.items():
+        logits[n] = _head(np.concatenate([x[:, :, :start], fringe], axis=2), store)
+    if prefix_frames is None:
+        return logits[longest]
+    return [logits[n] for n in counts]
 
 
 @dataclass(frozen=True)

@@ -99,17 +99,33 @@ def mel_filterbank(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
     return fb
 
 
+def _window_hop(cfg: FeatureConfig, sample_rate_hz: int) -> tuple[int, int]:
+    win = int(round(cfg.win_s * sample_rate_hz))
+    hop = int(round(cfg.hop_s * sample_rate_hz))
+    if cfg.n_fft < win:
+        raise FeatureError(f"n_fft ({cfg.n_fft}) smaller than window ({win} samples)")
+    return win, hop
+
+
+def frame_count(n_samples: int, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig()) -> int:
+    """Frames log_mel cuts from n_samples: one per hop while a whole window fits.
+
+    Frame i reads only samples [i * hop, i * hop + win), so a clip's prefix of
+    n_samples gives the first frame_count(n_samples) rows of the clip's log-mel
+    (unless mean_var_norm is on).
+    """
+    win, hop = _window_hop(cfg, sample_rate_hz)
+    if n_samples < win:
+        raise FeatureError("clip too short for features")
+    return 1 + (n_samples - win) // hop
+
+
 def log_mel(clip, cfg: FeatureConfig = FeatureConfig()) -> LogMelSpectrogram:
     """Extract the log-mel spectrogram of a clip at its native rate."""
     sr = clip.sample_rate_hz
-    win = int(round(cfg.win_s * sr))
-    hop = int(round(cfg.hop_s * sr))
-    if cfg.n_fft < win:
-        raise FeatureError(f"n_fft ({cfg.n_fft}) smaller than window ({win} samples)")
+    win, hop = _window_hop(cfg, sr)
     x = clip.samples
-    if x.size < win:
-        raise FeatureError("clip too short for features")
-    n_frames = 1 + (x.size - win) // hop
+    n_frames = frame_count(x.size, sr, cfg)
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:n_frames]
     window = np.hanning(win)
     spec = np.fft.rfft(frames * window, n=cfg.n_fft, axis=1)

@@ -4,7 +4,23 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spoofbench import AudioClip, ManifestEntry, TrialScore, save_wav, write_manifest
+from spoofbench import (
+    AudioClip,
+    DetectorConfig,
+    ManifestEntry,
+    TrialScore,
+    detect_voice,
+    detector_forward,
+    load_parameters,
+    load_run_config,
+    load_wav,
+    log_mel,
+    net_speech_prefix,
+    resample,
+    save_wav,
+    score,
+    write_manifest,
+)
 from spoofbench.cli import main
 from spoofbench.metrics import read_scores_csv, write_scores_csv
 
@@ -273,6 +289,87 @@ class TestCmdDetect:
         # 9 s checkpoint exceeds the ~7 s of net speech -> skipped
         assert [r.checkpoint_s for r in rows] == [2.0, 3.0, 6.0]
 
+    @pytest.mark.parametrize("mean_var_norm", [False, True])
+    def test_checkpoint_scores_equal_separate_forwards(self, runner, tmp_path, mean_var_norm):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "features": {"mean_var_norm": mean_var_norm}}))
+        weights = self.init_weights(runner, str(config), tmp_path)
+        # noise bursts between pauses, so the checkpoints cut inside bursts
+        rng = np.random.default_rng(3)
+        wav = tmp_path / "u.wav"
+        save_wav(AudioClip(np.concatenate([np.concatenate([silence(0.4), rng.uniform(-0.5, 0.5, int(1.3 * SR))])
+                                           for _ in range(6)]), SR), wav)
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest([ManifestEntry("u", str(wav), "spoof", "d")], manifest)
+        out = tmp_path / "scores.csv"
+        checkpoints = (6.0, 2.0, 3.0, 5.5)
+        result = runner.invoke(
+            main,
+            ["--config", str(config), "detect", "--manifest", str(manifest), "--weights", str(weights),
+             "--out", str(out), "--checkpoints", ",".join(map(str, checkpoints))],
+        )
+        assert result.exit_code == 0, result.output
+        cfg = load_run_config(config)
+        store = load_parameters(weights)
+        det_cfg = DetectorConfig.from_dict(store.config)
+        clip = resample(load_wav(wav), cfg.sample_rate_hz)
+        mask = detect_voice(clip, cfg.vad)
+        want = {
+            k: score(detector_forward(log_mel(net_speech_prefix(clip, mask, k), cfg.features), store, det_cfg)).s
+            for k in checkpoints
+        }
+        assert {r.checkpoint_s: r.score for r in read_scores_csv(out)} == want
+
+    def test_checkpoint_below_min_frames_fails_entry(self, runner, config_path, tmp_path):
+        weights = self.init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 1.0)])
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(
+            main,
+            ["--config", config_path, "detect", "--manifest", str(manifest),
+             "--weights", str(weights), "--out", str(out), "--checkpoints", "0.1"],
+        )
+        assert result.exit_code == 1
+        assert "error: u: input has 8 frames; detector needs >= 16" in result.stderr
+        assert read_scores_csv(out) == []
+
+
+class TestUnreadableInputs:
+    """A malformed manifest or weights file gives one `error:` line and exit 1."""
+
+    def assert_fails_closed(self, result, path):
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith(f"error: {path}")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["vad", "pool", "detect"])
+    def test_malformed_manifest(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "vad": ["vad", "--in", str(bad), "--out", out],
+            "pool": ["pool", "--manifests", str(bad), "--out", out],
+            "detect": ["detect", "--manifest", str(bad), "--weights", str(bad), "--out", out],
+        }[command]
+        self.assert_fails_closed(runner.invoke(main, argv), f"{bad}:1: ")
+
+    def test_corrupt_weights(self, runner, config_path, tmp_path):
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        raw = bytearray(weights.read_bytes())
+        raw[-4] ^= 0xFF
+        weights.write_bytes(bytes(raw))
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(
+            main,
+            ["--config", config_path, "detect", "--manifest", str(manifest),
+             "--weights", str(weights), "--out", str(out)],
+        )
+        self.assert_fails_closed(result, f"{weights}: ")
+        assert "checksum" in result.stderr
+
 
 class TestCmdEval:
     def write_toy_scores(self, tmp_path, separated=True):
@@ -397,6 +494,31 @@ class TestCmdEval:
         assert "dropped 4 rows at checkpoints not in the protocol: 4s" in result.stderr
         assert reports[0] == reports[1]
 
+    def write_checkpoint_scores(self, tmp_path):
+        """Two utterances scored at 2 s and 3 s, and no full-length rows."""
+        trials = [TrialScore(utt, label, s + 0.1 * i, "dsA", cp)
+                  for utt, label, s in (("b", "bonafide", 0.1), ("s", "spoof", 0.7))
+                  for i, cp in enumerate((2.0, 3.0))]
+        scores = tmp_path / "scores.csv"
+        write_scores_csv(trials, scores)
+        return scores
+
+    @pytest.mark.parametrize("flags", [["--pooled"], ["--per-dataset"], []])
+    def test_checkpoint_rows_are_not_pooled(self, runner, tmp_path, flags):
+        scores = self.write_checkpoint_scores(tmp_path)
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["eval", "--scores", str(scores), *flags, "--out", str(out)])
+        self.assert_fails_closed(result, f"{scores}: no full-length rows")
+        assert "--checkpoint-avg" in result.stderr
+        assert not out.exists()
+
+    def test_checkpoint_rows_evaluate_with_checkpoint_avg(self, runner, tmp_path):
+        scores = self.write_checkpoint_scores(tmp_path)
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["eval", "--scores", str(scores), "--checkpoint-avg", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert set(json.loads(out.read_text())["per_checkpoint"]) == {"2", "3"}
+
 
 class TestCmdDet:
     def test_header_and_monotonicity(self, runner, tmp_path):
@@ -432,6 +554,15 @@ class TestCmdDet:
         cols = np.array([[float(v) for v in l.split(",")] for l in lines])
         curve = DetCurve(cols[:, 0], cols[:, 1], cols[:, 2])
         assert abs(eer_from_curve(curve) - compute_eer(trials)[0]) < 1e-9
+
+
+    def test_checkpoint_rows_are_not_pooled(self, runner, tmp_path):
+        scores = TestCmdEval().write_checkpoint_scores(tmp_path)
+        out = tmp_path / "det.csv"
+        result = runner.invoke(main, ["det", "--scores", str(scores), "--out", str(out)])
+        TestCmdEval().assert_fails_closed(result, f"{scores}: no full-length rows")
+        assert "--checkpoint-avg" in result.stderr
+        assert not out.exists()
 
 
 class TestConfigEnvVar:

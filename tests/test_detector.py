@@ -1,6 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spoofbench import (
@@ -20,9 +22,9 @@ from spoofbench import (
 )
 from spoofbench.detector.model import (
     MIN_INPUT_FRAMES,
+    _init_block,
     adapter_forward,
     cot_block_forward,
-    init_res_cot_params,
     res_cot_forward,
 )
 from spoofbench.detector.params import (
@@ -49,6 +51,14 @@ def store():
 def random_feat(seed, n_frames=40, n_mels=64):
     rng = np.random.default_rng(seed)
     return LogMelSpectrogram(rng.standard_normal((n_frames, n_mels)), 0.01)
+
+
+def init_res_cot_params(cin: int, cout: int, kernel: int, seed: int) -> dict:
+    """Standalone parameter dict for one residual block."""
+    rng = np.random.default_rng(seed)
+    tensors: dict = {}
+    _init_block(tensors, "block", cin, cout, kernel, rng)
+    return {name.removeprefix("block."): np.asarray(v, dtype=np.float32) for name, v in tensors.items()}
 
 
 class TestInit:
@@ -220,6 +230,14 @@ class TestDetectorForward:
 
     def test_min_frames_accepted(self, store):
         detector_forward(random_feat(3, n_frames=MIN_INPUT_FRAMES), store, CFG)
+
+    def test_prefix_below_min_frames(self, store):
+        with pytest.raises(ValueError, match=f"input has 15 frames; detector needs >= {MIN_INPUT_FRAMES}"):
+            detector_forward(random_feat(2, n_frames=40), store, CFG, prefix_frames=[40, MIN_INPUT_FRAMES - 1])
+
+    def test_prefix_beyond_input(self, store):
+        with pytest.raises(ValueError, match="exceeds"):
+            detector_forward(random_feat(2, n_frames=40), store, CFG, prefix_frames=[41])
 
     def test_time_duplication_changes_but_stays_finite(self, store):
         feat = random_feat(4, n_frames=24)
@@ -395,3 +413,33 @@ def test_forward_finite_property(seed, n_frames):
     feat = LogMelSpectrogram(rng.standard_normal((n_frames, 64)) * 10, 0.01)
     logits = detector_forward(feat, store, cfg)
     assert np.isfinite(logits.l_spoof) and np.isfinite(logits.l_bonafide)
+
+
+@functools.lru_cache(maxsize=None)
+def _compact_store(cfg):
+    return init_parameters(cfg, seed=0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    counts=st.lists(st.integers(MIN_INPUT_FRAMES, 600), min_size=1, max_size=4),
+    extra=st.integers(0, 3),
+    kernel=st.sampled_from((1, 3, 5)),
+    blocks=st.sampled_from(((1, 1, 1, 1), (2, 1, 3, 1))),
+)
+@example(seed=0, counts=[16, 17, 31, 203, 17], extra=0, kernel=3, blocks=(1, 1, 1, 1))
+@example(seed=1, counts=[999, 1000, 1001], extra=2, kernel=5, blocks=(2, 1, 3, 1))
+@example(seed=2, counts=[257, 16, 40, 77, 131, 16], extra=1, kernel=1, blocks=(2, 1, 3, 1))
+def test_prefix_frames_equal_separate_forwards(seed, counts, extra, kernel, blocks):
+    """Prefix sharing is exact: each count's logits equal, bit for bit, a
+    separate forward on that many leading frames (odd counts, duplicates and
+    counts below the receptive field included)."""
+    cfg = DetectorConfig(
+        stage_channels=(8, 16, 32, 64), blocks_per_stage=blocks, cot_kernel=kernel, embedding_dim=128
+    )
+    store = _compact_store(cfg)
+    feat = random_feat(seed, n_frames=max(counts) + extra)
+    got = detector_forward(feat, store, cfg, prefix_frames=counts)
+    want = [detector_forward(LogMelSpectrogram(feat.values[:n], 0.01), store, cfg) for n in counts]
+    assert got == want

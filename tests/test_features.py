@@ -3,16 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spoofbench import AudioClip, FeatureConfig, log_mel, mel_filterbank
+from spoofbench import (
+    AudioClip,
+    EvalProtocol,
+    FeatureConfig,
+    detect_voice,
+    log_mel,
+    mel_filterbank,
+    net_speech_prefix,
+    net_speech_seconds,
+)
 from spoofbench.features import (
     FeatureError,
     LogMelSpectrogram,
+    frame_count,
     hz_to_mel,
     load_features,
     save_features,
 )
 
-from conftest import SR, tone
+from conftest import SR, silence, tone
 
 CFG = FeatureConfig()
 
@@ -84,6 +94,28 @@ class TestLogMel:
     def test_too_short_clip(self):
         with pytest.raises(FeatureError, match="too short"):
             log_mel(AudioClip(np.zeros(100), SR), CFG)
+        with pytest.raises(FeatureError, match="too short"):
+            frame_count(199, SR, CFG)
+
+    def test_frame_count_matches_log_mel(self):
+        rng = np.random.default_rng(4)
+        for n in (200, 279, 280, 281, 8000, 12345):
+            assert log_mel(AudioClip(rng.uniform(-0.5, 0.5, n), SR), CFG).n_frames == frame_count(n, SR, CFG)
+
+    def test_net_speech_prefixes_are_leading_rows(self):
+        # noise bursts between pauses, so most checkpoints cut inside a burst
+        rng = np.random.default_rng(5)
+        clip = AudioClip(np.concatenate([np.concatenate([rng.uniform(-0.5, 0.5, int(1.7 * SR)), silence(0.6)])
+                                         for _ in range(10)]), SR)
+        mask = detect_voice(clip)
+        checkpoints = EvalProtocol().checkpoints_s
+        assert net_speech_seconds(mask) > max(checkpoints)
+        longest = log_mel(net_speech_prefix(clip, mask, max(checkpoints)), CFG).values
+        for k in checkpoints:
+            prefix = net_speech_prefix(clip, mask, k)
+            values = log_mel(prefix, CFG).values
+            assert values.shape[0] == frame_count(len(prefix), SR, CFG)
+            assert np.array_equal(values, longest[: values.shape[0]]), k
 
     def test_mean_var_norm_flag(self):
         clip = AudioClip(tone(700.0, 1.0), SR)
