@@ -40,6 +40,7 @@ from .metrics import (
     DetCurve,
     EvalProtocol,
     MetricReport,
+    ScoreTable,
     TrialScore,
     checkpoint_eval,
     compute_eer,

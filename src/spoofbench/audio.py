@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import upfirdn
 
 CANONICAL_RATE_HZ = 8000
 
@@ -201,6 +200,8 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
         return AudioClip(np.zeros(n_out), target_hz)
     g = math.gcd(src, target_hz)
     up, down = target_hz // g, src // g
+    from scipy.signal import upfirdn  # imported here: scipy.signal takes about a second to load
+
     h, half = _design_polyphase(up, down)
     y = upfirdn(h, clip.samples, up=up, down=down)
     delay = half // down

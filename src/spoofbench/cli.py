@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .audio import (
     detect_voice,
@@ -33,6 +34,7 @@ from .detector.model import DetectorConfig, detector_forward, init_parameters, s
 from .detector.params import WeightsError, load_parameters, save_parameters
 from .features import frame_count, log_mel
 from .metrics import (
+    EvalError,
     TrialScore,
     checkpoint_eval,
     det_curve,
@@ -55,12 +57,23 @@ def _map_entries(fn, items, workers: int):
 
 
 def _read_or_exit(read, path):
-    """read(path), or one `error:` line and exit 1 for an unreadable manifest or weights file."""
+    """read(path), or one `error:` line and exit 1 for an input file that cannot be read or parsed."""
     try:
         return read(path)
-    except (ManifestError, WeightsError) as exc:  # their messages start with the path
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    except OSError as exc:  # a directory, or no permission
+        message = f"{path}: {exc.strerror or exc}"
+    except UnicodeDecodeError as exc:
+        message = f"{path}: {exc}"
+    except (ManifestError, WeightsError, EvalError) as exc:  # their messages start with the path
+        message = str(exc)
+    click.echo(f"error: {message}", err=True)
+    sys.exit(1)
+
+
+def _read_jobs(path):
+    """The non-blank lines of a jobs file, with their line numbers."""
+    with open(path, encoding="utf-8") as fh:
+        return [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
 
 
 def _report_failures(failures) -> bool:
@@ -134,8 +147,7 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
     defaults to the input file stem.
     """
     global_seed = cfg.global_seed if seed is None else seed
-    with open(jobs_path, encoding="utf-8") as fh:
-        jobs = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    jobs = _read_or_exit(_read_jobs, jobs_path)
 
     def run(item):
         lineno, line = item
@@ -260,8 +272,8 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
 
 def _full_length(trials, path):
     """The full-length rows; a file of checkpoint rows alone is an error, not a pool of them."""
-    full = [t for t in trials if t.checkpoint_s is None]
-    if trials and not full:
+    full = trials.select(np.isnan(trials.checkpoint_s))
+    if len(trials) and not len(full):
         raise ValueError(f"{path}: no full-length rows, only checkpoint rows; evaluate those with eval --checkpoint-avg")
     return full
 
@@ -280,8 +292,8 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
     report: dict = {"far_target": far_target}
     if not (pooled or per_dataset or checkpoint_avg):
         pooled = True
+    trials = _read_or_exit(read_scores_csv, scores_path)
     try:
-        trials = read_scores_csv(scores_path)
         if pooled:
             report["pooled"] = pooled_eval(_full_length(trials, scores_path), far_target).to_dict()
         if per_dataset:
@@ -289,11 +301,11 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
             report["per_dataset"] = {ds: r.to_dict() for ds, r in by_ds.items()}
             report["per_dataset_average"] = average.to_dict()
         if checkpoint_avg:
-            known = {None, *cfg.protocol.checkpoints_s}
-            dropped = [t.checkpoint_s for t in trials if t.checkpoint_s not in known]
-            if dropped:
-                values = ",".join(f"{cp:g}s" for cp in sorted(set(dropped)))
-                click.echo(f"note: dropped {len(dropped)} rows at checkpoints not in the protocol: {values}", err=True)
+            cps = trials.checkpoint_s
+            dropped = cps[~(np.isnan(cps) | np.isin(cps, cfg.protocol.checkpoints_s))]
+            if dropped.size:
+                values = ",".join(f"{cp:g}s" for cp in sorted(set(dropped.tolist())))
+                click.echo(f"note: dropped {dropped.size} rows at checkpoints not in the protocol: {values}", err=True)
             by_cp, average = checkpoint_eval(trials, cfg.protocol, far_target)
             report["checkpoint_avg"] = average.to_dict()
             report["per_checkpoint"] = {f"{cp:g}": r.to_dict() for cp, r in by_cp.items()}
@@ -310,8 +322,9 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_det(scores_path, out_path):
     """Emit the DET-curve staircase as CSV (threshold, far, mdr)."""
+    trials = _read_or_exit(read_scores_csv, scores_path)
     try:
-        curve = det_curve(_full_length(read_scores_csv(scores_path), scores_path))
+        curve = det_curve(_full_length(trials, scores_path))
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -9,7 +9,6 @@ hot loop to BLAS.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 BN_EPS = 1e-5
 LN_EPS = 1e-5
@@ -88,6 +87,8 @@ def relu(x):
 
 
 def gelu(x):
+    from scipy.special import erf  # imported here: only the aggregator needs scipy.special
+
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 

@@ -110,32 +110,38 @@ def load_parameters(path) -> ParameterStore:
         manifest = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WeightsError(f"{path}: unreadable manifest: {exc}") from exc
-    if manifest.get("format") != FORMAT_NAME:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise WeightsError(f"{path}: not a {FORMAT_NAME} file")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise WeightsVersionError(
             f"{path}: unknown format version {manifest.get('format_version')}"
         )
+    try:
+        blob_bytes, blob_sha256 = manifest["blob_bytes"], manifest["blob_sha256"]
+        tensors = [(spec["name"], spec["shape"], spec["offset"]) for spec in manifest["tensors"]]
+    except KeyError as exc:
+        raise WeightsError(f"{path}: manifest lacks field {exc}") from exc
+    except TypeError as exc:  # a field of the wrong kind
+        raise WeightsError(f"{path}: malformed manifest: {exc}") from exc
     blob = raw[nl + 1 :]
-    if len(blob) != manifest["blob_bytes"]:
+    if len(blob) != blob_bytes:
         raise WeightsTruncatedError(
-            f"{path}: blob has {len(blob)} bytes, manifest declares {manifest['blob_bytes']}"
+            f"{path}: blob has {len(blob)} bytes, manifest declares {blob_bytes}"
         )
-    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+    if hashlib.sha256(blob).hexdigest() != blob_sha256:
         raise WeightsChecksumError(f"{path}: blob checksum mismatch")
     store = ParameterStore(config=manifest.get("config"))
     end_seen = 0
-    for spec in manifest["tensors"]:
-        size = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        start = spec["offset"]
+    for name, shape, start in tensors:
+        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         end = start + size * 4
         if start != end_seen or end > len(blob):
             raise WeightsShapeError(
-                f"{path}: tensor {spec['name']} shape/offset inconsistent with blob"
+                f"{path}: tensor {name} shape/offset inconsistent with blob"
             )
         end_seen = end
-        arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(spec["shape"])
-        store.add(spec["name"], arr)
+        arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
+        store.add(name, arr)
     if end_seen != len(blob):
         raise WeightsShapeError(f"{path}: blob has {len(blob) - end_seen} trailing bytes")
     return store

@@ -15,9 +15,11 @@ Conventions (fixed so results are reproducible across implementations):
 from __future__ import annotations
 
 import csv
+import gc
+import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .corpus import LABELS
 
 
 SCORES_HEADER = ["utt_id", "dataset", "label", "checkpoint_s", "score"]
+_CHUNK_ROWS = 65536  # rows parsed per step; a whole file's row lists at once would set the peak memory
 
 
 class EvalError(ValueError):
@@ -46,6 +49,46 @@ class TrialScore:
             raise EvalError(f"{self.utt_id}: score must be finite")
         if self.checkpoint_s is not None and not (0 < self.checkpoint_s < math.inf):
             raise EvalError(f"{self.utt_id}: checkpoint_s must be positive and finite")
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Score rows as columns, in row order: ``utt_id`` and ``dataset`` are
+    object arrays of interned strings, ``is_spoof`` is bool, ``checkpoint_s``
+    is float64 with NaN for a full-length row, and ``score`` is float64."""
+
+    utt_id: np.ndarray
+    dataset: np.ndarray
+    is_spoof: np.ndarray
+    checkpoint_s: np.ndarray
+    score: np.ndarray
+
+    @classmethod
+    def of(cls, trials) -> ScoreTable:
+        """A table unchanged, or the columns of an iterable of TrialScore."""
+        if isinstance(trials, cls):
+            return trials
+        trials = list(trials)
+        return cls(
+            np.array([t.utt_id for t in trials], dtype=object),
+            np.array([t.dataset for t in trials], dtype=object),
+            np.array([t.label == "spoof" for t in trials], dtype=bool),
+            np.array([math.nan if t.checkpoint_s is None else t.checkpoint_s for t in trials], dtype=np.float64),
+            np.array([t.score for t in trials], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return self.score.size
+
+    def select(self, mask) -> ScoreTable:
+        """The rows where mask is true, in order."""
+        return ScoreTable(*(getattr(self, f.name)[mask] for f in fields(self)))
+
+    def rows(self) -> list[TrialScore]:
+        """The rows as TrialScore, in order."""
+        columns = zip(self.utt_id, self.dataset, self.is_spoof.tolist(), self.checkpoint_s.tolist(), self.score.tolist())
+        return [TrialScore(u, "spoof" if s else "bonafide", v, d, None if math.isnan(c) else c)
+                for u, d, s, c, v in columns]
 
 
 @dataclass(frozen=True)
@@ -84,8 +127,8 @@ class DetCurve:
 
 
 def _split_scores(trials, context: str = "") -> tuple[np.ndarray, np.ndarray]:
-    bona = np.array([t.score for t in trials if t.label == "bonafide"], dtype=np.float64)
-    spoof = np.array([t.score for t in trials if t.label == "spoof"], dtype=np.float64)
+    table = ScoreTable.of(trials)
+    bona, spoof = table.score[~table.is_spoof], table.score[table.is_spoof]
     if bona.size == 0 or spoof.size == 0:
         where = f" in {context}" if context else ""
         raise EvalError(f"need at least one trial of each class{where}")
@@ -123,7 +166,7 @@ def _mdr_candidates(vals: np.ndarray) -> np.ndarray:
 
 
 def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricReport:
-    """EER and MDR@FAR over one trial list, as a full report.
+    """EER and MDR@FAR over one set of trials (a ScoreTable or TrialScore rows), as a full report.
 
     The only place scores become thresholds; every other metric reads it.
     """
@@ -178,16 +221,16 @@ def _average_reports(reports, far_target: float) -> MetricReport:
     )
 
 
-def _evaluate_groups(trials, attr: str, keys, far_target: float, context: str):
-    """One report per group of trials sharing `attr`, in sorted order or in
-    `keys` order (other groups ignored), plus the average row of the reports."""
-    groups: dict = {}
-    for t in trials:
-        groups.setdefault(getattr(t, attr), []).append(t)
-    keys = sorted(groups) if keys is None else [k for k in keys if k in groups]
-    if not keys:
-        raise EvalError(f"no trials in any {attr} group")
-    reports = {k: evaluate(groups[k], far_target, context=context.format(k)) for k in keys}
+def _evaluate_groups(trials, column: str, keys, far_target: float, context: str):
+    """One report per group of trials sharing a value of `column`, in sorted
+    order or in `keys` order (other groups ignored), plus the average row."""
+    table = ScoreTable.of(trials)
+    values = getattr(table, column)
+    masks = {k: values == k for k in (sorted(set(values.tolist())) if keys is None else keys)}
+    masks = {k: m for k, m in masks.items() if m.any()}
+    if not masks:
+        raise EvalError(f"no trials in any {column} group")
+    reports = {k: evaluate(table.select(m), far_target, context=context.format(k)) for k, m in masks.items()}
     return reports, _average_reports(list(reports.values()), far_target)
 
 
@@ -214,11 +257,6 @@ def det_curve(trials) -> DetCurve:
     return DetCurve(thresholds=thresholds, far=far, mdr=mdr)
 
 
-def eer_from_curve(curve: DetCurve) -> float:
-    eer, _ = _eer_from_points(curve.thresholds, curve.far, curve.mdr)
-    return eer
-
-
 def write_det_csv(curve: DetCurve, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -236,30 +274,113 @@ def write_scores_csv(trials, path) -> None:
             writer.writerow([t.utt_id, t.dataset, t.label, cp, repr(float(t.score))])
 
 
-def read_scores_csv(path) -> list[TrialScore]:
-    """Parse a scores CSV; a malformed or duplicate row raises EvalError at path:line."""
-    trials = []
-    seen = set()
+def _floats(strings) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each string, and the mask of the strings it rejects (NaN there)."""
+    try:
+        return np.fromiter(map(float, strings), np.float64, len(strings)), np.zeros(len(strings), bool)
+    except ValueError:
+        values, bad = np.full(len(strings), math.nan), np.zeros(len(strings), bool)
+        for i, text in enumerate(strings):
+            try:
+                values[i] = float(text)
+            except ValueError:
+                bad[i] = True
+        return values, bad
+
+
+def _float_error(text: str) -> str:
+    """The message of the ValueError that float(text) raises."""
+    try:
+        float(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _parse_chunk(rows) -> tuple[tuple, str | None]:
+    """The columns of a chunk of non-blank CSV rows up to the first row that
+    fails a check, and that row's message, or None.  The message is that of
+    the first check the row fails, in the order below; duplicate rows are
+    left to _first_duplicate."""
+    failures = []  # (row index, check order, message)
+    n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
+    wrong = np.flatnonzero(n_fields != len(SCORES_HEADER))
+    if wrong.size:
+        i = int(wrong[0])
+        failures.append((i, 0, f"expected {len(SCORES_HEADER)} fields, got {n_fields[i]}"))
+        rows = rows[:i]  # a later row cannot be the first bad one
+    utt_id, dataset, label, cp_text, score_text = zip(*rows) if rows else ((),) * 5
+    # one string object per distinct name keeps large files compact
+    utt_id = np.array(list(map(sys.intern, utt_id)), dtype=object)
+    dataset = np.array(list(map(sys.intern, dataset)), dtype=object)
+    label = np.array(label, dtype=object)
+    is_spoof = label == "spoof"
+    cp_text = np.array(cp_text, dtype=object)
+    full = cp_text == ""
+    cp, cp_unparsed = _floats(np.where(full, "nan", cp_text))
+    score, score_unparsed = _floats(score_text)
+    checks = [
+        (score_unparsed, lambda i: _float_error(score_text[i])),
+        (cp_unparsed, lambda i: _float_error(cp_text[i])),
+        (~is_spoof & (label != "bonafide"), lambda i: f"{utt_id[i]}: label must be one of {LABELS}"),
+        (~np.isfinite(score), lambda i: f"{utt_id[i]}: score must be finite"),
+        (~full & ~((cp > 0) & (cp < math.inf)), lambda i: f"{utt_id[i]}: checkpoint_s must be positive and finite"),
+    ]
+    for order, (bad, message) in enumerate(checks, start=1):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            failures.append((int(hits[0]), order, message(int(hits[0]))))
+    columns = (utt_id, dataset, is_spoof, cp, score)
+    if not failures:
+        return columns, None
+    index, _, message = min(failures)
+    return tuple(c[:index] for c in columns), message
+
+
+def _first_duplicate(table: ScoreTable) -> int | None:
+    """The index of the first row whose (utt_id, checkpoint_s) an earlier row has."""
+    # names are interned, so equal names are one object; full-length rows are
+    # keyed 0 (a NaN key would equal nothing), which no valid checkpoint is
+    names = np.fromiter(map(id, table.utt_id), np.uintp, len(table))
+    cps = np.nan_to_num(table.checkpoint_s, nan=0.0)
+    order = np.lexsort((cps, names))  # stable: equal keys keep their row order
+    names, cps = names[order], cps[order]
+    repeat = (names[1:] == names[:-1]) & (cps[1:] == cps[:-1])
+    return int(order[1:][repeat].min()) if repeat.any() else None
+
+
+def _row_at(path, index: int) -> tuple[int, list]:
+    """The line on which the index-th non-blank row after the header ends, and the row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != SCORES_HEADER:
-            raise EvalError(f"{path}:1: expected header {','.join(SCORES_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(SCORES_HEADER):
-                raise EvalError(f"{where}: expected {len(SCORES_HEADER)} fields, got {len(row)}")
-            # one string object per distinct name keeps large files compact
-            utt_id, dataset, label = map(sys.intern, row[:3])
-            cp, value = row[3:]
-            try:
-                trial = TrialScore(utt_id, label, float(value), dataset, float(cp) if cp else None)
-            except ValueError as exc:  # EvalError included
-                raise EvalError(f"{where}: {exc}") from exc
-            key = (utt_id, trial.checkpoint_s)
-            if key in seen:
-                raise EvalError(f"{where}: duplicate row for {utt_id!r} at checkpoint {cp or 'full'}")
-            seen.add(key)
-            trials.append(trial)
-    return trials
+        row = next(itertools.islice(filter(None, reader), index + 1, None))
+        return reader.line_num, row
+
+
+def read_scores_csv(path) -> ScoreTable:
+    """Parse a scores CSV into columns, a chunk of rows at a time; a malformed
+    or duplicate row raises EvalError at path:line."""
+    chunks, failure = [], None
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # parsing makes millions of objects and no cycles
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != SCORES_HEADER:
+                raise EvalError(f"{path}:1: expected header {','.join(SCORES_HEADER)}")
+            rows = filter(None, reader)  # blank lines are skipped
+            while failure is None and (chunk := list(itertools.islice(rows, _CHUNK_ROWS))):
+                columns, failure = _parse_chunk(chunk)
+                chunks.append(columns)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    table = ScoreTable(*map(np.concatenate, zip(*chunks))) if chunks else ScoreTable.of(())
+    # rows before the first bad one are all checked, so a duplicate among them comes first
+    duplicate = _first_duplicate(table)
+    if duplicate is not None:
+        line, row = _row_at(path, duplicate)
+        raise EvalError(f"{path}:{line}: duplicate row for {row[0]!r} at checkpoint {row[3] or 'full'}")
+    if failure is not None:  # the table holds the rows before it
+        line, _ = _row_at(path, len(table))
+        raise EvalError(f"{path}:{line}: {failure}")
+    return table

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve, sosfilt, butter
 
 from . import g711
 from .audio import AudioClip
@@ -89,6 +88,8 @@ def convolve_ir(clip: AudioClip, ir: AudioClip) -> AudioClip:
         raise ValueError("impulse response is empty")
     if ir.sample_rate_hz != clip.sample_rate_hz:
         raise ValueError("impulse response sample rate does not match clip")
+    from scipy.signal import fftconvolve  # scipy.signal is imported where used: it takes about a second to load
+
     y = fftconvolve(clip.samples, ir.samples)[: len(clip)]
     peak = np.max(np.abs(y)) if y.size else 0.0
     if peak > 1.0:
@@ -111,11 +112,15 @@ def _telephony_sos(sample_rate_hz: int):
     lo, hi = TELEPHONY_BAND_HZ
     if hi >= sample_rate_hz / 2:
         raise ValueError("sample rate too low for the telephony band")
+    from scipy.signal import butter
+
     return butter(4, [lo, hi], btype="bandpass", fs=sample_rate_hz, output="sos")
 
 
 def bandpass_telephony(clip: AudioClip) -> AudioClip:
     """300-3400 Hz Butterworth bandpass, cascaded biquads, zero state."""
+    from scipy.signal import sosfilt
+
     y = sosfilt(_telephony_sos(clip.sample_rate_hz), clip.samples)
     return AudioClip(y, clip.sample_rate_hz)
 
@@ -143,6 +148,8 @@ def add_colored_noise(clip: AudioClip, snr_db: float, seed: int) -> AudioClip:
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(x.size)
     taps = rng.uniform(-1.0, 1.0, _NOISE_FIR_TAPS)
+    from scipy.signal import fftconvolve
+
     noise = fftconvolve(white, taps, mode="same")
     p_noise = float(np.mean(noise * noise))
     noise *= np.sqrt(p_signal / (10.0 ** (snr_db / 10.0) * p_noise))
@@ -194,6 +201,8 @@ def impulsive_noise(clip: AudioClip, rate_per_s: float, amplitude_rel: float, se
     hits = rng.random(x.size) < rate_per_s / clip.sample_rate_hz
     signs = np.where(rng.random(x.size) < 0.5, -1.0, 1.0)
     win = max(int(_IMPULSE_RMS_WIN_S * clip.sample_rate_hz), 1)
+    from scipy.signal import fftconvolve
+
     local_power = fftconvolve(x * x, np.ones(win) / win, mode="same")
     local_rms = np.sqrt(np.maximum(local_power, 0.0))
     return AudioClip(x + hits * signs * amplitude_rel * local_rms, clip.sample_rate_hz)

@@ -29,6 +29,16 @@ def eer_oracle(bona, spoof):
     raise AssertionError("no FAR/MDR crossing found")
 
 
+def eer_from_curve(curve):
+    """EER read off a DET staircase: FAR interpolated at the FAR/MDR crossing."""
+    points = list(zip(curve.far, curve.mdr))
+    for (f1, m1), (f2, m2) in zip(points, points[1:]):
+        d1, d2 = f1 - m1, f2 - m2
+        if d1 >= 0.0 > d2:
+            return f1 + (0.0 if d1 == d2 else d1 / (d1 - d2)) * (f2 - f1)
+    raise AssertionError("no FAR/MDR crossing found")
+
+
 def mdr_at_far_oracle(bona, spoof, far_target):
     """Smallest candidate threshold with FAR <= target; MDR there."""
     vals = sorted(set(bona) | set(spoof))

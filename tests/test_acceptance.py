@@ -154,7 +154,7 @@ def test_criterion_2_protocol_constants(tmp_path):
          "--weights", str(weights), "--out", str(det_scores), "--checkpoints"],
     )
     assert result.exit_code == 0, result.output
-    rows = read_scores_csv(det_scores)
+    rows = read_scores_csv(det_scores).rows()
     assert [r.checkpoint_s for r in rows] == [2.0, 3.0, 6.0, 9.0, 12.0, 15.0]
 
     # minimum net speech 0.5 s: a 0.3 s clip is discarded by cmd_detect
@@ -174,7 +174,7 @@ def test_criterion_2_protocol_constants(tmp_path):
          "--weights", str(weights), "--out", str(det2)],
     )
     assert result.exit_code == 0
-    assert [r.utt_id for r in read_scores_csv(det2)] == ["long"]
+    assert [r.utt_id for r in read_scores_csv(det2).rows()] == ["long"]
 
     # pool defaults: 3000 per class per dataset; 7 datasets -> 21,000 per class
     assert PoolSpec().per_class_per_dataset == 3000
@@ -375,7 +375,7 @@ def test_criterion_7_protocol_pipeline(tmp_path):
          "--weights", str(weights), "--out", str(scores_csv), "--checkpoints"],
     )
     assert result.exit_code == 0, result.output
-    rows = read_scores_csv(scores_csv)
+    rows = read_scores_csv(scores_csv).rows()
     per_utt = {}
     for r in rows:
         per_utt.setdefault(r.utt_id, []).append(r.checkpoint_s)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,7 +246,7 @@ class TestCmdDetect:
              "--weights", str(weights), "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
-        rows = read_scores_csv(out)
+        rows = read_scores_csv(out).rows()
         assert len(rows) == 1
         assert rows[0].utt_id == "u1" and rows[0].checkpoint_s is None
 
@@ -256,7 +260,7 @@ class TestCmdDetect:
              "--weights", str(weights), "--out", str(out), "--checkpoints"],
         )
         assert result.exit_code == 0, result.output
-        rows = read_scores_csv(out)
+        rows = read_scores_csv(out).rows()
         assert [r.checkpoint_s for r in rows] == [2.0, 3.0, 6.0, 9.0, 12.0, 15.0]
 
     def test_short_entry_skipped(self, runner, config_path, tmp_path):
@@ -271,7 +275,7 @@ class TestCmdDetect:
              "--weights", str(weights), "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
-        rows = read_scores_csv(out)
+        rows = read_scores_csv(out).rows()
         assert [r.utt_id for r in rows] == ["ok"]
         assert "tiny" in result.stderr and "skip" in result.stderr.lower()
 
@@ -285,7 +289,7 @@ class TestCmdDetect:
              "--weights", str(weights), "--out", str(out), "--checkpoints", "2,3,6,9"],
         )
         assert result.exit_code == 0, result.output
-        rows = read_scores_csv(out)
+        rows = read_scores_csv(out).rows()
         # 9 s checkpoint exceeds the ~7 s of net speech -> skipped
         assert [r.checkpoint_s for r in rows] == [2.0, 3.0, 6.0]
 
@@ -318,7 +322,7 @@ class TestCmdDetect:
             k: score(detector_forward(log_mel(net_speech_prefix(clip, mask, k), cfg.features), store, det_cfg)).s
             for k in checkpoints
         }
-        assert {r.checkpoint_s: r.score for r in read_scores_csv(out)} == want
+        assert {r.checkpoint_s: r.score for r in read_scores_csv(out).rows()} == want
 
     def test_checkpoint_below_min_frames_fails_entry(self, runner, config_path, tmp_path):
         weights = self.init_weights(runner, config_path, tmp_path)
@@ -331,7 +335,7 @@ class TestCmdDetect:
         )
         assert result.exit_code == 1
         assert "error: u: input has 8 frames; detector needs >= 16" in result.stderr
-        assert read_scores_csv(out) == []
+        assert read_scores_csv(out).rows() == []
 
 
 class TestUnreadableInputs:
@@ -369,6 +373,33 @@ class TestUnreadableInputs:
         )
         self.assert_fails_closed(result, f"{weights}: ")
         assert "checksum" in result.stderr
+
+    def test_weights_header_missing_field(self, runner, tmp_path):
+        weights = tmp_path / "w.bin"
+        weights.write_text('{"format":"spoofbench-weights","format_version":1}\n')
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        result = runner.invoke(
+            main, ["detect", "--manifest", str(manifest), "--weights", str(weights), "--out", str(tmp_path / "s.csv")]
+        )
+        self.assert_fails_closed(result, f"{weights}: ")
+        assert "blob_bytes" in result.stderr
+
+    @pytest.mark.parametrize("command", ["vad", "pool", "detect-manifest", "detect-weights", "present", "eval", "det"])
+    def test_directory_argument(self, runner, tmp_path, command):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        out = str(tmp_path / "out")
+        argv = {
+            "vad": ["vad", "--in", str(directory), "--out", out],
+            "pool": ["pool", "--manifests", str(directory), "--out", out],
+            "detect-manifest": ["detect", "--manifest", str(directory), "--weights", str(manifest), "--out", out],
+            "detect-weights": ["detect", "--manifest", str(manifest), "--weights", str(directory), "--out", out],
+            "present": ["present", "--jobs", str(directory)],
+            "eval": ["eval", "--scores", str(directory), "--out", out],
+            "det": ["det", "--scores", str(directory), "--out", out],
+        }[command]
+        self.assert_fails_closed(runner.invoke(main, argv), f"{directory}: ")
 
 
 class TestCmdEval:
@@ -541,7 +572,8 @@ class TestCmdDet:
     def test_eer_recoverable(self, runner, tmp_path):
         from spoofbench import compute_eer
         from spoofbench.metrics import DetCurve
-        from spoofbench.metrics import eer_from_curve
+
+        from oracles import eer_from_curve
 
         rng = np.random.default_rng(7)
         trials = [TrialScore(f"b{i}", "bonafide", float(s)) for i, s in enumerate(rng.normal(0, 1, 80))]
@@ -563,6 +595,41 @@ class TestCmdDet:
         TestCmdEval().assert_fails_closed(result, f"{scores}: no full-length rows")
         assert "--checkpoint-avg" in result.stderr
         assert not out.exists()
+
+
+class TestStartup:
+    """scipy takes about a second to import, and only resampling, the channel
+    simulation and the aggregator use it."""
+
+    SCRIPT = """
+import json, sys
+from spoofbench.cli import main
+loaded = [sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+for argv in json.loads(sys.argv[1]):
+    main(argv, standalone_mode=False)
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps(loaded))
+"""
+
+    def test_import_eval_det_and_8khz_detect_load_no_scipy(self, runner, config_path, tmp_path):
+        import spoofbench
+
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])  # SR is 8 kHz, the default rate
+        scores = TestCmdEval().write_toy_scores(tmp_path)
+        commands = [
+            ["eval", "--scores", str(scores), "--pooled", "--per-dataset", "--out", str(tmp_path / "r.json")],
+            ["det", "--scores", str(scores), "--out", str(tmp_path / "det.csv")],
+            ["--config", config_path, "detect", "--manifest", str(manifest), "--weights", str(weights),
+             "--out", str(tmp_path / "s.csv"), "--checkpoints", "0.5"],
+        ]
+        src = str(Path(spoofbench.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[]] * 4  # after the import and after each command
+        assert [r.checkpoint_s for r in read_scores_csv(tmp_path / "s.csv").rows()] == [0.5]
 
 
 class TestConfigEnvVar:

@@ -7,6 +7,7 @@ from spoofbench import (
     DetCurve,
     EvalProtocol,
     MetricReport,
+    ScoreTable,
     TrialScore,
     checkpoint_eval,
     compute_eer,
@@ -15,16 +16,17 @@ from spoofbench import (
     per_dataset_eval,
     pooled_eval,
 )
+from spoofbench import metrics
+from spoofbench.corpus import LABELS
 from spoofbench.metrics import (
     EvalError,
-    eer_from_curve,
     evaluate,
     read_scores_csv,
     write_det_csv,
     write_scores_csv,
 )
 
-from oracles import eer_oracle, mdr_at_far_oracle
+from oracles import eer_from_curve, eer_oracle, mdr_at_far_oracle
 
 
 def trials_from(bona, spoof, dataset="default", checkpoint_s=None):
@@ -314,7 +316,7 @@ class TestScoresCsv:
         )
         path = tmp_path / "scores.csv"
         write_scores_csv(trials, path)
-        back = read_scores_csv(path)
+        back = read_scores_csv(path).rows()
         assert back == trials
 
     def test_header_enforced(self, tmp_path):
@@ -322,6 +324,95 @@ class TestScoresCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(EvalError, match="header"):
             read_scores_csv(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.builds(
+            TrialScore,
+            utt_id=st.text(max_size=6),
+            label=st.sampled_from(LABELS),
+            score=st.floats(allow_nan=False, allow_infinity=False),
+            dataset=st.text(max_size=4),
+            checkpoint_s=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        ),
+        max_size=12,
+        unique_by=lambda t: (t.utt_id, t.checkpoint_s),
+    ))
+    def test_roundtrip_property(self, tmp_path_factory, trials):
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        write_scores_csv(trials, path)
+        assert read_scores_csv(path).rows() == trials
+
+    def test_metrics_of_table_equal_metrics_of_rows(self, tmp_path):
+        rng = np.random.default_rng(8)
+        trials = []
+        for ds in ("dsB", "dsA"):
+            for cp in (None, 3.0, 2.0):
+                trials += trials_from(rng.normal(0, 1, 9), rng.normal(1, 1, 7), ds, cp)
+        trials = [TrialScore(f"{t.utt_id}{t.dataset}", t.label, t.score, t.dataset, t.checkpoint_s) for t in trials]
+        path = tmp_path / "scores.csv"
+        write_scores_csv(trials, path)
+        table = read_scores_csv(path)
+        assert ScoreTable.of(table) is table
+        full = [t for t in trials if t.checkpoint_s is None]
+        assert pooled_eval(table.select(np.isnan(table.checkpoint_s))) == pooled_eval(full)
+        assert per_dataset_eval(table.select(np.isnan(table.checkpoint_s))) == per_dataset_eval(full)
+        assert checkpoint_eval(table, EvalProtocol((2.0, 3.0))) == checkpoint_eval(trials, EvalProtocol((2.0, 3.0)))
+        curve_table, curve_rows = det_curve(table), det_curve(trials)
+        assert np.array_equal(curve_table.thresholds, curve_rows.thresholds)
+        assert np.array_equal(curve_table.far, curve_rows.far)
+
+
+class TestScoresCsvChunks:
+    """Rows are checked a chunk at a time; errors name the same path:line as
+    a row-by-row reader, on either side of a chunk boundary."""
+
+    CHUNK = 4  # data rows 0-3 are lines 2-5, rows 4-7 lines 6-9, rows 8-9 lines 10-11
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", self.CHUNK)
+
+    def write(self, tmp_path, edits=(), blank_before=None):
+        rows = [f"u{i},ds,{LABELS[i % 2]},,0.{i}" for i in range(10)]
+        for i, row in edits:
+            rows[i] = row
+        if blank_before is not None:
+            rows.insert(blank_before, "")
+        path = tmp_path / "scores.csv"
+        path.write_text("\n".join([",".join(metrics.SCORES_HEADER), *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("edits, blank_before, line, message", [
+        ([(3, "u3,ds,spoof,,0.3,x")], None, 5, "expected 5 fields, got 6"),
+        ([(4, "u4,ds,bonafide,,nan")], None, 6, "u4: score must be finite"),
+        ([(3, "u3,ds,fake,,0.3")], None, 5, "u3: label must be one of ('bonafide', 'spoof')"),
+        ([(4, "u4,ds,bonafide,0,0.4")], None, 6, "u4: checkpoint_s must be positive and finite"),
+        ([(4, "u4,ds,bonafide,two,0.4")], None, 6, "could not convert string to float: 'two'"),
+        ([(4, "u3,ds,spoof,,0.4")], None, 6, "duplicate row for 'u3' at checkpoint full"),
+        ([(3, "u3,ds,spoof,2,0.3"), (4, "u3,ds,spoof,2.0,0.4")], None, 6, "duplicate row for 'u3' at checkpoint 2.0"),
+        # a duplicate in the second chunk comes before a bad row in the third
+        ([(1, "u1,ds,spoof,,0.1"), (6, "u1,ds,spoof,,0.6"), (9, "u9,ds,spoof")], None, 8,
+         "duplicate row for 'u1' at checkpoint full"),
+        # a bad row in the second chunk comes before a duplicate pair around it
+        ([(2, "u2,ds,spoof,,0.2"), (5, "u5,ds,spoof,-1,0.5"), (8, "u2,ds,spoof,,0.8")], None, 7,
+         "u5: checkpoint_s must be positive and finite"),
+        # a blank line is skipped but counted
+        ([(4, "u4,ds,bonafide,,inf")], 4, 7, "u4: score must be finite"),
+    ])
+    def test_first_bad_row_named(self, tmp_path, edits, blank_before, line, message):
+        path = self.write(tmp_path, edits, blank_before)
+        with pytest.raises(EvalError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    def test_chunks_join_in_order(self, tmp_path):
+        path = self.write(tmp_path, blank_before=5)
+        table = read_scores_csv(path)
+        assert list(table.utt_id) == [f"u{i}" for i in range(10)]
+        assert table.score.tolist() == [float(f"0.{i}") for i in range(10)]
+        assert table.is_spoof.tolist() == [i % 2 == 1 for i in range(10)]
+        assert np.isnan(table.checkpoint_s).all()
 
 
 class TestMetricReport:
