@@ -140,8 +140,10 @@ def load_parameters(path) -> ParameterStore:
                 f"{path}: tensor {name} shape/offset inconsistent with blob"
             )
         end_seen = end
-        arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
-        store.add(name, arr)
+        try:
+            store.add(name, np.frombuffer(blob[start:end], dtype="<f4").reshape(shape))
+        except ValueError as exc:  # a repeated name, a non-finite value or a shape that does not fit
+            raise WeightsError(f"{path}: tensor {name}: {exc}") from exc
     if end_seen != len(blob):
         raise WeightsShapeError(f"{path}: blob has {len(blob) - end_seen} trailing bytes")
     return store

@@ -374,15 +374,24 @@ class TestUnreadableInputs:
         self.assert_fails_closed(result, f"{weights}: ")
         assert "checksum" in result.stderr
 
-    def test_weights_header_missing_field(self, runner, tmp_path):
+    EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+    @pytest.mark.parametrize("header, named", [
+        ({}, "blob_bytes"),
+        ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256, "tensors": [{"name": "a", "offset": 0}]}, "shape"),
+        ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256,
+          "tensors": [{"name": "a", "shape": [0], "offset": 0}, {"name": "a", "shape": [0], "offset": 0}]},
+         "duplicate tensor name"),
+    ])
+    def test_malformed_weights_header(self, runner, tmp_path, header, named):
         weights = tmp_path / "w.bin"
-        weights.write_text('{"format":"spoofbench-weights","format_version":1}\n')
+        weights.write_text(json.dumps({"format": "spoofbench-weights", "format_version": 1, **header}) + "\n")
         manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
         result = runner.invoke(
             main, ["detect", "--manifest", str(manifest), "--weights", str(weights), "--out", str(tmp_path / "s.csv")]
         )
         self.assert_fails_closed(result, f"{weights}: ")
-        assert "blob_bytes" in result.stderr
+        assert named in result.stderr
 
     @pytest.mark.parametrize("command", ["vad", "pool", "detect-manifest", "detect-weights", "present", "eval", "det"])
     def test_directory_argument(self, runner, tmp_path, command):
