@@ -9,10 +9,12 @@ seeded per utterance from the global seed, so results do not depend on
 
 from __future__ import annotations
 
+import collections
 import datetime
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,6 +72,15 @@ def _read_or_exit(read, path):
     sys.exit(1)
 
 
+def _write_or_exit(write, path):
+    """write(path), or one `error:` line and exit 1 for an output path that cannot be written."""
+    try:
+        write(path)
+    except OSError as exc:  # a missing directory, or no permission
+        click.echo(f"error: {path}: {exc.strerror or exc}", err=True)
+        sys.exit(1)
+
+
 def _read_jobs(path):
     """The non-blank lines of a jobs file, with their line numbers."""
     with open(path, encoding="utf-8") as fh:
@@ -103,7 +114,7 @@ def main(ctx, config_path):
 
 @main.command("vad")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--trim-dir", type=click.Path(file_okay=False), default=None)
 @click.option("--parallelism", type=int, default=None)
 @click.pass_obj
@@ -129,7 +140,7 @@ def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
     results = _map_entries(process, entries, parallelism or cfg.parallelism)
     ok = sorted((e for e, _ in results if e is not None), key=lambda e: e.utt_id)
     failures = [f for _, f in results if f is not None]
-    write_manifest(ok, out_path)
+    _write_or_exit(lambda path: write_manifest(ok, path), out_path)
     if _report_failures(failures):
         sys.exit(1)
 
@@ -184,7 +195,7 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
 @click.option("--per-class", type=int, default=3000, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--min-net-speech", type=float, default=MIN_NET_SPEECH_S, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.argument("manifest_args", nargs=-1, type=click.Path(exists=True))
 @click.pass_obj
 def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out_path, manifest_args):
@@ -203,13 +214,13 @@ def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    write_manifest(pool, out_path)
+    _write_or_exit(lambda path: write_manifest(pool, path), out_path)
 
 
 @main.command("detect")
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
 @click.option("--weights", "weights_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option(
     "--checkpoints",
     default=None,
@@ -231,43 +242,136 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     else:
         cps = tuple(float(c) for c in checkpoints.split(","))
 
-    def process(entry):
-        try:
-            clip = resample(load_wav(entry.path), cfg.sample_rate_hz)
-            mask = detect_voice(clip, cfg.vad)
-            net = net_speech_seconds(mask)
-            if net < MIN_NET_SPEECH_S:
-                return [], None, f"{entry.utt_id}: skipped ({net:.2f}s net speech < {MIN_NET_SPEECH_S}s)"
-            if cps is None:
-                logits = detector_forward(log_mel(trim_nonspeech(clip, mask), cfg.features), store, det_cfg)
-                return [TrialScore(entry.utt_id, entry.label, score(logits).s, entry.dataset, None)], None, None
-            ks = [k for k in cps if k <= net + 1e-9]
-            if not ks:
-                return [], None, None
-            prefixes = [net_speech_prefix(clip, mask, k) for k in ks]
-            if cfg.features.mean_var_norm:
-                # normalized features of a prefix are not rows of the longest prefix's
-                logits = [detector_forward(log_mel(p, cfg.features), store, det_cfg) for p in prefixes]
-            else:
-                # one log-mel and one forward over the longest prefix score them all
-                counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
-                feat = log_mel(max(prefixes, key=len), cfg.features)
-                logits = detector_forward(feat, store, det_cfg, prefix_frames=counts)
-            rows = [TrialScore(entry.utt_id, entry.label, score(l).s, entry.dataset, k) for k, l in zip(ks, logits)]
-            return rows, None, None
-        except Exception as exc:
-            return [], (entry.utt_id, str(exc)), None
+    def prepare(entry):
+        """(skip note, checkpoints, jobs): one score per checkpoint (None for full
+        length) from the forward jobs, each (features, prefix frame counts)."""
+        clip = resample(load_wav(entry.path), cfg.sample_rate_hz)
+        mask = detect_voice(clip, cfg.vad)
+        net = net_speech_seconds(mask)
+        if net < MIN_NET_SPEECH_S:
+            return f"{entry.utt_id}: skipped ({net:.2f}s net speech < {MIN_NET_SPEECH_S}s)", [], []
+        if cps is None:
+            return None, [None], [(log_mel(trim_nonspeech(clip, mask), cfg.features), None)]
+        ks = [k for k in cps if k <= net + 1e-9]
+        if not ks:
+            return None, [], []
+        prefixes = [net_speech_prefix(clip, mask, k) for k in ks]
+        if cfg.features.mean_var_norm:
+            # normalized features of a prefix are not rows of the longest prefix's
+            return None, ks, [(log_mel(p, cfg.features), None) for p in prefixes]
+        # one log-mel and one forward over the longest prefix score them all
+        counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
+        return None, ks, [(log_mel(max(prefixes, key=len), cfg.features), counts)]
 
-    results = _map_entries(process, entries, parallelism or cfg.parallelism)
+    workers = min(parallelism or cfg.parallelism, os.cpu_count() or 1, len(entries))
+    if workers <= 1:
+        # in-process, so a wrapper around this module's detector_forward sees every forward
+        results = _score_entries(entries, prepare, lambda job: _run_now(_job_scores, store, det_cfg, *job), 1)
+    else:
+        results = _score_in_workers(entries, prepare, store, det_cfg, workers)
     trials = [t for rows, _, _ in results for t in rows]
     trials.sort(key=lambda t: (t.utt_id, t.checkpoint_s if t.checkpoint_s is not None else -1.0))
-    write_scores_csv(trials, out_path)
+    _write_or_exit(lambda path: write_scores_csv(trials, path), out_path)
     for _, _, note in results:
         if note:
             click.echo(note, err=True)
     failures = [f for _, f, _ in results if f is not None]
     if _report_failures(failures):
         sys.exit(1)
+
+
+def _job_scores(store, det_cfg, feat, counts):
+    """The scores of one forward job: one per prefix frame count, or one for the whole input."""
+    logits = detector_forward(feat, store, det_cfg, prefix_frames=counts)
+    return [score(l).s for l in (logits if counts is not None else [logits])]
+
+
+def _run_now(fn, *args) -> Future:
+    """fn(*args) run in this thread, as a finished future."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _score_entries(entries, prepare, submit, max_jobs):
+    """(rows, failure, note) of each entry, in manifest order.
+
+    prepare(entry) gives (note, checkpoints, jobs), and submit(job) gives a
+    future of one job's scores.  An entry's jobs are submitted once the
+    unfinished ones leave room for them under max_jobs (or none are left),
+    so a long manifest never holds every entry's features at once.
+    """
+    results, pending, running = [], collections.deque(), set()  # pending: (entry, note, checkpoints, futures, error)
+
+    def finish():
+        entry, note, ks, futures, error = pending.popleft()
+        scores = []
+        for future in futures:  # every result is read, also after a failure
+            try:
+                scores += future.result()
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            return [], (entry.utt_id, str(error)), None
+        return [TrialScore(entry.utt_id, entry.label, s, entry.dataset, k) for k, s in zip(ks, scores)], None, note
+
+    for entry in entries:
+        note, ks, futures, error = None, (), [], None
+        try:
+            note, ks, jobs = prepare(entry)
+            while running and len(running) + len(jobs) > max_jobs:
+                running = wait(running, return_when=FIRST_COMPLETED).not_done
+            for job in jobs:
+                futures.append(submit(job))
+                running.add(futures[-1])
+        except Exception as exc:  # per-entry failure, keep going
+            error = exc
+        pending.append((entry, note, ks, futures, error))
+        while pending and all(f.done() for f in pending[0][3]):
+            results.append(finish())
+    while pending:
+        results.append(finish())
+    return results
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+_worker_model: dict = {}  # a worker process's weights and config, set once by _init_worker
+
+
+def _init_worker(store, det_cfg):
+    _worker_model.update(store=store, det_cfg=det_cfg)
+
+
+def _worker_scores(job):
+    return _job_scores(_worker_model["store"], _worker_model["det_cfg"], *job)
+
+
+def _score_in_workers(entries, prepare, store, det_cfg, workers):
+    """_score_entries with the forwards in spawned worker processes, one BLAS thread each.
+
+    Each worker's numpy reads its BLAS thread count from the environment once,
+    at import; workers start on the first submits, so the variables stay set
+    until the pool has shut down.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_init_worker, initargs=(store, det_cfg)) as pool:
+            return _score_entries(entries, prepare, lambda job: pool.submit(_worker_scores, job), 2 * workers)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _full_length(trials, path):
@@ -285,7 +389,7 @@ def _full_length(trials, path):
 @click.option("--per-dataset", is_flag=True)
 @click.option("--checkpoint-avg", is_flag=True)
 @click.option("--no-timestamp", is_flag=True, help="Omit generated_at from the report.")
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.pass_obj
 def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, checkpoint_avg, no_timestamp, out_path):
     """Compute EER / MDR@FAR reports from a score CSV."""
@@ -314,12 +418,13 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
         sys.exit(1)
     if not no_timestamp:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _write_or_exit(lambda path: Path(path).write_text(text), out_path)
 
 
 @main.command("det")
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_det(scores_path, out_path):
     """Emit the DET-curve staircase as CSV (threshold, far, mdr)."""
     trials = _read_or_exit(read_scores_csv, scores_path)
@@ -328,17 +433,17 @@ def cmd_det(scores_path, out_path):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    write_det_csv(curve, out_path)
+    _write_or_exit(lambda path: write_det_csv(curve, path), out_path)
 
 
 @main.command("init-weights")
 @click.option("--seed", type=int, default=None)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.pass_obj
 def cmd_init_weights(cfg: RunConfig, seed, out_path):
     """Write a freshly initialized weight file for the configured detector."""
     store = init_parameters(cfg.detector, cfg.global_seed if seed is None else seed)
-    save_parameters(store, out_path)
+    _write_or_exit(lambda path: save_parameters(store, path), out_path)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ head turns [static, input] into k^2 window-attention logits, and the
 softmaxed logits aggregate a pointwise value map into a dynamic context.
 Frequency is mean-reduced, attentive statistics pooling summarizes time,
 and a linear head emits (spoof, bonafide) logits.
+
+No unit writes to its input: BN, ReLU and the additions run in place only
+on arrays the unit itself just created, which keeps the peak memory of a
+forward down without changing a bit of its result.
 """
 
 from __future__ import annotations
@@ -175,8 +179,8 @@ class _Sub:
 def adapter_forward(x, params, stride: int = 1):
     """Channel-raising adapter: 3x3 conv -> BN -> ReLU."""
     y = conv2d(x, params["conv.weight"], params["conv.bias"], stride=stride, padding=1)
-    y = batch_norm(y, params["bn.gamma"], params["bn.beta"], params["bn.mean"], params["bn.var"])
-    return relu(y)
+    batch_norm(y, params["bn.gamma"], params["bn.beta"], params["bn.mean"], params["bn.var"], out=y)
+    return relu(y, out=y)
 
 
 def cot_block_forward(x, params):
@@ -190,12 +194,13 @@ def cot_block_forward(x, params):
     returns   static + dynamic  (shape-preserving)
     """
     static = depthwise_conv2d(x, params["key.weight"], params["key.bias"])
-    head = relu(conv1x1(np.concatenate([static, x], axis=0), params["attn1.weight"], params["attn1.bias"]))
-    logits = conv1x1(head, params["attn2.weight"], params["attn2.bias"])
+    head = conv1x1(np.concatenate([static, x], axis=0), params["attn1.weight"], params["attn1.bias"])
+    logits = conv1x1(relu(head, out=head), params["attn2.weight"], params["attn2.bias"])
     weights = softmax(logits, axis=0)
+    del head, logits  # not needed by the aggregation, the widest step
     values = conv1x1(x, params["value.weight"], params["value.bias"])
-    dynamic = _window_accumulate(values, weights[:, None], params["key.weight"].shape[-1])
-    return static + dynamic
+    static += _window_accumulate(values, weights[:, None], params["key.weight"].shape[-1])
+    return static
 
 
 def res_cot_forward(x, params):
@@ -204,24 +209,20 @@ def res_cot_forward(x, params):
     Uses an identity shortcut, or a 1x1 projection (+BN) when the block
     changes the channel count.
     """
-    y = relu(batch_norm(
-        conv2d(x, params["conv1.weight"], params["conv1.bias"], stride=1, padding=1),
-        params["bn1.gamma"], params["bn1.beta"], params["bn1.mean"], params["bn1.var"],
-    ))
-    y = batch_norm(
-        conv2d(y, params["conv2.weight"], params["conv2.bias"], stride=1, padding=1),
-        params["bn2.gamma"], params["bn2.beta"], params["bn2.mean"], params["bn2.var"],
-    )
+    y = conv2d(x, params["conv1.weight"], params["conv1.bias"], stride=1, padding=1)
+    batch_norm(y, params["bn1.gamma"], params["bn1.beta"], params["bn1.mean"], params["bn1.var"], out=y)
+    y = conv2d(relu(y, out=y), params["conv2.weight"], params["conv2.bias"], stride=1, padding=1)
+    batch_norm(y, params["bn2.gamma"], params["bn2.beta"], params["bn2.mean"], params["bn2.var"], out=y)
     y = cot_block_forward(y, _Sub(params, "cot"))
     if "proj.weight" in params:
-        shortcut = batch_norm(
+        y += batch_norm(
             conv1x1(x, params["proj.weight"], params["proj.bias"]),
             params["proj_bn.gamma"], params["proj_bn.beta"],
             params["proj_bn.mean"], params["proj_bn.var"],
         )
     else:
-        shortcut = x
-    return relu(y + shortcut)
+        y += x
+    return relu(y, out=y)
 
 
 def _units(store, cfg: DetectorConfig):

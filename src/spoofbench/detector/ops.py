@@ -15,8 +15,9 @@ LN_EPS = 1e-5
 POOL_EPS = 1e-9
 
 
-# Scratch budget (elements) for the im2col buffer of one conv2d chunk.
-_CONV_CHUNK_ELEMS = 6_000_000
+# Scratch budget (elements) for the im2col buffer of one conv2d chunk: an
+# 8 MB patch stays near the caches and off the page-fault path.
+_CONV_CHUNK_ELEMS = 1_000_000
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=1):
@@ -60,9 +61,11 @@ def _window_accumulate(x, weights, k):
     pad = k // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     out = np.zeros_like(x)
+    product = np.empty_like(x)  # one buffer for every offset's product
     for o in range(k * k):
         di, dj = divmod(o, k)
-        out += weights[o] * xp[:, di : di + f, dj : dj + t]
+        np.multiply(weights[o], xp[:, di : di + f, dj : dj + t], out=product)
+        out += product
     return out
 
 
@@ -75,15 +78,19 @@ def depthwise_conv2d(x, weight, bias=None):
     return out
 
 
-def batch_norm(x, gamma, beta, mean, var):
-    """Inference-mode BN over the channel axis with fixed running stats."""
+def batch_norm(x, gamma, beta, mean, var, out=None):
+    """Inference-mode BN over the channel axis with fixed running stats.
+
+    out=x normalizes x in place, for a caller that owns x."""
     scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + BN_EPS)
     shift = beta.astype(np.float64) - mean.astype(np.float64) * scale
-    return x * scale[:, None, None] + shift[:, None, None]
+    out = np.multiply(x, scale[:, None, None], out=out)
+    out += shift[:, None, None]
+    return out
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 def gelu(x):

@@ -356,18 +356,27 @@ def _row_at(path, index: int) -> tuple[int, list]:
         return reader.line_num, row
 
 
+def _split_rows(reader, errors: list):
+    """The rows of a csv reader; a line it cannot split (a field over
+    csv.field_size_limit(), say) ends them, and `line: message` goes to errors."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        errors.append(f"{reader.line_num}: {exc}")
+
+
 def read_scores_csv(path) -> ScoreTable:
     """Parse a scores CSV into columns, a chunk of rows at a time; a malformed
     or duplicate row raises EvalError at path:line."""
-    chunks, failure = [], None
+    chunks, failure, unsplit = [], None, []
     gc_was_enabled = gc.isenabled()
     gc.disable()  # parsing makes millions of objects and no cycles
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != SCORES_HEADER:
+            rows = _split_rows(csv.reader(fh), unsplit)
+            if next(rows, None) != SCORES_HEADER:
                 raise EvalError(f"{path}:1: expected header {','.join(SCORES_HEADER)}")
-            rows = filter(None, reader)  # blank lines are skipped
+            rows = filter(None, rows)  # blank lines are skipped
             while failure is None and (chunk := list(itertools.islice(rows, _CHUNK_ROWS))):
                 columns, failure = _parse_chunk(chunk)
                 chunks.append(columns)
@@ -383,4 +392,6 @@ def read_scores_csv(path) -> ScoreTable:
     if failure is not None:  # the table holds the rows before it
         line, _ = _row_at(path, len(table))
         raise EvalError(f"{path}:{line}: {failure}")
+    if unsplit:  # every row before the line is valid
+        raise EvalError(f"{path}:{unsplit[0]}")
     return table

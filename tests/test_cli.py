@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -496,6 +497,13 @@ class TestCmdEval:
         assert "finite" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "det"])
+    def test_oversized_field_fails_closed(self, runner, tmp_path, command):
+        scores = self.write_toy_scores(tmp_path)
+        scores.write_text(scores.read_text() + "u" * 200_000 + ",dsA,spoof,,0.5\n")
+        result = runner.invoke(main, [command, "--scores", str(scores), "--out", str(tmp_path / "out")])
+        self.assert_fails_closed(result, f"{scores}:14: field larger than field limit")
+
     def test_bad_header_fails_closed(self, runner, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("utt_id,label,score\nb0,bonafide,0.1\n")
@@ -682,3 +690,145 @@ class TestDeterminism:
             assert result.exit_code == 0, result.output
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestDetectWorkers:
+    """detect --parallelism N runs the forwards in up to os.cpu_count() spawned workers."""
+
+    def run_detect(self, runner, config, weights, manifest, out, parallelism, *extra):
+        return runner.invoke(
+            main,
+            ["--config", str(config), "detect", "--manifest", str(manifest), "--weights", str(weights),
+             "--out", str(out), "--parallelism", str(parallelism), *extra],
+        )
+
+    @pytest.mark.parametrize("mean_var_norm", [False, True])
+    def test_checkpoint_scores_independent_of_parallelism(self, runner, tmp_path, mean_var_norm):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "features": {"mean_var_norm": mean_var_norm}}))
+        weights = TestCmdDetect().init_weights(runner, str(config), tmp_path)
+        manifest = make_manifest(tmp_path, [(f"u{i}", "spoof", "d", 2.5 + 0.5 * i) for i in range(3)])
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"scores_{workers}.csv"
+            result = self.run_detect(runner, config, weights, manifest, out, workers, "--checkpoints", "2,3")
+            assert result.exit_code == 0, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(read_scores_csv(tmp_path / "scores_2.csv")) == 5  # u0 is below the 3 s checkpoint
+
+    def test_corrupt_wav_fails_only_its_entry(self, runner, config_path, tmp_path):
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("bad", "spoof", "d", 1.0),
+                                            ("c", "bonafide", "d", 1.2)])
+        (tmp_path / "bad.wav").write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
+        out = tmp_path / "scores.csv"
+        result = self.run_detect(runner, config_path, weights, manifest, out, 2)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: bad: ")
+        assert [r.utt_id for r in read_scores_csv(out).rows()] == ["a", "c"]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_fails_its_entry(self, runner, config_path, tmp_path):
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
+        out = tmp_path / "scores.csv"
+        result = self.run_detect(runner, config_path, weights, manifest, out, 2, "--checkpoints", "0.1")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [f"error: {u}: input has 8 frames; detector needs >= 16" for u in "ab"]
+        assert read_scores_csv(out).rows() == []
+
+    def test_one_cpu_starts_no_pool(self, runner, config_path, tmp_path, monkeypatch):
+        import spoofbench.cli as cli
+
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def no_pool(*args):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "_score_in_workers", no_pool)
+        result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
+        assert result.exit_code == 0, result.output
+
+    def test_environment_restored_and_no_worker_left(self, runner, config_path, tmp_path, monkeypatch):
+        import spoofbench.cli as cli
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        for name in cli._BLAS_THREAD_VARS[1:]:
+            monkeypatch.delenv(name, raising=False)
+        before = {name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS}
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
+        result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
+        assert result.exit_code == 0, result.output
+        assert {name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS} == before
+        assert multiprocessing.active_children() == []
+
+    def test_failed_job_fails_its_entry_in_order(self):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        import spoofbench.cli as cli
+
+        def prepare(entry):
+            if entry.utt_id == "p":
+                raise ValueError("cannot read")
+            return None, [None], [entry.utt_id]
+
+        def submit(job):
+            future = Future()
+            if job == "w":
+                future.set_exception(BrokenProcessPool("worker died"))
+            else:
+                future.set_result([float(len(job))])
+            return future
+
+        entries = [ManifestEntry(u, f"{u}.wav", "spoof", "d") for u in ("a", "w", "p", "bb")]
+        results = cli._score_entries(entries, prepare, submit, 2)
+        assert [[(t.utt_id, t.score) for t in rows] for rows, _, _ in results] == [[("a", 1.0)], [], [], [("bb", 2.0)]]
+        assert [failure for _, failure, _ in results] == [None, ("w", "worker died"), ("p", "cannot read"), None]
+
+
+class TestOutputPaths:
+    """Every --out refuses a directory, and a write that fails is one `error:` line and exit 1."""
+
+    def argv(self, runner, command, tmp_path, out):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": COMPACT_DETECTOR}))
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        if command == "vad":
+            return ["vad", "--in", str(manifest), "--out", out]
+        if command == "pool":
+            [ds] = TestCmdPool().make_dataset_manifests(tmp_path, n_datasets=1, per_class=2)
+            return ["pool", "--manifests", ds, "--per-class", "1", "--out", out]
+        if command == "detect":
+            weights = TestCmdDetect().init_weights(runner, str(config), tmp_path)
+            return ["--config", str(config), "detect", "--manifest", str(manifest), "--weights", str(weights),
+                    "--out", out]
+        if command in ("eval", "det"):
+            return [command, "--scores", str(TestCmdEval().write_toy_scores(tmp_path)), "--out", out]
+        return ["--config", str(config), "init-weights", "--out", out]
+
+    COMMANDS = ["vad", "pool", "detect", "eval", "det", "init-weights"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_directory_out(self, runner, tmp_path, command):
+        directory = tmp_path / "out_dir"
+        directory.mkdir()
+        result = runner.invoke(main, self.argv(runner, command, tmp_path, str(directory)))
+        assert result.exit_code == 2  # click's usage error
+        assert isinstance(result.exception, SystemExit)
+        assert "is a directory" in result.stderr
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_out(self, runner, tmp_path, command):
+        out = tmp_path / "missing" / "out"
+        result = runner.invoke(main, self.argv(runner, command, tmp_path, str(out)))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.strip().splitlines() == [f"error: {out}: No such file or directory"]

@@ -325,6 +325,13 @@ class TestScoresCsv:
         with pytest.raises(EvalError, match="header"):
             read_scores_csv(path)
 
+    def test_oversized_field_named(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("utt_id,dataset,label,checkpoint_s,score\na,d,spoof,,0.5\n" + "u" * 200_000 + ",d,spoof,,0.5\n")
+        with pytest.raises(EvalError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == f"{path}:3: field larger than field limit (131072)"
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.builds(
