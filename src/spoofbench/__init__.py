@@ -20,7 +20,6 @@ from .corpus import (
     build_pool,
     filter_min_net_speech,
     read_manifest,
-    segment_by_net_speech,
     write_manifest,
 )
 from .detector.model import (
@@ -50,7 +49,6 @@ from .metrics import (
     pooled_eval,
 )
 from .presentation import (
-    AugmentSpec,
     ChannelConfig,
     add_colored_noise,
     apply_gain,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import datetime
 import json
+import math
 import os
 import sys
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -85,6 +86,21 @@ def _read_jobs(path):
     """The non-blank lines of a jobs file, with their line numbers."""
     with open(path, encoding="utf-8") as fh:
         return [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+
+
+def _parse_checkpoints(ctx, param, value):
+    """--checkpoints as a tuple of distinct finite positive seconds; None and the bare flag pass through."""
+    if value is None or value == "config":
+        return value
+    try:
+        cps = tuple(float(c) for c in value.split(","))
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of seconds") from None
+    if not all(math.isfinite(c) and c > 0 for c in cps):
+        raise click.BadParameter(f"{value!r}: each checkpoint must be a finite number of seconds above 0")
+    if len(set(cps)) < len(cps):
+        raise click.BadParameter(f"{value!r}: a checkpoint repeats")
+    return cps
 
 
 def _report_failures(failures) -> bool:
@@ -204,12 +220,12 @@ def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out
     if not paths:
         raise click.UsageError("no manifests given")
     manifests = [_read_or_exit(read_manifest, p) for p in paths]
-    spec = PoolSpec(
-        per_class_per_dataset=per_class,
-        seed=cfg.global_seed if seed is None else seed,
-        min_net_speech_s=min_net_speech,
-    )
     try:
+        spec = PoolSpec(
+            per_class_per_dataset=per_class,
+            seed=cfg.global_seed if seed is None else seed,
+            min_net_speech_s=min_net_speech,
+        )
         pool = build_pool(manifests, spec)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -226,6 +242,7 @@ def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out
     default=None,
     is_flag=False,
     flag_value="config",
+    callback=_parse_checkpoints,
     help="Comma-separated net-speech checkpoints in seconds; bare flag uses the protocol defaults.",
 )
 @click.option("--parallelism", type=int, default=None)
@@ -234,13 +251,12 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     """Score manifest entries: VAD -> (checkpoint prefix) -> log-mel -> detector."""
     entries = _read_or_exit(read_manifest, manifest_path)
     store = _read_or_exit(load_parameters, weights_path)
-    det_cfg = DetectorConfig.from_dict(store.config) if store.config else cfg.detector
-    if checkpoints is None:
-        cps = None
-    elif checkpoints == "config":
-        cps = cfg.protocol.checkpoints_s
-    else:
-        cps = tuple(float(c) for c in checkpoints.split(","))
+    try:
+        det_cfg = DetectorConfig.from_dict(store.config) if store.config else cfg.detector
+    except (TypeError, ValueError) as exc:  # an unknown key, a bad value or not an object
+        click.echo(f"error: {weights_path}: detector config: {exc}", err=True)
+        sys.exit(1)
+    cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
 
     def prepare(entry):
         """(skip note, checkpoints, jobs): one score per checkpoint (None for full

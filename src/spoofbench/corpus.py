@@ -1,4 +1,4 @@
-"""Corpus manifests, protocol filtering, net-speech segmentation, pooling.
+"""Corpus manifests, protocol filtering and pooling.
 
 Manifests are JSON Lines, one utterance per line, with a canonical field
 order on write so a read/write cycle is byte-stable.  Unknown fields are
@@ -8,13 +8,11 @@ preserved.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, VadMask
 from .seeding import derive_seed
 
 LABELS = ("bonafide", "spoof")
@@ -106,37 +104,6 @@ def write_manifest(entries, path) -> None:
 def filter_min_net_speech(entries, min_s: float = MIN_NET_SPEECH_S) -> list[ManifestEntry]:
     """Keep entries with net_speech_s >= min_s (boundary included)."""
     return [e for e in entries if e.net_speech_s >= min_s]
-
-
-def segment_by_net_speech(
-    clip: AudioClip,
-    mask: VadMask,
-    target_s: float = 20.0,
-    min_keep_s: float = MIN_NET_SPEECH_S,
-) -> list[AudioClip]:
-    """Cut the speech content into consecutive pieces of target_s net speech.
-
-    The final remainder is kept when it holds at least min_keep_s of speech.
-    Returned clips contain speech only (non-speech hops are dropped).
-    """
-    if target_s <= 0:
-        raise ValueError("target_s must be positive")
-    hop = int(round(mask.hop_s * clip.sample_rate_hz))
-    per_segment = int(math.ceil(target_s / mask.hop_s - 1e-9))
-    x = clip.samples
-    segments = []
-    current = []
-    for i in np.flatnonzero(mask.flags):
-        seg = x[i * hop : (i + 1) * hop]
-        if seg.size == 0:
-            continue
-        current.append(seg)
-        if len(current) >= per_segment:
-            segments.append(AudioClip(np.concatenate(current), clip.sample_rate_hz))
-            current = []
-    if current and len(current) * mask.hop_s >= min_keep_s:
-        segments.append(AudioClip(np.concatenate(current), clip.sample_rate_hz))
-    return segments
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,7 @@ mean/variance normalization is off by default.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +37,6 @@ class FeatureConfig:
         if self.log_floor <= 0:
             raise FeatureError("log_floor must be positive")
 
-    def sha256(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
 
 @dataclass(frozen=True)
 class LogMelSpectrogram:
@@ -63,17 +56,9 @@ class LogMelSpectrogram:
     def n_frames(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[1]
-
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
 def mel_filterbank(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
@@ -138,26 +123,3 @@ def log_mel(clip, cfg: FeatureConfig = FeatureConfig()) -> LogMelSpectrogram:
         sd = out.std(axis=0, keepdims=True)
         out = (out - mu) / np.maximum(sd, 1e-8)
     return LogMelSpectrogram(out, cfg.hop_s)
-
-
-def save_features(feat: LogMelSpectrogram, cfg: FeatureConfig, path) -> None:
-    """Dump features as little-endian float32, row-major, with a JSON sidecar."""
-    path = Path(path)
-    path.write_bytes(feat.values.astype("<f4").tobytes())
-    sidecar = {
-        "n_frames": feat.n_frames,
-        "n_mels": feat.n_mels,
-        "frame_hop_s": feat.frame_hop_s,
-        "config_sha256": cfg.sha256(),
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True) + "\n"
-    )
-
-
-def load_features(path) -> LogMelSpectrogram:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-    values = raw.reshape(meta["n_frames"], meta["n_mels"]).astype(np.float64)
-    return LogMelSpectrogram(values, meta["frame_hop_s"])

@@ -3,9 +3,8 @@
 Turns raw audio into "presented" audio the way it would reach a call:
 direct digital injection, analog injection through a wired input, or
 loudspeaker playback into a handset, each followed by narrowband telephony
-processing.  Also provides the seeded signal-level distortions used for
-training-style augmentation (colored noise, multi-notch filtering,
-impulsive noise).
+processing.  Also provides seeded signal-level distortions (colored noise,
+multi-notch filtering, impulsive noise).
 
 Every stochastic operation is a pure function of (input, parameters, seed);
 stage seeds inside `present` are derived per stage name, so composed
@@ -34,13 +33,11 @@ class ChannelConfig:
     """One presentation path and its processing parameters.
 
     gain_db and noise_snr_db may be (lo, hi) ranges sampled per seed.
-    bandpass=None applies the path default (on for analog and playback).
     """
 
     path: str
     ir: AudioClip | None = None
     codec: str = "mulaw"
-    bandpass: bool | None = None
     gain_db: float | tuple = 0.0
     noise_snr_db: float | tuple | None = None
     clip_threshold: float = 0.95
@@ -54,29 +51,6 @@ class ChannelConfig:
             raise ValueError("clip_threshold must be in (0, 1]")
         if self.ir is not None and len(self.ir) == 0:
             raise ValueError("impulse response is empty")
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """A named waveform distortion with its parameters and seed."""
-
-    kind: str
-    seed: int = 0
-    gain_db_range: tuple = (-6.0, 6.0)
-    snr_db_range: tuple = (10.0, 40.0)
-    n_filters: int = 5
-    impulse_rate_per_s: float = 10.0
-    impulse_amplitude: float = 2.0
-    codec: str = "mulaw"
-
-    def __post_init__(self):
-        if self.kind not in ("volume", "convolutive", "impulsive", "colored_noise", "codec"):
-            raise ValueError(f"unknown augmentation {self.kind!r}")
-        for rng in (self.gain_db_range, self.snr_db_range):
-            if rng[0] > rng[1]:
-                raise ValueError("range must be (lo, hi) with lo <= hi")
-        if self.impulse_rate_per_s < 0 or self.n_filters < 0:
-            raise ValueError("rates and counts must be >= 0")
 
 
 def convolve_ir(clip: AudioClip, ir: AudioClip) -> AudioClip:
@@ -231,41 +205,21 @@ def present(clip: AudioClip, cfg: ChannelConfig, seed: int) -> AudioClip:
         snr = _draw(cfg.noise_snr_db, np.random.default_rng(derive_seed(seed, "snr")))
         return add_colored_noise(c, snr, derive_seed(seed, "noise"))
 
-    bandpass_on = cfg.bandpass if cfg.bandpass is not None else cfg.path != "injection_digital"
     if cfg.path == "playback":
         if cfg.ir is None:
             raise ValueError("playback path requires an impulse response")
         out = convolve_ir(out, cfg.ir)
-        if bandpass_on:
-            out = bandpass_telephony(out)
+        out = bandpass_telephony(out)
         if cfg.codec != "none":
             out = codec_roundtrip(out, cfg.codec)
         out = maybe_noise(out)
     elif cfg.path == "injection_analog":
         out = soft_clip(out, cfg.clip_threshold)
         out = maybe_noise(out)
-        if bandpass_on:
-            out = bandpass_telephony(out)
+        out = bandpass_telephony(out)
         if cfg.codec != "none":
             out = codec_roundtrip(out, cfg.codec)
     else:  # injection_digital
         if cfg.codec != "none":
             out = codec_roundtrip(out, cfg.codec)
     return out
-
-
-def apply_augment(clip: AudioClip, spec: AugmentSpec) -> AudioClip:
-    """Apply one training-style augmentation described by an AugmentSpec."""
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "volume":
-        return apply_gain(clip, _draw(spec.gain_db_range, rng))
-    if spec.kind == "colored_noise":
-        snr = _draw(spec.snr_db_range, rng)
-        return add_colored_noise(clip, snr, derive_seed(spec.seed, "noise"))
-    if spec.kind == "convolutive":
-        return convolutive_distortion(clip, spec.n_filters, derive_seed(spec.seed, "filters"))
-    if spec.kind == "impulsive":
-        return impulsive_noise(
-            clip, spec.impulse_rate_per_s, spec.impulse_amplitude, derive_seed(spec.seed, "impulses")
-        )
-    return codec_roundtrip(clip, spec.codec)

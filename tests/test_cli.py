@@ -16,12 +16,14 @@ from spoofbench import (
     TrialScore,
     detect_voice,
     detector_forward,
+    init_parameters,
     load_parameters,
     load_run_config,
     load_wav,
     log_mel,
     net_speech_prefix,
     resample,
+    save_parameters,
     save_wav,
     score,
     write_manifest,
@@ -227,6 +229,19 @@ class TestCmdPool:
         assert result.exit_code == 1
         assert "insufficient bonafide in ds0" in result.stderr
 
+    @pytest.mark.parametrize("option, value, named", [
+        ("--per-class", "0", "per_class_per_dataset must be >= 1"),
+        ("--min-net-speech", "-1", "min_net_speech_s must be >= 0"),
+    ])
+    def test_bad_spec_fails_closed(self, runner, tmp_path, option, value, named):
+        paths = self.make_dataset_manifests(tmp_path, n_datasets=1, per_class=2)
+        out = tmp_path / "pool.jsonl"
+        result = runner.invoke(main, ["pool", option, value, "--manifests", paths[0], "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == f"error: {named}\n"
+        assert not out.exists()
+
 
 class TestCmdDetect:
     def init_weights(self, runner, config_path, tmp_path):
@@ -338,6 +353,28 @@ class TestCmdDetect:
         assert "error: u: input has 8 frames; detector needs >= 16" in result.stderr
         assert read_scores_csv(out).rows() == []
 
+    @pytest.mark.parametrize("value, named", [
+        ("2,x", "comma-separated list of seconds"),
+        (",", "comma-separated list of seconds"),
+        ("nan", "finite number of seconds above 0"),
+        ("2,inf", "finite number of seconds above 0"),
+        ("0", "finite number of seconds above 0"),
+        ("2,-1", "finite number of seconds above 0"),
+        ("2,2", "a checkpoint repeats"),
+        ("3,2,3.0", "a checkpoint repeats"),
+    ])
+    def test_bad_checkpoint_list_is_a_usage_error(self, runner, tmp_path, value, named):
+        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 1.0)])
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(
+            main, ["detect", "--manifest", str(manifest), "--weights", str(manifest), "--out", str(out),
+                   f"--checkpoints={value}"],
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--checkpoints'" in result.stderr
+        assert named in result.stderr
+        assert not out.exists()
+
 
 class TestUnreadableInputs:
     """A malformed manifest or weights file gives one `error:` line and exit 1."""
@@ -392,6 +429,23 @@ class TestUnreadableInputs:
             main, ["detect", "--manifest", str(manifest), "--weights", str(weights), "--out", str(tmp_path / "s.csv")]
         )
         self.assert_fails_closed(result, f"{weights}: ")
+        assert named in result.stderr
+
+    @pytest.mark.parametrize("config, named", [
+        ({**COMPACT_DETECTOR, "foo": 1}, "unexpected keyword argument 'foo'"),
+        ({**COMPACT_DETECTOR, "embedding_dim": 100}, "embedding_dim must equal 2 x last stage channels"),
+        ([1, 2], "must be a mapping"),
+    ])
+    def test_bad_detector_config_in_weights(self, runner, tmp_path, config, named):
+        store = init_parameters(DetectorConfig(**COMPACT_DETECTOR), seed=0)
+        store.config = config
+        weights = tmp_path / "w.bin"
+        save_parameters(store, weights)
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        result = runner.invoke(
+            main, ["detect", "--manifest", str(manifest), "--weights", str(weights), "--out", str(tmp_path / "s.csv")]
+        )
+        self.assert_fails_closed(result, f"{weights}: detector config: ")
         assert named in result.stderr
 
     @pytest.mark.parametrize("command", ["vad", "pool", "detect-manifest", "detect-weights", "present", "eval", "det"])

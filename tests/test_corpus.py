@@ -1,20 +1,14 @@
-import numpy as np
 import pytest
 
 from spoofbench import (
-    AudioClip,
     ManifestEntry,
     PoolSpec,
     build_pool,
     filter_min_net_speech,
     read_manifest,
-    segment_by_net_speech,
     write_manifest,
 )
-from spoofbench.audio import VadMask, detect_voice, net_speech_seconds
 from spoofbench.corpus import ManifestError, PoolError
-
-from conftest import SR, silence, tone
 
 
 def entry(i, dataset="ds", label="bonafide", net=5.0):
@@ -97,52 +91,6 @@ class TestFilterMinNetSpeech:
         entries = [entry(0, net=0.49), entry(1, net=0.5), entry(2, net=0.51)]
         kept = filter_min_net_speech(entries, 0.5)
         assert [e.utt_id for e in kept] == [entries[1].utt_id, entries[2].utt_id]
-
-
-class TestSegmentation:
-    def make_speech(self, total_net_s, burst_s=2.0, gap_s=0.5):
-        parts = []
-        remaining = total_net_s
-        while remaining > 0:
-            d = min(burst_s, remaining)
-            parts.append(tone(1000.0, d))
-            parts.append(silence(gap_s))
-            remaining -= d
-        return AudioClip(np.concatenate(parts), SR)
-
-    def test_60s_net_speech_three_segments(self):
-        clip = self.make_speech(60.0)
-        mask = detect_voice(clip)
-        segments = segment_by_net_speech(clip, mask, target_s=20.0)
-        assert len(segments) in (3, 4)  # VAD overshoot can leave a small tail
-        for seg in segments[:3]:
-            assert abs(seg.duration_s - 20.0) <= 0.0101
-
-    def test_exact_mask_three_segments(self):
-        # synthetic mask: exactly 60 s of speech -> exactly 3 segments
-        flags = np.ones(6000, dtype=bool)
-        clip = AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, 60 * SR), SR)
-        segments = segment_by_net_speech(clip, VadMask(flags, 0.01), target_s=20.0)
-        assert len(segments) == 3
-        assert all(abs(s.duration_s - 20.0) <= 0.0101 for s in segments)
-
-    def test_short_remainder_kept(self):
-        clip = self.make_speech(5.0)
-        mask = detect_voice(clip)
-        segments = segment_by_net_speech(clip, mask, target_s=20.0)
-        assert len(segments) == 1
-        assert abs(segments[0].duration_s - net_speech_seconds(mask)) <= 0.0101
-
-    def test_below_floor_dropped(self):
-        flags = np.zeros(300, dtype=bool)
-        flags[:30] = True  # 0.3 s of speech
-        clip = AudioClip(np.ones(3 * SR) * 0.5, SR)
-        assert segment_by_net_speech(clip, VadMask(flags, 0.01), target_s=20.0) == []
-
-    def test_bad_target(self):
-        clip = AudioClip(np.zeros(SR), SR)
-        with pytest.raises(ValueError):
-            segment_by_net_speech(clip, VadMask(np.ones(10, dtype=bool), 0.01), target_s=0)
 
 
 class TestBuildPool:

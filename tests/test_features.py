@@ -13,14 +13,7 @@ from spoofbench import (
     net_speech_prefix,
     net_speech_seconds,
 )
-from spoofbench.features import (
-    FeatureError,
-    LogMelSpectrogram,
-    frame_count,
-    hz_to_mel,
-    load_features,
-    save_features,
-)
+from spoofbench.features import FeatureError, frame_count, hz_to_mel
 
 from conftest import SR, silence, tone
 
@@ -71,8 +64,7 @@ class TestLogMel:
     def test_frame_count(self):
         # 1 s at 8 kHz, win 200, hop 80 -> 1 + (8000 - 200) // 80 = 98
         feat = log_mel(AudioClip(tone(1000.0, 1.0), SR), CFG)
-        assert feat.n_frames == 98
-        assert feat.n_mels == 64
+        assert feat.values.shape == (98, 64)
 
     def test_gain_homogeneity(self):
         clip = AudioClip(tone(1000.0, 0.5, amplitude=0.5), SR)
@@ -138,22 +130,3 @@ def test_no_nan_inf_for_finite_input(seed, n):
     feat = log_mel(AudioClip(x, SR), CFG)
     assert np.all(np.isfinite(feat.values))
     assert (feat.values >= np.log(1e-10) - 1e-12).all()
-
-
-class TestFeatureDump:
-    def test_roundtrip(self, tmp_path):
-        feat = log_mel(AudioClip(tone(900.0, 0.5), SR), CFG)
-        save_features(feat, CFG, tmp_path / "feat.bin")
-        back = load_features(tmp_path / "feat.bin")
-        assert back.values.shape == feat.values.shape
-        assert np.abs(back.values - feat.values).max() < 1e-5  # float32 dump
-        assert back.frame_hop_s == feat.frame_hop_s
-
-    def test_sidecar_records_config_hash(self, tmp_path):
-        import json
-
-        feat = LogMelSpectrogram(np.zeros((4, 64)), 0.01)
-        save_features(feat, CFG, tmp_path / "feat.bin")
-        meta = json.loads((tmp_path / "feat.bin.json").read_text())
-        assert meta["config_sha256"] == CFG.sha256()
-        assert meta["n_frames"] == 4

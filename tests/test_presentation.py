@@ -14,7 +14,6 @@ from spoofbench import (
     present,
     soft_clip,
 )
-from spoofbench.presentation import AugmentSpec, apply_augment
 from spoofbench.seeding import derive_seed
 from spoofbench import g711
 
@@ -264,16 +263,3 @@ class TestPresent:
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError):
             ChannelConfig(path="carrier_pigeon")
-
-
-class TestAugmentSpec:
-    def test_each_kind_runs_and_is_deterministic(self, sine):
-        for kind in ("volume", "convolutive", "impulsive", "colored_noise", "codec"):
-            spec = AugmentSpec(kind=kind, seed=13)
-            a = apply_augment(sine, spec)
-            b = apply_augment(sine, spec)
-            assert np.array_equal(a.samples, b.samples), kind
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            AugmentSpec(kind="reverse")
