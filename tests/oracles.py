@@ -1,11 +1,15 @@
 """Independent brute-force oracles the implementation is checked against.
 
 These deliberately avoid the library's vectorized code paths: rates are
-obtained by counting over explicit candidate thresholds, and the parameter
-count by summing shape products from the documented architecture.
+obtained by counting over explicit candidate thresholds, the parameter
+count by summing shape products from the documented architecture, and the
+detector's logits by a forward that loops over output positions and
+imports nothing from the library's tensor ops.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def _far(bona, threshold):
@@ -87,3 +91,104 @@ def detector_param_count_oracle(
     total += pool_hidden * d + pool_hidden + pool_hidden  # pooling W, b, v
     total += n_classes * 2 * d + n_classes  # FC on concat(mu, sigma)
     return total
+
+
+BN_EPS = 1e-5  # the detector's batch-norm epsilon
+POOL_EPS = 1e-9  # the variance floor of attentive statistics pooling
+
+
+def _tensor(store, name):
+    return np.asarray(store[name], dtype=np.float64)
+
+
+def _conv3x3_oracle(x, w, b, stride):
+    """3x3 convolution with zero padding 1: one sum over (channel, row, column)
+    of the window at each output position."""
+    ci, f, t = x.shape
+    xp = np.zeros((ci, f + 2, t + 2))
+    xp[:, 1:-1, 1:-1] = x
+    fo, to = (f - 1) // stride + 1, (t - 1) // stride + 1
+    w2 = w.reshape(w.shape[0], -1)
+    out = np.empty((w.shape[0], fo, to))
+    for i in range(fo):
+        for j in range(to):
+            window = xp[:, i * stride : i * stride + 3, j * stride : j * stride + 3]
+            out[:, i, j] = w2 @ window.ravel() + b
+    return out
+
+
+def _depthwise_oracle(x, w, b):
+    """Per-channel k x k 'same' convolution: one windowed sum per position."""
+    c, f, t = x.shape
+    k = w.shape[-1]
+    p = k // 2
+    xp = np.zeros((c, f + 2 * p, t + 2 * p))
+    xp[:, p : p + f, p : p + t] = x
+    out = np.empty_like(x)
+    for i in range(f):
+        for j in range(t):
+            out[:, i, j] = (w * xp[:, i : i + k, j : j + k]).sum(axis=(1, 2)) + b
+    return out
+
+
+def _pointwise_oracle(x, w, b):
+    return np.einsum("oc,cft->oft", w, x) + b[:, None, None]
+
+
+def _bn_oracle(x, store, prefix):
+    """Textbook inference batch norm: (x - mean) / sqrt(var + eps) * gamma + beta."""
+    g, beta, mean, var = (_tensor(store, f"{prefix}.{n}")[:, None, None] for n in ("gamma", "beta", "mean", "var"))
+    return (x - mean) / np.sqrt(var + BN_EPS) * g + beta
+
+
+def _cot_oracle(x, store, prefix, k):
+    """Contextual attention (CoTNet, Li et al., arXiv:2107.12292) with an
+    explicit loop over each position's k x k window."""
+    c, f, t = x.shape
+    static = _depthwise_oracle(x, _tensor(store, f"{prefix}.key.weight"), _tensor(store, f"{prefix}.key.bias"))
+    both = np.concatenate([static, x], axis=0)
+    hidden = np.maximum(_pointwise_oracle(both, _tensor(store, f"{prefix}.attn1.weight"),
+                                          _tensor(store, f"{prefix}.attn1.bias")), 0.0)
+    logits = _pointwise_oracle(hidden, _tensor(store, f"{prefix}.attn2.weight"), _tensor(store, f"{prefix}.attn2.bias"))
+    values = _pointwise_oracle(x, _tensor(store, f"{prefix}.value.weight"), _tensor(store, f"{prefix}.value.bias"))
+    p = k // 2
+    vp = np.zeros((c, f + 2 * p, t + 2 * p))
+    vp[:, p : p + f, p : p + t] = values
+    out = static.copy()
+    for i in range(f):
+        for j in range(t):
+            e = np.exp(logits[:, i, j] - logits[:, i, j].max())
+            attn = e / e.sum()  # one weight per window offset (di, dj), row-major
+            out[:, i, j] += vp[:, i : i + k, j : j + k].reshape(c, k * k) @ attn
+    return out
+
+
+def _attentive_stats_pool_oracle(h, w, b, v):
+    """Attentive statistics pooling (Okabe et al., arXiv:1803.10963) of (T, D) h."""
+    energies = np.array([v @ np.tanh(w @ h_t + b) for h_t in h])
+    e = np.exp(energies - energies.max())
+    alpha = e / e.sum()
+    mu = sum(a * h_t for a, h_t in zip(alpha, h))
+    var = sum(a * (h_t - mu) ** 2 for a, h_t in zip(alpha, h))
+    return np.concatenate([mu, np.sqrt(var + POOL_EPS)])
+
+
+def detector_forward_oracle(values, store, cfg):
+    """(l_spoof, l_bonafide) of the documented architecture on a (frames, mels)
+    log-mel array, written from the architecture description alone."""
+    x = np.asarray(values, dtype=np.float64).T[None, :, :]
+    for s, n_blocks in enumerate(cfg.blocks_per_stage, start=1):
+        a = f"stage{s}.adapter"
+        x = _conv3x3_oracle(x, _tensor(store, f"{a}.conv.weight"), _tensor(store, f"{a}.conv.bias"), 1 if s == 1 else 2)
+        x = np.maximum(_bn_oracle(x, store, f"{a}.bn"), 0.0)
+        for blk in range(1, n_blocks + 1):
+            p = f"stage{s}.block{blk}"
+            y = _conv3x3_oracle(x, _tensor(store, f"{p}.conv1.weight"), _tensor(store, f"{p}.conv1.bias"), 1)
+            y = np.maximum(_bn_oracle(y, store, f"{p}.bn1"), 0.0)
+            y = _conv3x3_oracle(y, _tensor(store, f"{p}.conv2.weight"), _tensor(store, f"{p}.conv2.bias"), 1)
+            y = _cot_oracle(_bn_oracle(y, store, f"{p}.bn2"), store, f"{p}.cot", cfg.cot_kernel)
+            x = np.maximum(y + x, 0.0)
+    h = x.mean(axis=1).T  # frequency mean -> (frames, channels)
+    emb = _attentive_stats_pool_oracle(h, _tensor(store, "pool.w"), _tensor(store, "pool.b"), _tensor(store, "pool.v"))
+    out = _tensor(store, "fc.weight") @ emb + _tensor(store, "fc.bias")
+    return float(out[0]), float(out[1])

@@ -35,7 +35,7 @@ from spoofbench.detector.params import (
 )
 from spoofbench.features import LogMelSpectrogram
 
-from oracles import detector_param_count_oracle
+from oracles import detector_forward_oracle, detector_param_count_oracle
 
 CFG = DetectorConfig()
 
@@ -269,6 +269,45 @@ class TestDetectorForward:
         got = np.array([logits.l_spoof, logits.l_bonafide])
         want = np.array(self.GOLDEN[n_frames])
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+def store_with_stats(cfg, seed):
+    """init_parameters(cfg, seed) with random biases and batch-norm statistics,
+    so that no affine step of the forward is an identity."""
+    rng = np.random.default_rng(seed)
+    out = ParameterStore(config=cfg.to_dict())
+    for name, arr in init_parameters(cfg, seed).items():
+        last = name.rsplit(".", 1)[-1]
+        if last in ("gamma", "var"):
+            arr = rng.uniform(0.5, 1.5, arr.shape)
+        elif last in ("bias", "beta", "mean", "b"):
+            arr = rng.normal(0.0, 0.1, arr.shape)
+        out.add(name, arr)
+    return out
+
+
+class TestOracle:
+    """The forward against tests/oracles.py's position-by-position forward."""
+
+    @staticmethod
+    def assert_close(got, want):
+        got = np.array([got.l_spoof, got.l_bonafide])
+        assert np.max(np.abs(got - np.array(want)) / np.abs(want)) <= 1e-10
+
+    @pytest.mark.parametrize("kernel, n_frames", [(3, 31), (5, 45)])
+    def test_forward_matches_oracle(self, kernel, n_frames):
+        cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), cot_kernel=kernel, embedding_dim=128)
+        store = store_with_stats(cfg, seed=kernel)
+        feat = random_feat(n_frames, n_frames)
+        self.assert_close(detector_forward(feat, store, cfg), detector_forward_oracle(feat.values, store, cfg))
+
+    def test_prefix_frames_match_oracle(self):
+        cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), embedding_dim=128)
+        store = store_with_stats(cfg, seed=1)
+        counts = [61, 17, 33, 45]
+        feat = random_feat(61, 63)
+        for n, got in zip(counts, detector_forward(feat, store, cfg, prefix_frames=counts)):
+            self.assert_close(got, detector_forward_oracle(feat.values[:n], store, cfg))
 
 
 class TestScore:
