@@ -2,16 +2,18 @@
 
 Input is a log-mel spectrogram treated as a 1-channel image (freq x time).
 Four stages each apply an adapter (3x3 conv, BN, ReLU; stride 2 from stage
-two onward) followed by residual blocks whose tail is a contextual attention
-unit: a depthwise k x k conv builds a static context, a two-layer 1x1-conv
-head turns [static, input] into k^2 window-attention logits, and the
-softmaxed logits aggregate a pointwise value map into a dynamic context.
-Frequency is mean-reduced, attentive statistics pooling summarizes time,
-and a linear head emits (spoof, bonafide) logits.
+two onward) followed by identity-shortcut residual blocks whose tail is a
+contextual attention unit: a depthwise k x k conv builds a static context, a
+two-layer 1x1-conv head turns [static, input] into k^2 window-attention
+logits, and the softmaxed logits aggregate a pointwise value map into a
+dynamic context.  Frequency is mean-reduced, attentive statistics pooling
+summarizes time, and a linear head emits (spoof, bonafide) logits.
 
 No unit writes to its input: BN, ReLU and the additions run in place only
 on arrays the unit itself just created, which keeps the peak memory of a
-forward down without changing a bit of its result.
+forward down without changing a bit of its result.  For the same reason a
+unit's weights are cast from the float32 store to float64 when the forward
+reaches that unit, once for its main and fringe passes, and never all at once.
 """
 
 from __future__ import annotations
@@ -115,26 +117,22 @@ def _init_bn(tensors: dict, prefix: str, c: int):
     tensors[f"{prefix}.var"] = np.ones(c)
 
 
-def _init_block(tensors: dict, prefix: str, cin: int, cout: int, k: int, rng):
-    tensors[f"{prefix}.conv1.weight"] = _uniform(rng, (cout, cin, 3, 3), cin * 9)
-    tensors[f"{prefix}.conv1.bias"] = np.zeros(cout)
-    _init_bn(tensors, f"{prefix}.bn1", cout)
-    tensors[f"{prefix}.conv2.weight"] = _uniform(rng, (cout, cout, 3, 3), cout * 9)
-    tensors[f"{prefix}.conv2.bias"] = np.zeros(cout)
-    _init_bn(tensors, f"{prefix}.bn2", cout)
-    hidden = cout // ATTN_REDUCTION
-    tensors[f"{prefix}.cot.key.weight"] = _uniform(rng, (cout, k, k), k * k)
-    tensors[f"{prefix}.cot.key.bias"] = np.zeros(cout)
-    tensors[f"{prefix}.cot.attn1.weight"] = _uniform(rng, (hidden, 2 * cout), 2 * cout)
+def _init_block(tensors: dict, prefix: str, c: int, k: int, rng):
+    tensors[f"{prefix}.conv1.weight"] = _uniform(rng, (c, c, 3, 3), c * 9)
+    tensors[f"{prefix}.conv1.bias"] = np.zeros(c)
+    _init_bn(tensors, f"{prefix}.bn1", c)
+    tensors[f"{prefix}.conv2.weight"] = _uniform(rng, (c, c, 3, 3), c * 9)
+    tensors[f"{prefix}.conv2.bias"] = np.zeros(c)
+    _init_bn(tensors, f"{prefix}.bn2", c)
+    hidden = c // ATTN_REDUCTION
+    tensors[f"{prefix}.cot.key.weight"] = _uniform(rng, (c, k, k), k * k)
+    tensors[f"{prefix}.cot.key.bias"] = np.zeros(c)
+    tensors[f"{prefix}.cot.attn1.weight"] = _uniform(rng, (hidden, 2 * c), 2 * c)
     tensors[f"{prefix}.cot.attn1.bias"] = np.zeros(hidden)
     tensors[f"{prefix}.cot.attn2.weight"] = _uniform(rng, (k * k, hidden), hidden)
     tensors[f"{prefix}.cot.attn2.bias"] = np.zeros(k * k)
-    tensors[f"{prefix}.cot.value.weight"] = _uniform(rng, (cout, cout), cout)
-    tensors[f"{prefix}.cot.value.bias"] = np.zeros(cout)
-    if cin != cout:
-        tensors[f"{prefix}.proj.weight"] = _uniform(rng, (cout, cin), cin)
-        tensors[f"{prefix}.proj.bias"] = np.zeros(cout)
-        _init_bn(tensors, f"{prefix}.proj_bn", cout)
+    tensors[f"{prefix}.cot.value.weight"] = _uniform(rng, (c, c), c)
+    tensors[f"{prefix}.cot.value.bias"] = np.zeros(c)
 
 
 def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
@@ -148,7 +146,7 @@ def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
         tensors[f"stage{s}.adapter.conv.bias"] = np.zeros(c)
         _init_bn(tensors, f"stage{s}.adapter.bn", c)
         for b in range(1, n_blocks + 1):
-            _init_block(tensors, f"stage{s}.block{b}", c, c, cfg.cot_kernel, rng)
+            _init_block(tensors, f"stage{s}.block{b}", c, cfg.cot_kernel, rng)
         cin = c
     d = cfg.stage_channels[-1]
     tensors["pool.w"] = _uniform(rng, (cfg.pool_hidden, d), d)
@@ -162,18 +160,11 @@ def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
     return store
 
 
-class _Sub:
-    """Read-only view of a store restricted to one dotted prefix."""
-
-    def __init__(self, store, prefix: str):
-        self._store = store
-        self._prefix = prefix
-
-    def __getitem__(self, name: str):
-        return self._store[f"{self._prefix}.{name}"]
-
-    def __contains__(self, name: str) -> bool:
-        return f"{self._prefix}.{name}" in self._store
+def _unit_params(tensors, prefix: str) -> dict:
+    """The tensors named prefix.*, with the prefix stripped, as float64 arrays."""
+    dotted = f"{prefix}."
+    return {name.removeprefix(dotted): np.asarray(arr, dtype=np.float64)
+            for name, arr in tensors.items() if name.startswith(dotted)}
 
 
 def adapter_forward(x, params, stride: int = 1):
@@ -204,24 +195,14 @@ def cot_block_forward(x, params):
 
 
 def res_cot_forward(x, params):
-    """Residual block with the attention unit before the add and final ReLU.
-
-    Uses an identity shortcut, or a 1x1 projection (+BN) when the block
-    changes the channel count.
-    """
+    """Residual block with the attention unit before the add and final ReLU;
+    the shortcut is the identity, so the block keeps its channel count."""
     y = conv2d(x, params["conv1.weight"], params["conv1.bias"], stride=1, padding=1)
     batch_norm(y, params["bn1.gamma"], params["bn1.beta"], params["bn1.mean"], params["bn1.var"], out=y)
     y = conv2d(relu(y, out=y), params["conv2.weight"], params["conv2.bias"], stride=1, padding=1)
     batch_norm(y, params["bn2.gamma"], params["bn2.beta"], params["bn2.mean"], params["bn2.var"], out=y)
-    y = cot_block_forward(y, _Sub(params, "cot"))
-    if "proj.weight" in params:
-        y += batch_norm(
-            conv1x1(x, params["proj.weight"], params["proj.bias"]),
-            params["proj_bn.gamma"], params["proj_bn.beta"],
-            params["proj_bn.mean"], params["proj_bn.var"],
-        )
-    else:
-        y += x
+    y = cot_block_forward(y, _unit_params(params, "cot"))
+    y += x
     return relu(y, out=y)
 
 
@@ -231,16 +212,16 @@ def _units(store, cfg: DetectorConfig):
     block_halo = 2 + cfg.cot_kernel // 2  # two 3x3 convs, then the k x k attention window
     for s, n_blocks in enumerate(cfg.blocks_per_stage, start=1):
         stride = 1 if s == 1 else 2
-        yield partial(adapter_forward, params=_Sub(store, f"stage{s}.adapter"), stride=stride), stride, 1
+        yield partial(adapter_forward, params=_unit_params(store, f"stage{s}.adapter"), stride=stride), stride, 1
         for b in range(1, n_blocks + 1):
-            yield partial(res_cot_forward, params=_Sub(store, f"stage{s}.block{b}")), 1, block_halo
+            yield partial(res_cot_forward, params=_unit_params(store, f"stage{s}.block{b}")), 1, block_halo
 
 
-def _head(x, store) -> Logits:
+def _head(x, pool, fc) -> Logits:
     """Frequency mean, attentive statistics pooling and the linear head."""
     h = x.mean(axis=1).T  # collapse frequency -> (T', C)
-    emb = attentive_stats_pool(h, store["pool.w"], store["pool.b"], store["pool.v"])
-    out = store["fc.weight"].astype(np.float64) @ emb + store["fc.bias"].astype(np.float64)
+    emb = attentive_stats_pool(h, pool["w"], pool["b"], pool["v"])
+    out = fc["weight"] @ emb + fc["bias"]
     return Logits(l_spoof=float(out[0]), l_bonafide=float(out[1]))
 
 
@@ -275,9 +256,10 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
             out = unit(np.concatenate([x[:, :, lo:start], fringe], axis=2))
             fringes[n] = (-(-length // stride), first, out[:, :, first - lo // stride :])
         x = y
-    logits = {longest: _head(x, store)}
+    pool, fc = _unit_params(store, "pool"), _unit_params(store, "fc")
+    logits = {longest: _head(x, pool, fc)}
     for n, (_, start, fringe) in fringes.items():
-        logits[n] = _head(np.concatenate([x[:, :, :start], fringe], axis=2), store)
+        logits[n] = _head(np.concatenate([x[:, :, :start], fringe], axis=2), pool, fc)
     if prefix_frames is None:
         return logits[longest]
     return [logits[n] for n in counts]

@@ -1,7 +1,8 @@
 """Inference-mode tensor ops for the detector, on plain numpy arrays.
 
-Activations are float64 with layout (channels, freq, time); weights come in
-as float32 from the store and are promoted during the matmuls.  Convolutions
+The detector ops take float64 activations, with layout (channels, freq,
+time), and float64 weights: the model casts each unit's weights from the
+float32 store once per forward, before its first op.  Convolutions
 accumulate one GEMM per kernel offset, which keeps memory flat and hands the
 hot loop to BLAS.
 """
@@ -32,7 +33,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=1):
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     fo = (x.shape[1] + 2 * padding - kh) // s + 1
     to = (x.shape[2] + 2 * padding - kw) // s + 1
-    w2 = weight.astype(np.float64).reshape(co, ci * kh * kw)
+    w2 = weight.reshape(co, ci * kh * kw)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
     out = np.empty((co, fo, to))
     chunk = max(1, _CONV_CHUNK_ELEMS // max(ci * kh * kw * fo, 1))
@@ -41,16 +42,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=1):
         patch = windows[:, :, t0:t1].transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, -1)
         out[:, :, t0:t1] = (w2 @ patch).reshape(co, fo, t1 - t0)
     if bias is not None:
-        out += bias.astype(np.float64)[:, None, None]
+        out += bias[:, None, None]
     return out
 
 
 def conv1x1(x, weight, bias=None):
     """Pointwise convolution; weight (Co, Ci)."""
     c, f, t = x.shape
-    out = (weight.astype(np.float64) @ x.reshape(c, -1)).reshape(-1, f, t)
+    out = (weight @ x.reshape(c, -1)).reshape(-1, f, t)
     if bias is not None:
-        out += bias.astype(np.float64)[:, None, None]
+        out += bias[:, None, None]
     return out
 
 
@@ -72,9 +73,9 @@ def _window_accumulate(x, weights, k):
 def depthwise_conv2d(x, weight, bias=None):
     """Per-channel (fully grouped) 'same' convolution; weight (C, k, k), k odd."""
     c, k = weight.shape[0], weight.shape[-1]
-    out = _window_accumulate(x, weight.reshape(c, k * k).T[:, :, None, None].astype(np.float64), k)
+    out = _window_accumulate(x, weight.reshape(c, k * k).T[:, :, None, None], k)
     if bias is not None:
-        out += bias.astype(np.float64)[:, None, None]
+        out += bias[:, None, None]
     return out
 
 
@@ -82,8 +83,8 @@ def batch_norm(x, gamma, beta, mean, var, out=None):
     """Inference-mode BN over the channel axis with fixed running stats.
 
     out=x normalizes x in place, for a caller that owns x."""
-    scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + BN_EPS)
-    shift = beta.astype(np.float64) - mean.astype(np.float64) * scale
+    scale = gamma / np.sqrt(var + BN_EPS)
+    shift = beta - mean * scale
     out = np.multiply(x, scale[:, None, None], out=out)
     out += shift[:, None, None]
     return out
@@ -121,7 +122,7 @@ def attentive_stats_pool(h, w, b, v, eps=POOL_EPS):
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] < 1:
         raise ValueError("attentive_stats_pool needs a nonempty (T, D) input")
-    energies = np.tanh(h @ w.astype(np.float64).T + b.astype(np.float64)) @ v.astype(np.float64)
+    energies = np.tanh(h @ w.T + b) @ v
     alpha = softmax(energies, axis=0)
     mu = alpha @ h
     second = alpha @ (h * h)

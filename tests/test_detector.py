@@ -23,6 +23,7 @@ from spoofbench import (
 from spoofbench.detector.model import (
     MIN_INPUT_FRAMES,
     _init_block,
+    _unit_params,
     adapter_forward,
     cot_block_forward,
     res_cot_forward,
@@ -53,12 +54,12 @@ def random_feat(seed, n_frames=40, n_mels=64):
     return LogMelSpectrogram(rng.standard_normal((n_frames, n_mels)), 0.01)
 
 
-def init_res_cot_params(cin: int, cout: int, kernel: int, seed: int) -> dict:
+def init_res_cot_params(channels: int, kernel: int, seed: int) -> dict:
     """Standalone parameter dict for one residual block."""
     rng = np.random.default_rng(seed)
     tensors: dict = {}
-    _init_block(tensors, "block", cin, cout, kernel, rng)
-    return {name.removeprefix("block."): np.asarray(v, dtype=np.float32) for name, v in tensors.items()}
+    _init_block(tensors, "block", channels, kernel, rng)
+    return _unit_params(tensors, "block")
 
 
 class TestInit:
@@ -101,69 +102,51 @@ class TestCountParameters:
 
 class TestAdapter:
     def test_zero_in_zero_out(self, store):
-        from spoofbench.detector.model import _Sub
-
-        out = adapter_forward(np.zeros((1, 64, 20)), _Sub(store, "stage1.adapter"), stride=1)
+        out = adapter_forward(np.zeros((1, 64, 20)), _unit_params(store, "stage1.adapter"), stride=1)
         assert out.shape == (32, 64, 20)
         assert not out.any()
 
     def test_output_channels_and_stride(self, store):
-        from spoofbench.detector.model import _Sub
-
         x = np.random.default_rng(0).standard_normal((32, 64, 20))
-        out = adapter_forward(x, _Sub(store, "stage2.adapter"), stride=2)
+        out = adapter_forward(x, _unit_params(store, "stage2.adapter"), stride=2)
         assert out.shape == (64, 32, 10)
 
     def test_nonnegative(self, store):
-        from spoofbench.detector.model import _Sub
-
         x = np.random.default_rng(1).standard_normal((1, 64, 24))
-        assert (adapter_forward(x, _Sub(store, "stage1.adapter")) >= 0).all()
+        assert (adapter_forward(x, _unit_params(store, "stage1.adapter")) >= 0).all()
 
     def test_shape_mismatch(self, store):
-        from spoofbench.detector.model import _Sub
-
         with pytest.raises(ValueError):
-            adapter_forward(np.zeros((3, 64, 20)), _Sub(store, "stage1.adapter"))
+            adapter_forward(np.zeros((3, 64, 20)), _unit_params(store, "stage1.adapter"))
 
 
 class TestCotBlock:
     def test_shape_preserved(self):
-        params = init_res_cot_params(16, 16, 3, seed=0)
-        cot = {k.removeprefix("cot."): v for k, v in params.items() if k.startswith("cot.")}
+        cot = _unit_params(init_res_cot_params(16, 3, seed=0), "cot")
         x = np.random.default_rng(2).standard_normal((16, 8, 12))
         assert cot_block_forward(x, cot).shape == x.shape
 
     def test_zero_propagation(self):
-        params = init_res_cot_params(16, 16, 3, seed=0)
-        cot = {k.removeprefix("cot."): v for k, v in params.items() if k.startswith("cot.")}
+        cot = _unit_params(init_res_cot_params(16, 3, seed=0), "cot")
         out = cot_block_forward(np.zeros((16, 8, 12)), cot)
         assert np.abs(out).max() == 0.0
 
     def test_deterministic(self):
-        params = init_res_cot_params(16, 16, 3, seed=0)
-        cot = {k.removeprefix("cot."): v for k, v in params.items() if k.startswith("cot.")}
+        cot = _unit_params(init_res_cot_params(16, 3, seed=0), "cot")
         x = np.random.default_rng(3).standard_normal((16, 8, 12))
         assert np.array_equal(cot_block_forward(x, cot), cot_block_forward(x, cot))
 
 
 class TestResCotBlock:
     def test_identity_variant_shape(self):
-        params = init_res_cot_params(16, 16, 3, seed=1)
+        params = init_res_cot_params(16, 3, seed=1)
         x = np.random.default_rng(4).standard_normal((16, 8, 12))
         assert res_cot_forward(x, params).shape == x.shape
 
-    def test_projection_variant_changes_channels(self):
-        params = init_res_cot_params(8, 24, 3, seed=1)
-        assert "proj.weight" in params
-        x = np.random.default_rng(5).standard_normal((8, 8, 12))
-        assert res_cot_forward(x, params).shape == (24, 8, 12)
-
     def test_zero_propagation(self):
-        for cin, cout in ((16, 16), (8, 24)):
-            params = init_res_cot_params(cin, cout, 3, seed=2)
-            out = res_cot_forward(np.zeros((cin, 8, 12)), params)
-            assert np.abs(out).max() == 0.0
+        params = init_res_cot_params(16, 3, seed=2)
+        out = res_cot_forward(np.zeros((16, 8, 12)), params)
+        assert np.abs(out).max() == 0.0
 
 
 class TestAttentiveStatsPool:
