@@ -33,7 +33,7 @@ from .audio import (
 )
 from .config import RunConfig, load_run_config
 from .corpus import MIN_NET_SPEECH_S, ManifestError, PoolSpec, build_pool, read_manifest, write_manifest
-from .detector.model import DetectorConfig, detector_forward, init_parameters, score
+from .detector.model import DetectorConfig, check_parameters, detector_forward, init_parameters, score
 from .detector.params import WeightsError, load_parameters, save_parameters
 from .features import frame_count, log_mel
 from .metrics import (
@@ -132,7 +132,7 @@ def main(ctx, config_path):
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--trim-dir", type=click.Path(file_okay=False), default=None)
-@click.option("--parallelism", type=int, default=None)
+@click.option("--parallelism", type=click.IntRange(min=1), default=None)
 @click.pass_obj
 def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
     """Fill net_speech_s for each manifest entry; optionally write trimmed WAVs."""
@@ -164,7 +164,7 @@ def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
 @main.command("present")
 @click.option("--jobs", "jobs_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None, help="Global seed (default from config).")
-@click.option("--parallelism", type=int, default=None)
+@click.option("--parallelism", type=click.IntRange(min=1), default=None)
 @click.pass_obj
 def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
     """Run presentation jobs from a JSON Lines file.
@@ -208,9 +208,9 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
 
 @main.command("pool")
 @click.option("--manifests", "manifest_opts", multiple=True, type=click.Path(exists=True))
-@click.option("--per-class", type=int, default=3000, show_default=True)
+@click.option("--per-class", type=click.IntRange(min=1), default=3000, show_default=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--min-net-speech", type=float, default=MIN_NET_SPEECH_S, show_default=True)
+@click.option("--min-net-speech", type=click.FloatRange(min=0), default=MIN_NET_SPEECH_S, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.argument("manifest_args", nargs=-1, type=click.Path(exists=True))
 @click.pass_obj
@@ -245,7 +245,7 @@ def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out
     callback=_parse_checkpoints,
     help="Comma-separated net-speech checkpoints in seconds; bare flag uses the protocol defaults.",
 )
-@click.option("--parallelism", type=int, default=None)
+@click.option("--parallelism", type=click.IntRange(min=1), default=None)
 @click.pass_obj
 def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoints, parallelism):
     """Score manifest entries: VAD -> (checkpoint prefix) -> log-mel -> detector."""
@@ -255,6 +255,11 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         det_cfg = DetectorConfig.from_dict(store.config) if store.config else cfg.detector
     except (TypeError, ValueError) as exc:  # an unknown key, a bad value or not an object
         click.echo(f"error: {weights_path}: detector config: {exc}", err=True)
+        sys.exit(1)
+    try:
+        check_parameters(store, det_cfg)
+    except ValueError as exc:
+        click.echo(f"error: {weights_path}: {exc}", err=True)
         sys.exit(1)
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
 

@@ -106,6 +106,8 @@ def score(logits: Logits) -> Score:
 
 
 def _uniform(rng, shape, fan_in):
+    if rng is None:  # only the layout is wanted: draw nothing
+        return np.empty(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -135,10 +137,9 @@ def _init_block(tensors: dict, prefix: str, c: int, k: int, rng):
     tensors[f"{prefix}.cot.value.bias"] = np.zeros(c)
 
 
-def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
-    """Deterministic fresh parameters: fan-in-scaled uniform conv/linear
-    weights, zero biases, identity batch norm with frozen unit stats."""
-    rng = np.random.default_rng(seed)
+def _init_tensors(cfg: DetectorConfig, rng) -> dict:
+    """Every tensor of the detector by name, in store order, with weights drawn
+    from rng, or left unfilled when rng is None."""
     tensors: dict = {}
     cin = 1
     for s, (c, n_blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage), start=1):
@@ -154,10 +155,29 @@ def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
     tensors["pool.v"] = _uniform(rng, (cfg.pool_hidden,), cfg.pool_hidden)
     tensors["fc.weight"] = _uniform(rng, (cfg.n_classes, cfg.embedding_dim), cfg.embedding_dim)
     tensors["fc.bias"] = np.zeros(cfg.n_classes)
+    return tensors
+
+
+def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
+    """Deterministic fresh parameters: fan-in-scaled uniform conv/linear
+    weights, zero biases, identity batch norm with frozen unit stats."""
     store = ParameterStore(config=cfg.to_dict())
-    for name, value in tensors.items():
+    for name, value in _init_tensors(cfg, np.random.default_rng(seed)).items():
         store.add(name, value)
     return store
+
+
+def check_parameters(store: ParameterStore, cfg: DetectorConfig) -> None:
+    """Raise ValueError unless the store holds exactly the tensors, by name and
+    shape, that init_parameters writes for cfg."""
+    want = {name: arr.shape for name, arr in _init_tensors(cfg, None).items()}
+    got = {name: arr.shape for name, arr in store.items()}
+    problems = [f"tensor {name} has shape {got[name]}, the config needs {shape}" if name in got
+                else f"missing tensor {name}" for name, shape in want.items() if got.get(name) != shape]
+    problems += [f"unexpected tensor {name}" for name in got if name not in want]
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ValueError(f"weights do not fit the detector config: {problems[0]}{more}")
 
 
 def _unit_params(tensors, prefix: str) -> dict:

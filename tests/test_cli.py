@@ -13,6 +13,7 @@ from spoofbench import (
     AudioClip,
     DetectorConfig,
     ManifestEntry,
+    ParameterStore,
     TrialScore,
     detect_voice,
     detector_forward,
@@ -229,18 +230,32 @@ class TestCmdPool:
         assert result.exit_code == 1
         assert "insufficient bonafide in ds0" in result.stderr
 
-    @pytest.mark.parametrize("option, value, named", [
-        ("--per-class", "0", "per_class_per_dataset must be >= 1"),
-        ("--min-net-speech", "-1", "min_net_speech_s must be >= 0"),
-    ])
-    def test_bad_spec_fails_closed(self, runner, tmp_path, option, value, named):
+    @pytest.mark.parametrize("option, value", [("--per-class", "0"), ("--min-net-speech", "-1")])
+    def test_bad_spec_fails_closed(self, runner, tmp_path, option, value):
         paths = self.make_dataset_manifests(tmp_path, n_datasets=1, per_class=2)
         out = tmp_path / "pool.jsonl"
         result = runner.invoke(main, ["pool", option, value, "--manifests", paths[0], "--out", str(out)])
-        assert result.exit_code == 1
+        assert result.exit_code == 2  # click's usage error
         assert isinstance(result.exception, SystemExit)  # no traceback
-        assert result.stderr == f"error: {named}\n"
+        assert f"Invalid value for '{option}'" in result.stderr
         assert not out.exists()
+
+
+class TestParallelismOption:
+    @pytest.mark.parametrize("command", ["vad", "present", "detect"])
+    def test_below_one_is_a_usage_error(self, runner, tmp_path, command):
+        manifest = str(make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)]))
+        out = str(tmp_path / "out")
+        argv = {
+            "vad": ["vad", "--in", manifest, "--out", out],
+            "present": ["present", "--jobs", manifest],
+            "detect": ["detect", "--manifest", manifest, "--weights", manifest, "--out", out],
+        }[command]
+        result = runner.invoke(main, argv + ["--parallelism", "0"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--parallelism'" in result.stderr
+        assert not Path(out).exists()
 
 
 class TestCmdDetect:
@@ -447,6 +462,30 @@ class TestUnreadableInputs:
         )
         self.assert_fails_closed(result, f"{weights}: detector config: ")
         assert named in result.stderr
+
+    @pytest.mark.parametrize("change, named", [
+        ("missing", "missing tensor fc.bias\n"),
+        ("shape", "tensor stage1.adapter.conv.weight has shape (8, 1, 3, 3), the config needs (32, 1, 3, 3) (and "),
+        ("extra", "unexpected tensor stage1.block1.proj.weight\n"),
+    ], ids=["missing", "shape", "extra"])
+    def test_weights_that_do_not_fit_the_config(self, runner, tmp_path, change, named):
+        """Checked before any entry: a missing tensor, a compact-width file run
+        at the default width (its config left out) and a tensor no unit reads."""
+        cfg = DetectorConfig(**COMPACT_DETECTOR)
+        store = ParameterStore(config=[] if change == "shape" else cfg.to_dict())
+        for name, arr in init_parameters(cfg, seed=0).items():
+            if not (change == "missing" and name == "fc.bias"):
+                store.add(name, arr)
+        if change == "extra":
+            store.add("stage1.block1.proj.weight", np.zeros((8, 8)))
+        weights = tmp_path / "w.bin"
+        save_parameters(store, weights)
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["detect", "--manifest", str(manifest), "--weights", str(weights), "--out", str(out)])
+        self.assert_fails_closed(result, f"{weights}: weights do not fit the detector config: ")
+        assert named in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["vad", "pool", "detect-manifest", "detect-weights", "present", "eval", "det"])
     def test_directory_argument(self, runner, tmp_path, command):
