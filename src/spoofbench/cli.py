@@ -1,9 +1,11 @@
 """Command-line surface wiring the full pipeline.
 
 Subcommands: vad, present, pool, detect, eval, det, init-weights.
-All commands exit 0 on success and 1 when any per-item failure was
-recorded; partial results are still written.  Entry-level randomness is
-seeded per utterance from the global seed, so results do not depend on
+Every command exits 0 on success.  An OSError or ValueError that ends a
+command is one `error:` line on stderr and exit 1 (`_Main.invoke`); any
+other exception escapes as a bug.  vad, present and detect write partial
+results and exit 1 when an item failed.  Entry-level randomness is seeded
+per utterance from the global seed, so results do not depend on
 --parallelism or processing order.
 """
 
@@ -32,12 +34,11 @@ from .audio import (
     trim_nonspeech,
 )
 from .config import RunConfig, load_run_config
-from .corpus import MIN_NET_SPEECH_S, ManifestError, PoolSpec, build_pool, read_manifest, write_manifest
+from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, read_manifest, write_manifest
 from .detector.model import DetectorConfig, check_parameters, detector_forward, init_parameters, score
-from .detector.params import WeightsError, load_parameters, save_parameters
+from .detector.params import load_parameters, save_parameters
 from .features import frame_count, log_mel
 from .metrics import (
-    EvalError,
     TrialScore,
     checkpoint_eval,
     det_curve,
@@ -59,33 +60,13 @@ def _map_entries(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _read_or_exit(read, path):
-    """read(path), or one `error:` line and exit 1 for an input file that cannot be read or parsed."""
-    try:
-        return read(path)
-    except OSError as exc:  # a directory, or no permission
-        message = f"{path}: {exc.strerror or exc}"
-    except UnicodeDecodeError as exc:
-        message = f"{path}: {exc}"
-    except (ManifestError, WeightsError, EvalError) as exc:  # their messages start with the path
-        message = str(exc)
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
-def _write_or_exit(write, path):
-    """write(path), or one `error:` line and exit 1 for an output path that cannot be written."""
-    try:
-        write(path)
-    except OSError as exc:  # a missing directory, or no permission
-        click.echo(f"error: {path}: {exc.strerror or exc}", err=True)
-        sys.exit(1)
-
-
 def _read_jobs(path):
     """The non-blank lines of a jobs file, with their line numbers."""
     with open(path, encoding="utf-8") as fh:
-        return [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+        try:
+            return [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_checkpoints(ctx, param, value):
@@ -109,7 +90,21 @@ def _report_failures(failures) -> bool:
     return bool(failures)
 
 
-@click.group()
+class _Main(click.Group):
+    """The one boundary: every input error the package raises is a ValueError."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:  # a missing or unwritable path, a directory, no permission
+            message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
+        except ValueError as exc:
+            message = exc
+        click.echo(f"error: {message}", err=True)
+        sys.exit(1)
+
+
+@click.group(cls=_Main)
 @click.option(
     "--config",
     "config_path",
@@ -121,11 +116,7 @@ def _report_failures(failures) -> bool:
 @click.pass_context
 def main(ctx, config_path):
     """Deepfake-detection evaluation toolkit."""
-    try:
-        ctx.obj = load_run_config(config_path)
-    except (TypeError, ValueError) as exc:  # unknown key, bad value or bad JSON
-        click.echo(f"error: {config_path}: {exc}", err=True)
-        sys.exit(1)
+    ctx.obj = load_run_config(config_path)
 
 
 @main.command("vad")
@@ -136,7 +127,7 @@ def main(ctx, config_path):
 @click.pass_obj
 def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
     """Fill net_speech_s for each manifest entry; optionally write trimmed WAVs."""
-    entries = _read_or_exit(read_manifest, in_path)
+    entries = read_manifest(in_path)
     if trim_dir:
         Path(trim_dir).mkdir(parents=True, exist_ok=True)
 
@@ -156,7 +147,7 @@ def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
     results = _map_entries(process, entries, parallelism or cfg.parallelism)
     ok = sorted((e for e, _ in results if e is not None), key=lambda e: e.utt_id)
     failures = [f for _, f in results if f is not None]
-    _write_or_exit(lambda path: write_manifest(ok, path), out_path)
+    write_manifest(ok, out_path)
     if _report_failures(failures):
         sys.exit(1)
 
@@ -174,7 +165,7 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
     defaults to the input file stem.
     """
     global_seed = cfg.global_seed if seed is None else seed
-    jobs = _read_or_exit(_read_jobs, jobs_path)
+    jobs = _read_jobs(jobs_path)
 
     def run(item):
         lineno, line = item
@@ -219,18 +210,13 @@ def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out
     paths = list(manifest_opts) + list(manifest_args)
     if not paths:
         raise click.UsageError("no manifests given")
-    manifests = [_read_or_exit(read_manifest, p) for p in paths]
-    try:
-        spec = PoolSpec(
-            per_class_per_dataset=per_class,
-            seed=cfg.global_seed if seed is None else seed,
-            min_net_speech_s=min_net_speech,
-        )
-        pool = build_pool(manifests, spec)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _write_or_exit(lambda path: write_manifest(pool, path), out_path)
+    manifests = [read_manifest(p) for p in paths]
+    spec = PoolSpec(
+        per_class_per_dataset=per_class,
+        seed=cfg.global_seed if seed is None else seed,
+        min_net_speech_s=min_net_speech,
+    )
+    write_manifest(build_pool(manifests, spec), out_path)
 
 
 @main.command("detect")
@@ -249,18 +235,16 @@ def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out
 @click.pass_obj
 def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoints, parallelism):
     """Score manifest entries: VAD -> (checkpoint prefix) -> log-mel -> detector."""
-    entries = _read_or_exit(read_manifest, manifest_path)
-    store = _read_or_exit(load_parameters, weights_path)
+    entries = read_manifest(manifest_path)
+    store = load_parameters(weights_path)
     try:
         det_cfg = DetectorConfig.from_dict(store.config) if store.config else cfg.detector
     except (TypeError, ValueError) as exc:  # an unknown key, a bad value or not an object
-        click.echo(f"error: {weights_path}: detector config: {exc}", err=True)
-        sys.exit(1)
+        raise ValueError(f"{weights_path}: detector config: {exc}") from exc
     try:
         check_parameters(store, det_cfg)
     except ValueError as exc:
-        click.echo(f"error: {weights_path}: {exc}", err=True)
-        sys.exit(1)
+        raise ValueError(f"{weights_path}: {exc}") from exc
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
 
     def prepare(entry):
@@ -292,7 +276,7 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         results = _score_in_workers(entries, prepare, store, det_cfg, workers)
     trials = [t for rows, _, _ in results for t in rows]
     trials.sort(key=lambda t: (t.utt_id, t.checkpoint_s if t.checkpoint_s is not None else -1.0))
-    _write_or_exit(lambda path: write_scores_csv(trials, path), out_path)
+    write_scores_csv(trials, out_path)
     for _, _, note in results:
         if note:
             click.echo(note, err=True)
@@ -417,30 +401,25 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
     report: dict = {"far_target": far_target}
     if not (pooled or per_dataset or checkpoint_avg):
         pooled = True
-    trials = _read_or_exit(read_scores_csv, scores_path)
-    try:
-        if pooled:
-            report["pooled"] = pooled_eval(_full_length(trials, scores_path), far_target).to_dict()
-        if per_dataset:
-            by_ds, average = per_dataset_eval(_full_length(trials, scores_path), far_target)
-            report["per_dataset"] = {ds: r.to_dict() for ds, r in by_ds.items()}
-            report["per_dataset_average"] = average.to_dict()
-        if checkpoint_avg:
-            cps = trials.checkpoint_s
-            dropped = cps[~(np.isnan(cps) | np.isin(cps, cfg.protocol.checkpoints_s))]
-            if dropped.size:
-                values = ",".join(f"{cp:g}s" for cp in sorted(set(dropped.tolist())))
-                click.echo(f"note: dropped {dropped.size} rows at checkpoints not in the protocol: {values}", err=True)
-            by_cp, average = checkpoint_eval(trials, cfg.protocol, far_target)
-            report["checkpoint_avg"] = average.to_dict()
-            report["per_checkpoint"] = {f"{cp:g}": r.to_dict() for cp, r in by_cp.items()}
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    trials = read_scores_csv(scores_path)
+    if pooled:
+        report["pooled"] = pooled_eval(_full_length(trials, scores_path), far_target).to_dict()
+    if per_dataset:
+        by_ds, average = per_dataset_eval(_full_length(trials, scores_path), far_target)
+        report["per_dataset"] = {ds: r.to_dict() for ds, r in by_ds.items()}
+        report["per_dataset_average"] = average.to_dict()
+    if checkpoint_avg:
+        cps = trials.checkpoint_s
+        dropped = cps[~(np.isnan(cps) | np.isin(cps, cfg.protocol.checkpoints_s))]
+        if dropped.size:
+            values = ",".join(f"{cp:g}s" for cp in sorted(set(dropped.tolist())))
+            click.echo(f"note: dropped {dropped.size} rows at checkpoints not in the protocol: {values}", err=True)
+        by_cp, average = checkpoint_eval(trials, cfg.protocol, far_target)
+        report["checkpoint_avg"] = average.to_dict()
+        report["per_checkpoint"] = {f"{cp:g}": r.to_dict() for cp, r in by_cp.items()}
     if not no_timestamp:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _write_or_exit(lambda path: Path(path).write_text(text), out_path)
+    Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 @main.command("det")
@@ -448,13 +427,8 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_det(scores_path, out_path):
     """Emit the DET-curve staircase as CSV (threshold, far, mdr)."""
-    trials = _read_or_exit(read_scores_csv, scores_path)
-    try:
-        curve = det_curve(_full_length(trials, scores_path))
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _write_or_exit(lambda path: write_det_csv(curve, path), out_path)
+    trials = read_scores_csv(scores_path)
+    write_det_csv(det_curve(_full_length(trials, scores_path)), out_path)
 
 
 @main.command("init-weights")
@@ -464,7 +438,7 @@ def cmd_det(scores_path, out_path):
 def cmd_init_weights(cfg: RunConfig, seed, out_path):
     """Write a freshly initialized weight file for the configured detector."""
     store = init_parameters(cfg.detector, cfg.global_seed if seed is None else seed)
-    _write_or_exit(lambda path: save_parameters(store, path), out_path)
+    save_parameters(store, out_path)
 
 
 if __name__ == "__main__":

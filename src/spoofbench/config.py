@@ -47,4 +47,7 @@ class RunConfig:
 def load_run_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
-    return RunConfig.from_dict(json.loads(Path(path).read_text()))
+    try:
+        return RunConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (TypeError, ValueError) as exc:  # an unknown key, a bad value, bad JSON or not UTF-8
+        raise ValueError(f"{path}: {exc}") from exc

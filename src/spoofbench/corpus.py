@@ -75,18 +75,21 @@ def read_manifest(path) -> list[ManifestEntry]:
     entries = []
     seen = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = ManifestEntry.from_json(line)
-            except (json.JSONDecodeError, TypeError, ManifestError) as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-            if entry.utt_id in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
-            seen.add(entry.utt_id)
-            entries.append(entry)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    entry = ManifestEntry.from_json(line)
+                except (json.JSONDecodeError, TypeError, ManifestError) as exc:
+                    raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+                if entry.utt_id in seen:
+                    raise ManifestError(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
+                seen.add(entry.utt_id)
+                entries.append(entry)
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: {exc}") from exc
     return entries
 
 

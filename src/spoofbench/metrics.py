@@ -380,6 +380,8 @@ def read_scores_csv(path) -> ScoreTable:
             while failure is None and (chunk := list(itertools.islice(rows, _CHUNK_ROWS))):
                 columns, failure = _parse_chunk(chunk)
                 chunks.append(columns)
+    except UnicodeDecodeError as exc:
+        raise EvalError(f"{path}: {exc}") from exc
     finally:
         if gc_was_enabled:
             gc.enable()
