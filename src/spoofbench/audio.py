@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-CANONICAL_RATE_HZ = 8000
-
 # Guard used when converting frame power to dB so that digital silence maps
 # to a finite floor (-120 dB) instead of -inf.
 _POWER_FLOOR = 1e-12

@@ -84,6 +84,12 @@ def _parse_checkpoints(ctx, param, value):
     return cps
 
 
+def _not_nan(ctx, param, value):
+    if math.isnan(value):
+        raise click.BadParameter("nan is not a number of seconds")
+    return value
+
+
 def _report_failures(failures) -> bool:
     for name, msg in failures:
         click.echo(f"error: {name}: {msg}", err=True)
@@ -201,7 +207,8 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
 @click.option("--manifests", "manifest_opts", multiple=True, type=click.Path(exists=True))
 @click.option("--per-class", type=click.IntRange(min=1), default=3000, show_default=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--min-net-speech", type=click.FloatRange(min=0), default=MIN_NET_SPEECH_S, show_default=True)
+@click.option("--min-net-speech", type=click.FloatRange(min=0), default=MIN_NET_SPEECH_S, show_default=True,
+              callback=_not_nan)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.argument("manifest_args", nargs=-1, type=click.Path(exists=True))
 @click.pass_obj

@@ -118,7 +118,7 @@ class PoolSpec:
     def __post_init__(self):
         if self.per_class_per_dataset < 1:
             raise ValueError("per_class_per_dataset must be >= 1")
-        if self.min_net_speech_s < 0:
+        if not self.min_net_speech_s >= 0:  # NaN included
             raise ValueError("min_net_speech_s must be >= 0")
 
 
@@ -134,7 +134,8 @@ def build_pool(manifests, spec: PoolSpec = PoolSpec()) -> list[ManifestEntry]:
         for entry in filter_min_net_speech(manifest, spec.min_net_speech_s):
             groups.setdefault((entry.dataset, entry.label), []).append(entry)
 
-    datasets = sorted({ds for ds, _ in groups})
+    # datasets come from the manifests, so one the filter empties is a shortfall, not left out
+    datasets = sorted({entry.dataset for manifest in manifests for entry in manifest})
     pool = []
     for dataset in datasets:
         for label in LABELS:

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spoofbench import (
     AudioClip,
@@ -238,6 +240,23 @@ class TestCmdPool:
         assert result.exit_code == 2  # click's usage error
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert f"Invalid value for '{option}'" in result.stderr
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("min_net_speech", ["1000", "nan"])
+    def test_filter_that_empties_a_dataset_fails_closed(self, runner, tmp_path, min_net_speech):
+        [ds] = self.make_dataset_manifests(tmp_path, n_datasets=1, per_class=1)
+        out = tmp_path / "pool.jsonl"
+        result = runner.invoke(
+            main, ["pool", "--per-class", "1", "--min-net-speech", min_net_speech, "--manifests", ds, "--out", str(out)]
+        )
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        if min_net_speech == "nan":
+            assert result.exit_code == 2  # click's usage error
+            assert "Invalid value for '--min-net-speech': nan is not a number of seconds" in result.stderr
+        else:
+            assert result.exit_code == 1
+            assert result.stderr == "error: insufficient bonafide in ds0: 0 < 1\n"
         assert not out.exists()
 
 
@@ -925,3 +944,167 @@ class TestOutputPaths:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.strip().splitlines() == [f"error: {out}: No such file or directory"]
+
+
+class TestBoundary:
+    """A command that fails as a whole is one `error:` line and exit 1, for an OSError or a
+    ValueError alone; any other exception escapes."""
+
+    def test_trim_dir_under_a_file(self, runner, tmp_path):
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(main, ["vad", "--in", str(manifest), "--out", str(out), "--trim-dir", f"{afile}/sub"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == f"error: {afile}/sub: Not a directory\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["vad", "pool", "present", "eval", "det", "config"])
+    def test_non_utf8_input(self, runner, tmp_path, command):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "vad": ["vad", "--in", str(bad), "--out", out],
+            "pool": ["pool", "--manifests", str(bad), "--out", out],
+            "present": ["present", "--jobs", str(bad)],
+            "eval": ["eval", "--scores", str(bad), "--out", out],
+            "det": ["det", "--scores", str(bad), "--out", out],
+            "config": ["--config", str(bad), "init-weights", "--out", out],
+        }[command]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        assert not Path(out).exists()
+
+    def test_other_exceptions_escape(self, runner, tmp_path, monkeypatch):
+        import spoofbench.cli as cli
+
+        def broken(path):
+            raise RuntimeError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "read_manifest", broken)
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        result = runner.invoke(main, ["vad", "--in", str(manifest), "--out", str(tmp_path / "out")])
+        assert isinstance(result.exception, RuntimeError)
+        assert str(result.exception) == "a bug, not bad input"
+        assert "error:" not in result.stderr
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid input file of each kind, by name, for the commands of the corruption property."""
+    base = tmp_path_factory.mktemp("valid")
+    entries = []
+    for utt_id, label in (("u1", "bonafide"), ("u2", "spoof")):
+        wav = make_clip_file(base / f"{utt_id}.wav", 1.0)
+        entries.append(ManifestEntry(utt_id, str(wav), label, "d", net_speech_s=1.0))
+    write_manifest(entries, base / "manifest.jsonl")
+    # the output is relative, so a corrupted path stays in the directory the command runs in
+    job = {"input": entries[0].path, "output": "presented.wav", "path": "injection_analog", "codec": "mulaw"}
+    (base / "jobs.jsonl").write_text(json.dumps(job) + "\n")
+    store = init_parameters(DetectorConfig(**COMPACT_DETECTOR), seed=0)
+    store.config = []  # the width comes from the config, so no corruption of the weights can widen it
+    save_parameters(store, base / "weights.bin")
+    (base / "config.json").write_text(json.dumps({"global_seed": 13, "detector": COMPACT_DETECTOR}))
+    trials = [TrialScore(f"{ds}{label[0]}{i}", label, s, ds) for ds in ("dA", "dB")
+              for label, scores in (("bonafide", (0.1, 0.6)), ("spoof", (0.4, 0.9))) for i, s in enumerate(scores)]
+    write_scores_csv(trials, base / "scores.csv")
+    return {name: base / name for name in ("manifest.jsonl", "jobs.jsonl", "weights.bin", "config.json", "scores.csv")}
+
+
+def _argv(command, paths):
+    """The command line of command over paths (input name -> path as given); --out is `out`."""
+    m, w, c, s, out = (paths[name] for name in ("manifest.jsonl", "weights.bin", "config.json", "scores.csv", "out"))
+    return {
+        "vad": ["vad", "--in", m, "--out", out],
+        "present": ["present", "--jobs", paths["jobs.jsonl"]],
+        "pool": ["pool", "--manifests", m, "--per-class", "1", "--out", out],
+        "detect": ["--config", c, "detect", "--manifest", m, "--weights", w, "--out", out],
+        "eval": ["--config", c, "eval", "--scores", s, "--out", out],
+        "det": ["det", "--scores", s, "--out", out],
+        "init-weights": ["--config", c, "init-weights", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["vad", "present", "pool", "detect", "eval", "det", "init-weights"])
+def test_uncorrupted_inputs_succeed(valid_inputs, command):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, _argv(command, {"out": "out", **{n: str(p) for n, p in valid_inputs.items()}}))
+    assert result.exit_code == 0, result.output
+
+
+# (command, the file it gets that is corrupted); a corrupted config reaches no command that
+# sizes a detector from it, so no corruption can ask for a detector of unbounded width
+CORRUPTION_TARGETS = [
+    ("vad", "manifest.jsonl"), ("vad", "out"), ("present", "jobs.jsonl"), ("pool", "manifest.jsonl"),
+    ("pool", "out"), ("detect", "manifest.jsonl"), ("detect", "weights.bin"), ("detect", "out"),
+    ("eval", "scores.csv"), ("eval", "config.json"), ("eval", "out"), ("det", "scores.csv"), ("det", "out"),
+    ("init-weights", "out"),
+]
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1)),
+    st.tuples(st.just("splice"), st.floats(0, 1),
+              st.one_of(st.binary(min_size=1, max_size=8), st.just(b"\xff\xfe"), st.just(b"u" * 200_000))),
+    st.sampled_from([("empty",), ("directory",), ("missing",)]),
+)
+
+
+def _corrupt(data: bytes, name: str, corruption) -> str:
+    """Put data, corrupted, at name in the current directory; the path the command gets."""
+    kind, *args = corruption
+    if kind == "directory":
+        os.mkdir(name)
+        return name
+    if kind == "missing":  # under a directory that does not exist
+        return os.path.join("missing", name)
+    if kind == "truncate":
+        data = data[: int(args[0] * len(data))]
+    elif kind == "splice":
+        at = int(args[0] * len(data))
+        data = data[:at] + args[1] + data[at:]
+    else:
+        data = b""
+    Path(name).write_bytes(data)
+    return name
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=st.sampled_from(CORRUPTION_TARGETS), corruption=CORRUPTIONS)
+# TestOutputPaths: an --out that is a directory, or under one that does not exist
+@example(target=("vad", "out"), corruption=("directory",))
+@example(target=("pool", "out"), corruption=("directory",))
+@example(target=("detect", "out"), corruption=("directory",))
+@example(target=("eval", "out"), corruption=("directory",))
+@example(target=("det", "out"), corruption=("directory",))
+@example(target=("init-weights", "out"), corruption=("directory",))
+@example(target=("vad", "out"), corruption=("missing",))
+@example(target=("pool", "out"), corruption=("missing",))
+@example(target=("detect", "out"), corruption=("missing",))
+@example(target=("eval", "out"), corruption=("missing",))
+@example(target=("det", "out"), corruption=("missing",))
+@example(target=("init-weights", "out"), corruption=("missing",))
+# test_oversized_field_*: a last row with a 200,000-character field
+@example(target=("eval", "scores.csv"), corruption=("splice", 1.0, b"u" * 200_000))
+@example(target=("det", "scores.csv"), corruption=("splice", 1.0, b"u" * 200_000))
+def test_corrupted_input_fails_closed(valid_inputs, target, corruption):
+    """Any command on a corrupted valid input exits 0, exits 1 with an `error:` line, or
+    exits 2 with click's usage message; no exception but SystemExit escapes."""
+    command, name = target
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        paths = {n: str(p) for n, p in valid_inputs.items()}
+        data = valid_inputs[name].read_bytes() if name in valid_inputs else b""
+        paths[name] = _corrupt(data, name, corruption)
+        paths.setdefault("out", "out")
+        result = runner.invoke(main, _argv(command, paths))
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 1:
+        assert any(line.startswith("error: ") for line in result.stderr.splitlines()), result.stderr
+    if result.exit_code == 2:
+        assert "Usage: " in result.stderr and "Error: " in result.stderr, result.stderr

@@ -146,6 +146,14 @@ class TestBuildPool:
         with pytest.raises(PoolError, match="insufficient bonafide in ds0"):
             build_pool(manifests, PoolSpec(per_class_per_dataset=10, seed=0))
 
+    def test_dataset_the_filter_empties_is_a_shortfall(self):
+        with pytest.raises(PoolError, match="insufficient bonafide in ds0: 0 < 5"):
+            build_pool(self.make_manifests(per_class=10), PoolSpec(per_class_per_dataset=5, min_net_speech_s=1000.0))
+
+    def test_nan_min_net_speech_rejected(self):
+        with pytest.raises(ValueError, match="min_net_speech_s must be >= 0"):
+            PoolSpec(min_net_speech_s=float("nan"))
+
     def test_filter_then_pool_composition(self):
         manifests = self.make_manifests(per_class=30)
         spec = PoolSpec(per_class_per_dataset=10, seed=3, min_net_speech_s=0.5)
