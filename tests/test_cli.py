@@ -232,7 +232,8 @@ class TestCmdPool:
         assert result.exit_code == 1
         assert "insufficient bonafide in ds0" in result.stderr
 
-    @pytest.mark.parametrize("option, value", [("--per-class", "0"), ("--min-net-speech", "-1")])
+    @pytest.mark.parametrize("option, value", [("--per-class", "0"), ("--min-net-speech", "-1"),
+                                               ("--min-net-speech", "nan")])
     def test_bad_spec_fails_closed(self, runner, tmp_path, option, value):
         paths = self.make_dataset_manifests(tmp_path, n_datasets=1, per_class=2)
         out = tmp_path / "pool.jsonl"
@@ -243,20 +244,15 @@ class TestCmdPool:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("min_net_speech", ["1000", "nan"])
-    def test_filter_that_empties_a_dataset_fails_closed(self, runner, tmp_path, min_net_speech):
+    def test_filter_that_empties_a_dataset_fails_closed(self, runner, tmp_path):
         [ds] = self.make_dataset_manifests(tmp_path, n_datasets=1, per_class=1)
         out = tmp_path / "pool.jsonl"
         result = runner.invoke(
-            main, ["pool", "--per-class", "1", "--min-net-speech", min_net_speech, "--manifests", ds, "--out", str(out)]
+            main, ["pool", "--per-class", "1", "--min-net-speech", "1000", "--manifests", ds, "--out", str(out)]
         )
+        assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no traceback
-        if min_net_speech == "nan":
-            assert result.exit_code == 2  # click's usage error
-            assert "Invalid value for '--min-net-speech': nan is not a number of seconds" in result.stderr
-        else:
-            assert result.exit_code == 1
-            assert result.stderr == "error: insufficient bonafide in ds0: 0 < 1\n"
+        assert result.stderr == "error: insufficient bonafide in ds0: 0 < 1\n"
         assert not out.exists()
 
 
