@@ -23,18 +23,6 @@ class WavFormatError(ValueError):
     """Base error for unreadable or unsupported WAV files."""
 
 
-class UnsupportedWavError(WavFormatError):
-    """Encoding other than mono PCM16 / IEEE float32."""
-
-
-class MultichannelWavError(WavFormatError):
-    """More than one channel (multichannel unsupported)."""
-
-
-class TruncatedWavError(WavFormatError):
-    """File ends before the declared chunk data."""
-
-
 @dataclass(frozen=True)
 class AudioClip:
     """Mono sample sequence with its sample rate.
@@ -105,7 +93,7 @@ def load_wav(path) -> AudioClip:
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise UnsupportedWavError(f"{path}: not a RIFF/WAVE file")
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     payload = None
@@ -116,21 +104,21 @@ def load_wav(path) -> AudioClip:
         body = data[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
             if size < 16:
-                raise TruncatedWavError(f"{path}: fmt chunk too short")
+                raise WavFormatError(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             if len(body) < size:
-                raise TruncatedWavError(
+                raise WavFormatError(
                     f"{path}: data chunk declares {size} bytes, file has {len(body)}"
                 )
             payload = body
         pos += 8 + size + (size & 1)
 
     if fmt is None or payload is None:
-        raise TruncatedWavError(f"{path}: missing fmt or data chunk")
+        raise WavFormatError(f"{path}: missing fmt or data chunk")
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels != 1:
-        raise MultichannelWavError(f"{path}: multichannel unsupported ({channels} channels)")
+        raise WavFormatError(f"{path}: multichannel unsupported ({channels} channels)")
     if (audio_format, bits) == (1, 16):
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0
@@ -138,7 +126,7 @@ def load_wav(path) -> AudioClip:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         samples = raw.astype(np.float64)
     else:
-        raise UnsupportedWavError(
+        raise WavFormatError(
             f"{path}: unsupported encoding (format={audio_format}, bits={bits})"
         )
     return AudioClip(samples, rate)

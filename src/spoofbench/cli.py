@@ -34,7 +34,7 @@ from .audio import (
     trim_nonspeech,
 )
 from .config import RunConfig, load_run_config
-from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, read_manifest, write_manifest
+from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, from_doc, read_manifest, write_manifest
 from .detector.model import DetectorConfig, check_parameters, detector_forward, init_parameters, score
 from .detector.params import load_parameters, save_parameters
 from .features import frame_count, log_mel
@@ -245,8 +245,8 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     entries = read_manifest(manifest_path)
     store = load_parameters(weights_path)
     try:
-        det_cfg = DetectorConfig.from_dict(store.config) if store.config else cfg.detector
-    except (TypeError, ValueError) as exc:  # an unknown key, a bad value or not an object
+        det_cfg = from_doc(DetectorConfig, store.config) if store.config else cfg.detector
+    except ValueError as exc:  # an unknown key, a value of the wrong type, a bad value or not an object
         raise ValueError(f"{weights_path}: detector config: {exc}") from exc
     try:
         check_parameters(store, det_cfg)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audio import VadConfig
+from .corpus import from_doc
 from .detector.model import DetectorConfig
 from .features import FeatureConfig
 from .metrics import EvalProtocol
@@ -28,26 +29,11 @@ class RunConfig:
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        kwargs = {}
-        for key, sub in (
-            ("vad", VadConfig),
-            ("features", FeatureConfig),
-            ("detector", DetectorConfig),
-            ("protocol", EvalProtocol),
-        ):
-            if key in doc:
-                kwargs[key] = sub(**doc.pop(key))
-        kwargs.update(doc)
-        return cls(**kwargs)
-
 
 def load_run_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        return RunConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (TypeError, ValueError) as exc:  # an unknown key, a bad value, bad JSON or not UTF-8
+        return from_doc(RunConfig, json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:  # an unknown key, a value of the wrong type, a bad value, bad JSON or not UTF-8
         raise ValueError(f"{path}: {exc}") from exc

@@ -2,13 +2,15 @@
 
 Manifests are JSON Lines, one utterance per line, with a canonical field
 order on write so a read/write cycle is byte-stable.  Unknown fields are
-preserved.
+preserved.  from_doc reads manifest lines, run configs and weights-header configs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,10 @@ PRESENTATIONS = ("raw", "injected", "played")
 # Segments with less net speech than this are discarded from the protocol.
 MIN_NET_SPEECH_S = 0.5
 
-_FIELD_ORDER = ("utt_id", "path", "label", "dataset", "attack_id", "presentation", "net_speech_s")
+# The JSON types a value of each scalar annotation takes as they are (matched exactly, so
+# true is no integer or number), and their name in an error
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), bool: ((bool,), "true or false"),
+               str: ((str,), "a string"), str | None: ((str, type(None)), "a string or null")}
 
 
 class ManifestError(ValueError):
@@ -30,6 +35,60 @@ class ManifestError(ValueError):
 
 class PoolError(ValueError):
     pass
+
+
+@cache
+def _fields_of(cls) -> tuple[dict, dict]:
+    """Each field of cls with its annotation and the JSON types it takes as they are, resolved
+    once, and the fields with no default."""
+    hints = typing.get_type_hints(cls)
+    return ({f.name: (hints[f.name], _JSON_TYPES.get(hints[f.name], ((),))[0]) for f in fields(cls)},
+            dict.fromkeys(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING))
+
+
+def from_doc(cls, doc, rest=None, key=""):
+    """A frozen dataclass cls from the JSON object doc, each value checked against its field's annotation.
+
+    An int field takes an integer, a float field any number (an integer is kept
+    as given), a bool field true or false, a tuple[T, ...] field an array of T
+    and a dataclass field an object, built the same way.  A key that names no
+    field is an error, or goes into the dict field named rest.  Every fault is a
+    ValueError that names the key, dotted below the top (key is the prefix).
+    """
+    if type(doc) is not dict:
+        raise _wrong_type(key or cls.__name__, "a mapping", doc)
+    known, required = _fields_of(cls)
+    prefix = f"{key}." if key else ""
+    kwargs = {rest: {}} if rest else {}
+    for name, value in doc.items():
+        spec = known.get(name)  # (annotation, the JSON types it takes as they are)
+        if spec and name != rest:
+            kwargs[name] = value if type(value) in spec[1] else _typed(spec[0], value, prefix + name)
+        elif rest:
+            kwargs[rest][name] = value
+        else:
+            raise ValueError(f"unexpected keyword argument {prefix + name!r}")
+    if not kwargs.keys() >= required.keys():
+        missing = [prefix + name for name in required if name not in kwargs]
+        raise ValueError(f"missing required keys: {', '.join(missing)}")
+    return cls(**kwargs)
+
+
+def _typed(hint, value, key):
+    """value checked against the annotation hint: an array becomes a tuple, an object a dataclass."""
+    plain, wanted = _JSON_TYPES.get(hint, ((), "an array"))
+    if type(value) in plain:
+        return value
+    if is_dataclass(hint):
+        return from_doc(hint, value, key=key)
+    if typing.get_origin(hint) is tuple and type(value) in (list, tuple):  # tuple[T, ...]
+        return tuple(_typed(typing.get_args(hint)[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    raise _wrong_type(key, wanted, value)
+
+
+def _wrong_type(key, wanted, value) -> ValueError:
+    shown = json.dumps(value, default=repr)
+    return ValueError(f"{key} must be {wanted}, not {shown if len(shown) <= 40 else shown[:36] + ' ...'}")
 
 
 @dataclass(frozen=True)
@@ -54,21 +113,12 @@ class ManifestEntry:
             raise ManifestError(f"{self.utt_id}: net_speech_s must be >= 0")
 
     def to_json(self) -> str:
-        doc = {}
-        for name in _FIELD_ORDER:
-            value = getattr(self, name)
-            if name == "attack_id" and value is None:
-                continue
-            doc[name] = value
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        if self.attack_id is None:
+            del doc["attack_id"]
         for key in sorted(self.extra):
             doc[key] = self.extra[key]
         return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, line: str) -> "ManifestEntry":
-        doc = json.loads(line)
-        known = {k: doc.pop(k) for k in list(_FIELD_ORDER) if k in doc}
-        return cls(extra=doc, **known)
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -81,8 +131,8 @@ def read_manifest(path) -> list[ManifestEntry]:
                 if not line:
                     continue
                 try:
-                    entry = ManifestEntry.from_json(line)
-                except (json.JSONDecodeError, TypeError, ManifestError) as exc:
+                    entry = from_doc(ManifestEntry, json.loads(line), rest="extra")
+                except ValueError as exc:  # not JSON, a key or value of the wrong kind, a bad value
                     raise ManifestError(f"{path}:{lineno}: {exc}") from exc
                 if entry.utt_id in seen:
                     raise ManifestError(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")

@@ -39,46 +39,38 @@ from .params import ParameterStore
 ATTN_REDUCTION = 4
 # Three stride-2 stages leave T/8 frames; 16 keeps every stage nonempty.
 MIN_INPUT_FRAMES = 16
+# Upper bounds on the width, each at least 4x its default: init-weights and
+# check_parameters allocate the whole model a config asks for.
+MAX_STAGE_CHANNELS = 1024
+MAX_BLOCKS_PER_STAGE = 8
+MAX_COT_KERNEL = 15
+MAX_POOL_HIDDEN = 512
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    stage_channels: tuple = (32, 64, 128, 256)
-    blocks_per_stage: tuple = (2, 2, 2, 2)
+    stage_channels: tuple[int, ...] = (32, 64, 128, 256)
+    blocks_per_stage: tuple[int, ...] = (2, 2, 2, 2)
     cot_kernel: int = 3
     embedding_dim: int = 512
     n_classes: int = 2
     pool_hidden: int = 128
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
-        object.__setattr__(self, "blocks_per_stage", tuple(int(b) for b in self.blocks_per_stage))
         if len(self.stage_channels) != 4 or len(self.blocks_per_stage) != 4:
             raise ValueError("config requires exactly four stages")
-        if any(c < ATTN_REDUCTION for c in self.stage_channels) or any(
-            c % ATTN_REDUCTION for c in self.stage_channels
-        ):
-            raise ValueError(f"stage channels must be positive multiples of {ATTN_REDUCTION}")
-        if any(b < 1 for b in self.blocks_per_stage):
-            raise ValueError("blocks_per_stage entries must be >= 1")
-        if self.cot_kernel < 1 or self.cot_kernel % 2 == 0:
-            raise ValueError("cot_kernel must be odd and >= 1")
+        if any(not ATTN_REDUCTION <= c <= MAX_STAGE_CHANNELS or c % ATTN_REDUCTION for c in self.stage_channels):
+            raise ValueError(f"stage channels must be positive multiples of {ATTN_REDUCTION} up to {MAX_STAGE_CHANNELS}")
+        if any(not 1 <= b <= MAX_BLOCKS_PER_STAGE for b in self.blocks_per_stage):
+            raise ValueError(f"blocks_per_stage entries must be in [1, {MAX_BLOCKS_PER_STAGE}]")
+        if not 1 <= self.cot_kernel <= MAX_COT_KERNEL or self.cot_kernel % 2 == 0:
+            raise ValueError(f"cot_kernel must be odd and in [1, {MAX_COT_KERNEL}]")
         if self.n_classes != 2:
             raise ValueError("detector is a two-class model")
         if self.embedding_dim != 2 * self.stage_channels[-1]:
             raise ValueError("embedding_dim must equal 2 x last stage channels")
-        if self.pool_hidden < 1:
-            raise ValueError("pool_hidden must be >= 1")
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["stage_channels"] = list(self.stage_channels)
-        doc["blocks_per_stage"] = list(self.blocks_per_stage)
-        return doc
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorConfig":
-        return cls(**d)
+        if not 1 <= self.pool_hidden <= MAX_POOL_HIDDEN:
+            raise ValueError(f"pool_hidden must be in [1, {MAX_POOL_HIDDEN}]")
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ def _init_tensors(cfg: DetectorConfig, rng) -> dict:
 def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
     """Deterministic fresh parameters: fan-in-scaled uniform conv/linear
     weights, zero biases, identity batch norm with frozen unit stats."""
-    store = ParameterStore(config=cfg.to_dict())
+    store = ParameterStore(config=asdict(cfg))
     for name, value in _init_tensors(cfg, np.random.default_rng(seed)).items():
         store.add(name, value)
     return store

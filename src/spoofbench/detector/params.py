@@ -21,22 +21,6 @@ class WeightsError(ValueError):
     """Base error for unreadable weight files."""
 
 
-class WeightsVersionError(WeightsError):
-    pass
-
-
-class WeightsTruncatedError(WeightsError):
-    pass
-
-
-class WeightsChecksumError(WeightsError):
-    pass
-
-
-class WeightsShapeError(WeightsError):
-    pass
-
-
 class ParameterStore:
     """Ordered map from dotted tensor name to a float32 array.
 
@@ -105,7 +89,7 @@ def load_parameters(path) -> ParameterStore:
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
-        raise WeightsTruncatedError(f"{path}: missing manifest line")
+        raise WeightsError(f"{path}: missing manifest line")
     try:
         manifest = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -113,7 +97,7 @@ def load_parameters(path) -> ParameterStore:
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise WeightsError(f"{path}: not a {FORMAT_NAME} file")
     if manifest.get("format_version") != FORMAT_VERSION:
-        raise WeightsVersionError(
+        raise WeightsError(
             f"{path}: unknown format version {manifest.get('format_version')}"
         )
     try:
@@ -125,18 +109,18 @@ def load_parameters(path) -> ParameterStore:
         raise WeightsError(f"{path}: malformed manifest: {exc}") from exc
     blob = raw[nl + 1 :]
     if len(blob) != blob_bytes:
-        raise WeightsTruncatedError(
+        raise WeightsError(
             f"{path}: blob has {len(blob)} bytes, manifest declares {blob_bytes}"
         )
     if hashlib.sha256(blob).hexdigest() != blob_sha256:
-        raise WeightsChecksumError(f"{path}: blob checksum mismatch")
+        raise WeightsError(f"{path}: blob checksum mismatch")
     store = ParameterStore(config=manifest.get("config"))
     end_seen = 0
     for name, shape, start in tensors:
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         end = start + size * 4
         if start != end_seen or end > len(blob):
-            raise WeightsShapeError(
+            raise WeightsError(
                 f"{path}: tensor {name} shape/offset inconsistent with blob"
             )
         end_seen = end
@@ -145,5 +129,5 @@ def load_parameters(path) -> ParameterStore:
         except ValueError as exc:  # a repeated name, a non-finite value or a shape that does not fit
             raise WeightsError(f"{path}: tensor {name}: {exc}") from exc
     if end_seen != len(blob):
-        raise WeightsShapeError(f"{path}: blob has {len(blob) - end_seen} trailing bytes")
+        raise WeightsError(f"{path}: blob has {len(blob) - end_seen} trailing bytes")
     return store

@@ -108,11 +108,10 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class EvalProtocol:
-    checkpoints_s: tuple = (2.0, 3.0, 6.0, 9.0, 12.0, 15.0)
+    checkpoints_s: tuple[float, ...] = (2.0, 3.0, 6.0, 9.0, 12.0, 15.0)
 
     def __post_init__(self):
-        cps = tuple(float(c) for c in self.checkpoints_s)
-        object.__setattr__(self, "checkpoints_s", cps)
+        cps = self.checkpoints_s
         if any(c <= 0 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
             raise EvalError("checkpoints must be positive and strictly increasing")
 

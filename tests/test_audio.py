@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from spoofbench import AudioClip, VadConfig, VadMask
 from spoofbench.audio import (
-    MultichannelWavError,
-    TruncatedWavError,
-    UnsupportedWavError,
+    WavFormatError,
     detect_voice,
     load_wav,
     net_speech_prefix,
@@ -59,23 +57,23 @@ class TestLoadWav:
 
     def test_stereo_rejected(self, tmp_path):
         payload = struct.pack("<4h", 0, 0, 0, 0)
-        with pytest.raises(MultichannelWavError):
+        with pytest.raises(WavFormatError, match=r"multichannel unsupported \(2 channels\)"):
             load_wav(make_wav(tmp_path / "a.wav", payload, channels=2))
 
     def test_unsupported_encoding(self, tmp_path):
         payload = struct.pack("<4h", 0, 0, 0, 0)
-        with pytest.raises(UnsupportedWavError):
+        with pytest.raises(WavFormatError, match=r"unsupported encoding \(format=6, bits=16\)"):
             load_wav(make_wav(tmp_path / "a.wav", payload, fmt=6))  # A-law WAV
 
     def test_truncated_data(self, tmp_path):
         payload = struct.pack("<2h", 1, 2)
-        with pytest.raises(TruncatedWavError):
+        with pytest.raises(WavFormatError, match="data chunk declares 1000 bytes, file has 4"):
             load_wav(make_wav(tmp_path / "a.wav", payload, data_size=1000))
 
     def test_not_riff(self, tmp_path):
         p = tmp_path / "a.wav"
         p.write_bytes(b"not a wav at all")
-        with pytest.raises(UnsupportedWavError):
+        with pytest.raises(WavFormatError, match="not a RIFF/WAVE file"):
             load_wav(p)
 
     def test_save_load_roundtrip(self, tmp_path):

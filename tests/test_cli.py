@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from spoofbench import (
     write_manifest,
 )
 from spoofbench.cli import main
+from spoofbench.corpus import from_doc
 from spoofbench.metrics import read_scores_csv, write_scores_csv
 
 from conftest import SR, silence, tone
@@ -309,6 +311,24 @@ class TestCmdDetect:
         rows = read_scores_csv(out).rows()
         assert [r.checkpoint_s for r in rows] == [2.0, 3.0, 6.0, 9.0, 12.0, 15.0]
 
+    def test_integer_checkpoints_score_as_floats(self, runner, tmp_path):
+        """A config may write the checkpoints as integers, as README's does: same scores, same report."""
+        manifest = make_manifest(tmp_path, [("b", "bonafide", "d", 7.0), ("s", "spoof", "d", 7.0)])
+        outputs = []
+        for checkpoints in ([2, 3, 6], [2.0, 3.0, 6.0]):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "protocol": {"checkpoints_s": checkpoints}}))
+            weights = self.init_weights(runner, str(config), tmp_path)
+            scores, report = tmp_path / "scores.csv", tmp_path / "report.json"
+            for argv in (["detect", "--manifest", str(manifest), "--weights", str(weights), "--out", str(scores),
+                          "--checkpoints"],
+                         ["eval", "--scores", str(scores), "--checkpoint-avg", "--no-timestamp", "--out", str(report)]):
+                result = runner.invoke(main, ["--config", str(config), *argv])
+                assert result.exit_code == 0, result.output
+            outputs.append((scores.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(read_scores_csv(scores)) == 6
+
     def test_short_entry_skipped(self, runner, config_path, tmp_path):
         weights = self.init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(
@@ -361,7 +381,7 @@ class TestCmdDetect:
         assert result.exit_code == 0, result.output
         cfg = load_run_config(config)
         store = load_parameters(weights)
-        det_cfg = DetectorConfig.from_dict(store.config)
+        det_cfg = from_doc(DetectorConfig, store.config)
         clip = resample(load_wav(wav), cfg.sample_rate_hz)
         mask = detect_voice(clip, cfg.vad)
         want = {
@@ -427,6 +447,43 @@ class TestUnreadableInputs:
         }[command]
         self.assert_fails_closed(runner.invoke(main, argv), f"{bad}:1: ")
 
+    @pytest.mark.parametrize("line, named", [
+        ('"utt_id"', 'ManifestEntry must be a mapping, not "utt_id"'),
+        ('["u1", "x.wav"]', 'ManifestEntry must be a mapping, not ["u1", "x.wav"]'),
+        ('{"utt_id": ["a"], "path": "x.wav", "label": "spoof", "dataset": "d"}', 'utt_id must be a string, not ["a"]'),
+        ('{"utt_id": "a", "path": "x.wav", "label": "spoof", "dataset": "d", "net_speech_s": true}',
+         "net_speech_s must be a number, not true"),
+        ('{"utt_id": "a", "path": "x.wav", "label": "spoof", "dataset": "d", "attack_id": 7}',
+         "attack_id must be a string or null, not 7"),
+    ])
+    def test_manifest_line_of_the_wrong_shape(self, runner, tmp_path, line, named):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        result = runner.invoke(main, ["vad", "--in", str(bad), "--out", str(tmp_path / "out")])
+        self.assert_fails_closed(result, f"{bad}:1: {named}\n")
+
+    def test_manifest_line_missing_keys(self, runner, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"utt_id": "a"}\n')
+        result = runner.invoke(main, ["vad", "--in", str(bad), "--out", str(tmp_path / "out")])
+        self.assert_fails_closed(result, f"{bad}:1: missing required keys: path, label, dataset\n")
+
+    @pytest.mark.parametrize("config, named", [
+        ({"global_seed": "abc"}, 'global_seed must be an integer, not "abc"'),
+        ({"global_seed": True}, "global_seed must be an integer, not true"),
+        ({"features": {"mean_var_norm": "no"}}, 'features.mean_var_norm must be true or false, not "no"'),
+        ({"protocol": {"checkpoints_s": "26"}}, 'protocol.checkpoints_s must be an array, not "26"'),
+        ({"detector": {"cot_kernel": 3.0}}, "detector.cot_kernel must be an integer, not 3.0"),
+        ({"vad": None}, "vad must be a mapping, not null"),
+    ])
+    def test_run_config_of_the_wrong_type(self, runner, tmp_path, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "w.bin"
+        result = runner.invoke(main, ["--config", str(path), "init-weights", "--out", str(out)])
+        self.assert_fails_closed(result, f"{path}: {named}\n")
+        assert not out.exists()
+
     def test_corrupt_weights(self, runner, config_path, tmp_path):
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         raw = bytearray(weights.read_bytes())
@@ -465,6 +522,7 @@ class TestUnreadableInputs:
         ({**COMPACT_DETECTOR, "foo": 1}, "unexpected keyword argument 'foo'"),
         ({**COMPACT_DETECTOR, "embedding_dim": 100}, "embedding_dim must equal 2 x last stage channels"),
         ([1, 2], "must be a mapping"),
+        ({**COMPACT_DETECTOR, "stage_channels": "4444"}, 'stage_channels must be an array, not "4444"\n'),
     ])
     def test_bad_detector_config_in_weights(self, runner, tmp_path, config, named):
         store = init_parameters(DetectorConfig(**COMPACT_DETECTOR), seed=0)
@@ -487,7 +545,7 @@ class TestUnreadableInputs:
         """Checked before any entry: a missing tensor, a compact-width file run
         at the default width (its config left out) and a tensor no unit reads."""
         cfg = DetectorConfig(**COMPACT_DETECTOR)
-        store = ParameterStore(config=[] if change == "shape" else cfg.to_dict())
+        store = ParameterStore(config=[] if change == "shape" else asdict(cfg))
         for name, arr in init_parameters(cfg, seed=0).items():
             if not (change == "missing" and name == "fc.bias"):
                 store.add(name, arr)
@@ -1002,9 +1060,7 @@ def valid_inputs(tmp_path_factory):
     # the output is relative, so a corrupted path stays in the directory the command runs in
     job = {"input": entries[0].path, "output": "presented.wav", "path": "injection_analog", "codec": "mulaw"}
     (base / "jobs.jsonl").write_text(json.dumps(job) + "\n")
-    store = init_parameters(DetectorConfig(**COMPACT_DETECTOR), seed=0)
-    store.config = []  # the width comes from the config, so no corruption of the weights can widen it
-    save_parameters(store, base / "weights.bin")
+    save_parameters(init_parameters(DetectorConfig(**COMPACT_DETECTOR), seed=0), base / "weights.bin")
     (base / "config.json").write_text(json.dumps({"global_seed": 13, "detector": COMPACT_DETECTOR}))
     trials = [TrialScore(f"{ds}{label[0]}{i}", label, s, ds) for ds in ("dA", "dB")
               for label, scores in (("bonafide", (0.1, 0.6)), ("spoof", (0.4, 0.9))) for i, s in enumerate(scores)]
@@ -1015,15 +1071,15 @@ def valid_inputs(tmp_path_factory):
 def _argv(command, paths):
     """The command line of command over paths (input name -> path as given); --out is `out`."""
     m, w, c, s, out = (paths[name] for name in ("manifest.jsonl", "weights.bin", "config.json", "scores.csv", "out"))
-    return {
+    return ["--config", c, *{
         "vad": ["vad", "--in", m, "--out", out],
         "present": ["present", "--jobs", paths["jobs.jsonl"]],
         "pool": ["pool", "--manifests", m, "--per-class", "1", "--out", out],
-        "detect": ["--config", c, "detect", "--manifest", m, "--weights", w, "--out", out],
-        "eval": ["--config", c, "eval", "--scores", s, "--out", out],
+        "detect": ["detect", "--manifest", m, "--weights", w, "--out", out],
+        "eval": ["eval", "--scores", s, "--out", out],
         "det": ["det", "--scores", s, "--out", out],
-        "init-weights": ["--config", c, "init-weights", "--out", out],
-    }[command]
+        "init-weights": ["init-weights", "--out", out],
+    }[command]]
 
 
 @pytest.mark.parametrize("command", ["vad", "present", "pool", "detect", "eval", "det", "init-weights"])
@@ -1034,18 +1090,23 @@ def test_uncorrupted_inputs_succeed(valid_inputs, command):
     assert result.exit_code == 0, result.output
 
 
-# (command, the file it gets that is corrupted); a corrupted config reaches no command that
-# sizes a detector from it, so no corruption can ask for a detector of unbounded width
+# (command, the file it gets that is corrupted); DetectorConfig bounds the width, so no corrupted
+# config or weights header can ask init-weights or detect for a detector of unbounded size
 CORRUPTION_TARGETS = [
     ("vad", "manifest.jsonl"), ("vad", "out"), ("present", "jobs.jsonl"), ("pool", "manifest.jsonl"),
     ("pool", "out"), ("detect", "manifest.jsonl"), ("detect", "weights.bin"), ("detect", "out"),
-    ("eval", "scores.csv"), ("eval", "config.json"), ("eval", "out"), ("det", "scores.csv"), ("det", "out"),
-    ("init-weights", "out"),
+    ("eval", "scores.csv"), ("eval", "out"), ("det", "scores.csv"), ("det", "out"), ("init-weights", "out"),
+    *[(command, "config.json") for command in ("vad", "present", "pool", "detect", "eval", "det", "init-weights")],
 ]
+# Valid JSON of the wrong shape for a manifest or jobs line: not an object, no field, a field of the wrong type
+WRONG_SHAPE_LINES = [b'"utt_id"', b'["u1", "x.wav"]', b"{}",
+                     b'{"utt_id": ["a"], "path": "x.wav", "label": "spoof", "dataset": "d"}',
+                     b'{"input": 5, "output": "o.wav", "path": "injection_analog"}']
 CORRUPTIONS = st.one_of(
     st.tuples(st.just("truncate"), st.floats(0, 1)),
     st.tuples(st.just("splice"), st.floats(0, 1),
               st.one_of(st.binary(min_size=1, max_size=8), st.just(b"\xff\xfe"), st.just(b"u" * 200_000))),
+    st.tuples(st.just("line"), st.floats(0, 1), st.sampled_from(WRONG_SHAPE_LINES)),
     st.sampled_from([("empty",), ("directory",), ("missing",)]),
 )
 
@@ -1063,6 +1124,10 @@ def _corrupt(data: bytes, name: str, corruption) -> str:
     elif kind == "splice":
         at = int(args[0] * len(data))
         data = data[:at] + args[1] + data[at:]
+    elif kind == "line":  # a whole line, between two lines
+        lines = data.splitlines(keepends=True)
+        at = int(args[0] * len(lines))
+        data = b"".join([*lines[:at], args[1] + b"\n", *lines[at:]])
     else:
         data = b""
     Path(name).write_bytes(data)
@@ -1087,6 +1152,12 @@ def _corrupt(data: bytes, name: str, corruption) -> str:
 # test_oversized_field_*: a last row with a 200,000-character field
 @example(target=("eval", "scores.csv"), corruption=("splice", 1.0, b"u" * 200_000))
 @example(target=("det", "scores.csv"), corruption=("splice", 1.0, b"u" * 200_000))
+# manifest and jobs lines of the wrong shape
+@example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[0]))
+@example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[1]))
+@example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[2]))
+@example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[3]))
+@example(target=("present", "jobs.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[4]))
 def test_corrupted_input_fails_closed(valid_inputs, target, corruption):
     """Any command on a corrupted valid input exits 0, exits 1 with an `error:` line, or
     exits 2 with click's usage message; no exception but SystemExit escapes."""

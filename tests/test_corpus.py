@@ -1,14 +1,19 @@
 import pytest
 
 from spoofbench import (
+    DetectorConfig,
+    EvalProtocol,
+    FeatureConfig,
     ManifestEntry,
     PoolSpec,
+    RunConfig,
+    VadConfig,
     build_pool,
     filter_min_net_speech,
     read_manifest,
     write_manifest,
 )
-from spoofbench.corpus import ManifestError, PoolError
+from spoofbench.corpus import ManifestError, PoolError, from_doc
 
 
 def entry(i, dataset="ds", label="bonafide", net=5.0):
@@ -38,11 +43,16 @@ class TestManifestIO:
                 presentation="played",
                 net_speech_s=1.25,
                 extra={"note": "kept", "rank": 3},
-            )
+            ),
+            ManifestEntry(utt_id="x-2", path="/b.wav", label="bonafide", dataset="x", net_speech_s=3),
         ]
         p = tmp_path / "m.jsonl"
         write_manifest(entries, p)
         assert read_manifest(p) == entries
+        assert '"net_speech_s":3}' in p.read_text()  # an integer is kept as given
+        data = p.read_bytes()
+        write_manifest(read_manifest(p), p)
+        assert p.read_bytes() == data
 
     def test_rewrite_byte_stable(self, tmp_path):
         entries = [entry(i, net=float(i) + 0.5) for i in range(4)]
@@ -76,6 +86,83 @@ class TestManifestIO:
         assert entries[0].extra == {"speaker": "spk9"}
         write_manifest(entries, p)
         assert "spk9" in p.read_text()
+
+
+class TestFromDoc:
+    """from_doc, the one JSON -> dataclass constructor: each rule it applies."""
+
+    @pytest.mark.parametrize("value", [True, 3.0, "3", None])
+    def test_int_field_takes_an_integer_only(self, value):
+        assert from_doc(DetectorConfig, {"cot_kernel": 5}).cot_kernel == 5
+        with pytest.raises(ValueError, match="^cot_kernel must be an integer, not "):
+            from_doc(DetectorConfig, {"cot_kernel": value})
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+    def test_float_field_takes_any_number_but_a_bool(self, value):
+        with pytest.raises(ValueError, match="^hop_s must be a number, not "):
+            from_doc(VadConfig, {"hop_s": value})
+
+    def test_float_field_keeps_an_integer_as_given(self):
+        vad = from_doc(VadConfig, {"frame_len_s": 1, "hop_s": 0.5})
+        assert type(vad.frame_len_s) is int and vad.frame_len_s == 1 and vad.hop_s == 0.5
+
+    @pytest.mark.parametrize("value", [0, 1, "no", "false", None])
+    def test_bool_field_takes_true_or_false_only(self, value):
+        assert from_doc(FeatureConfig, {"mean_var_norm": True}).mean_var_norm is True
+        with pytest.raises(ValueError, match="^mean_var_norm must be true or false, not "):
+            from_doc(FeatureConfig, {"mean_var_norm": value})
+
+    def test_tuple_field_takes_an_array_of_its_item_type(self):
+        assert from_doc(EvalProtocol, {"checkpoints_s": [2, 3.5]}).checkpoints_s == (2, 3.5)
+        with pytest.raises(ValueError, match='^checkpoints_s must be an array, not "26"$'):
+            from_doc(EvalProtocol, {"checkpoints_s": "26"})
+        with pytest.raises(ValueError, match=r'^checkpoints_s\[1\] must be a number, not "3"$'):
+            from_doc(EvalProtocol, {"checkpoints_s": [2, "3"]})
+        with pytest.raises(ValueError, match=r"^stage_channels\[0\] must be an integer, not 8.0$"):
+            from_doc(DetectorConfig, {"stage_channels": [8.0, 16, 32, 64], "embedding_dim": 128})
+
+    def test_nested_dataclass_takes_an_object(self):
+        cfg = from_doc(RunConfig, {"protocol": {"checkpoints_s": [2, 6]}, "global_seed": 7})
+        assert cfg == RunConfig(global_seed=7, protocol=EvalProtocol((2, 6)))
+        with pytest.raises(ValueError, match=r"^vad must be a mapping, not \[1\]$"):
+            from_doc(RunConfig, {"vad": [1]})
+        with pytest.raises(ValueError, match=r"^detector\.cot_kernel must be an integer, not 3\.0$"):
+            from_doc(RunConfig, {"detector": {"cot_kernel": 3.0}})
+
+    def test_optional_field_takes_null(self):
+        doc = {"utt_id": "u", "path": "p", "label": "spoof", "dataset": "d", "attack_id": None}
+        assert from_doc(ManifestEntry, doc, rest="extra").attack_id is None
+        with pytest.raises(ValueError, match="^attack_id must be a string or null, not 7$"):
+            from_doc(ManifestEntry, {**doc, "attack_id": 7}, rest="extra")
+
+    def test_unknown_key_is_an_error_in_a_config(self):
+        with pytest.raises(ValueError, match="^unexpected keyword argument 'global_sed'$"):
+            from_doc(RunConfig, {"global_sed": 1})
+        with pytest.raises(ValueError, match=r"^unexpected keyword argument 'protocol\.pooled'$"):
+            from_doc(RunConfig, {"protocol": {"pooled": True}})
+
+    def test_unknown_key_goes_to_extra_on_a_manifest_line(self):
+        doc = {"utt_id": "u", "path": "p", "label": "spoof", "dataset": "d", "speaker": [1, {"a": None}], "extra": 5}
+        entry = from_doc(ManifestEntry, doc, rest="extra")
+        assert entry == ManifestEntry("u", "p", "spoof", "d", extra={"speaker": [1, {"a": None}], "extra": 5})
+
+    def test_missing_required_key_is_named(self):
+        with pytest.raises(ValueError, match="^missing required keys: path, label, dataset$"):
+            from_doc(ManifestEntry, {"utt_id": "a"}, rest="extra")
+        with pytest.raises(ValueError, match="^missing required keys: dataset$"):
+            from_doc(ManifestEntry, {"utt_id": "a", "path": "p", "label": "spoof"}, rest="extra")
+
+    @pytest.mark.parametrize("doc", ["utt_id", ["u"], 3, None])
+    def test_not_an_object(self, doc):
+        with pytest.raises(ValueError, match="^ManifestEntry must be a mapping, not "):
+            from_doc(ManifestEntry, doc, rest="extra")
+
+    def test_range_checks_still_apply(self):
+        with pytest.raises(ValueError, match="cot_kernel must be odd"):
+            from_doc(DetectorConfig, {"cot_kernel": 2})
+        with pytest.raises(ManifestError, match="net_speech_s must be >= 0"):
+            from_doc(ManifestEntry, {"utt_id": "u", "path": "p", "label": "spoof", "dataset": "d", "net_speech_s": -1},
+                     rest="extra")
 
 
 class TestFilterMinNetSpeech:

@@ -1,4 +1,6 @@
 import functools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from spoofbench import (
     score,
 )
 from spoofbench.detector.model import (
+    MAX_BLOCKS_PER_STAGE,
+    MAX_COT_KERNEL,
+    MAX_POOL_HIDDEN,
+    MAX_STAGE_CHANNELS,
     MIN_INPUT_FRAMES,
     _init_block,
     _unit_params,
@@ -28,12 +34,8 @@ from spoofbench.detector.model import (
     cot_block_forward,
     res_cot_forward,
 )
-from spoofbench.detector.params import (
-    WeightsChecksumError,
-    WeightsShapeError,
-    WeightsTruncatedError,
-    WeightsVersionError,
-)
+from spoofbench.corpus import from_doc
+from spoofbench.detector.params import WeightsError
 from spoofbench.features import LogMelSpectrogram
 
 from oracles import detector_forward_oracle, detector_param_count_oracle
@@ -258,7 +260,7 @@ def store_with_stats(cfg, seed):
     """init_parameters(cfg, seed) with random biases and batch-norm statistics,
     so that no affine step of the forward is an identity."""
     rng = np.random.default_rng(seed)
-    out = ParameterStore(config=cfg.to_dict())
+    out = ParameterStore(config=asdict(cfg))
     for name, arr in init_parameters(cfg, seed).items():
         last = name.rsplit(".", 1)[-1]
         if last in ("gamma", "var"):
@@ -360,14 +362,14 @@ class TestWeightsIO:
         assert back.names() == store.names()
         for name, arr in store.items():
             assert np.array_equal(arr, back[name]), name
-        assert back.config == CFG.to_dict()
+        assert back.config == json.loads(json.dumps(asdict(CFG)))
 
     def test_truncated_blob(self, store, tmp_path):
         path = tmp_path / "w.bin"
         save_parameters(store, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-64])
-        with pytest.raises(WeightsTruncatedError):
+        with pytest.raises(WeightsError, match=r"blob has \d+ bytes, manifest declares \d+"):
             load_parameters(path)
 
     def test_corrupted_blob_checksum(self, store, tmp_path):
@@ -376,12 +378,10 @@ class TestWeightsIO:
         raw = bytearray(path.read_bytes())
         raw[-4] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(WeightsChecksumError):
+        with pytest.raises(WeightsError, match="blob checksum mismatch"):
             load_parameters(path)
 
     def test_edited_shape_rejected(self, store, tmp_path):
-        import json
-
         path = tmp_path / "w.bin"
         save_parameters(store, path)
         raw = path.read_bytes()
@@ -389,12 +389,10 @@ class TestWeightsIO:
         manifest = json.loads(raw[:nl])
         manifest["tensors"][0]["shape"] = [1, 2, 3]
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + raw[nl + 1 :])
-        with pytest.raises(WeightsShapeError):
+        with pytest.raises(WeightsError, match="shape/offset inconsistent with blob"):
             load_parameters(path)
 
     def test_unknown_version_rejected(self, store, tmp_path):
-        import json
-
         path = tmp_path / "w.bin"
         save_parameters(store, path)
         raw = path.read_bytes()
@@ -402,7 +400,7 @@ class TestWeightsIO:
         manifest = json.loads(raw[:nl])
         manifest["format_version"] = 99
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + raw[nl + 1 :])
-        with pytest.raises(WeightsVersionError):
+        with pytest.raises(WeightsError, match="unknown format version 99"):
             load_parameters(path)
 
 
@@ -419,9 +417,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DetectorConfig(cot_kernel=2)
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("stage_channels", (MAX_STAGE_CHANNELS + 4, 64, 128, 256), "stage channels must be positive multiples of 4"),
+        ("blocks_per_stage", (2, 2, MAX_BLOCKS_PER_STAGE + 1, 2), "blocks_per_stage entries must be in"),
+        ("cot_kernel", MAX_COT_KERNEL + 2, "cot_kernel must be odd and in"),
+        ("pool_hidden", MAX_POOL_HIDDEN + 1, "pool_hidden must be in"),
+    ])
+    def test_width_is_bounded(self, field, value, named):
+        # the config object only: nothing of a detector this wide is ever allocated
+        with pytest.raises(ValueError, match=named):
+            DetectorConfig(**{field: value})
+
+    def test_bounds_allow_four_times_the_default(self):
+        assert MAX_STAGE_CHANNELS >= 4 * max(CFG.stage_channels)
+        assert MAX_BLOCKS_PER_STAGE >= 4 * max(CFG.blocks_per_stage)
+        assert MAX_COT_KERNEL >= 4 * CFG.cot_kernel and MAX_POOL_HIDDEN >= 4 * CFG.pool_hidden
+        DetectorConfig(stage_channels=(128, 256, 512, MAX_STAGE_CHANNELS), blocks_per_stage=(MAX_BLOCKS_PER_STAGE,) * 4,
+                       cot_kernel=MAX_COT_KERNEL, pool_hidden=MAX_POOL_HIDDEN, embedding_dim=2 * MAX_STAGE_CHANNELS)
+
     def test_roundtrip_dict(self):
         cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=(1, 1, 1, 1), embedding_dim=128)
-        assert DetectorConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_doc(DetectorConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 @settings(max_examples=10, deadline=None)
