@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Guard used when converting frame power to dB so that digital silence maps
 # to a finite floor (-120 dB) instead of -inf.
@@ -103,7 +104,7 @@ def load_wav(path) -> AudioClip:
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
-            if size < 16:
+            if len(body) < 16:  # declared so, or cut short by the end of the file
                 raise WavFormatError(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
@@ -174,6 +175,28 @@ def _design_polyphase(up: int, down: int) -> tuple[np.ndarray, int]:
     return h, half
 
 
+def _upfirdn(h: np.ndarray, x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Upsample x by up, filter with h, downsample by down: scipy.signal.upfirdn's output.
+
+    Output m is one polyphase branch of h against the newest inputs, so the
+    outputs m = r, r + up, ... are one product of that branch with every
+    down-th window of the zero-padded input.  Each sum runs from the oldest
+    input to the newest, in the order scipy's loop adds them, so the outputs
+    are scipy's bit for bit: a branch is a reversed view, which numpy's matmul
+    sums in order, where a contiguous copy would go to BLAS and round otherwise.
+    """
+    taps = -(-len(h) // up)  # per branch
+    branches = np.zeros(taps * up)
+    branches[: len(h)] = h
+    branches = branches.reshape(taps, up).T[:, ::-1]  # branch p: h[p], h[p + up], ... newest input last
+    y = np.empty(((len(x) - 1) * up + len(h) - 1) // down + 1)
+    windows = sliding_window_view(np.pad(x, taps - 1), taps)  # window q ends at x[q]
+    for r in range(min(up, len(y))):
+        n, start = len(y[r::up]), r * down // up
+        y[r::up] = windows[start : start + n * down : down] @ branches[r * down % up]
+    return y
+
+
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     """Resample to target_hz; identical rates return a verbatim copy."""
     if target_hz <= 0:
@@ -186,10 +209,8 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
         return AudioClip(np.zeros(n_out), target_hz)
     g = math.gcd(src, target_hz)
     up, down = target_hz // g, src // g
-    from scipy.signal import upfirdn  # imported here: scipy.signal takes about a second to load
-
     h, half = _design_polyphase(up, down)
-    y = upfirdn(h, clip.samples, up=up, down=down)
+    y = _upfirdn(h, clip.samples, up, down)
     delay = half // down
     out = y[delay : delay + n_out]
     if out.size < n_out:

@@ -11,14 +11,14 @@ per utterance from the global seed, so results do not depend on
 
 from __future__ import annotations
 
-import collections
 import datetime
 import json
 import math
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import click
@@ -48,16 +48,43 @@ from .metrics import (
     write_det_csv,
     write_scores_csv,
 )
-from .presentation import ChannelConfig, present
+from .presentation import ChannelConfig, PresentationJob, present
 from .seeding import derive_seed
 
+_UNREAD_PER_WORKER = 4  # items a pool holds per worker, running, queued or done and not yet read
 
-def _map_entries(fn, items, workers: int):
-    """Apply fn to items, optionally in a thread pool; order is preserved."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+
+def _each(work, items, pool=None, workers=1):
+    """(work(item), None), or (None, the exception it raised), for each item, in item order.
+
+    With no pool the items run here, one after another.  On a pool of workers,
+    the oldest item is read before one more is submitted once
+    _UNREAD_PER_WORKER * workers are unread, so a long input never holds a
+    future per item.  An exception fails its item only, also one that a broken
+    pool gives a future or a submit.
+    """
+    if pool is None:
+        return [_attempt(work, item) for item in items]
+    results, unread = [], []  # unread: (future, None), or (None, the exception submit raised)
+
+    def read_oldest():
+        future, exc = unread.pop(0)
+        results.append(_attempt(future.result) if future else (None, exc))
+
+    for item in items:
+        if len(unread) == _UNREAD_PER_WORKER * workers:
+            read_oldest()
+        unread.append(_attempt(pool.submit, work, item))
+    while unread:
+        read_oldest()
+    return results
+
+
+def _attempt(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # an item's failure, reported by the command that runs it
+        return None, exc
 
 
 def _read_jobs(path):
@@ -136,26 +163,27 @@ def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
     entries = read_manifest(in_path)
     if trim_dir:
         Path(trim_dir).mkdir(parents=True, exist_ok=True)
-
-    def process(entry):
-        try:
-            clip = resample(load_wav(entry.path), cfg.sample_rate_hz)
-            mask = detect_voice(clip, cfg.vad)
-            updated = replace(entry, net_speech_s=net_speech_seconds(mask))
-            if trim_dir:
-                trimmed_path = Path(trim_dir) / f"{entry.utt_id}.wav"
-                save_wav(trim_nonspeech(clip, mask), trimmed_path)
-                updated = replace(updated, path=str(trimmed_path))
-            return updated, None
-        except Exception as exc:  # per-entry failure, keep going
-            return None, (entry.utt_id, str(exc))
-
-    results = _map_entries(process, entries, parallelism or cfg.parallelism)
-    ok = sorted((e for e, _ in results if e is not None), key=lambda e: e.utt_id)
-    failures = [f for _, f in results if f is not None]
-    write_manifest(ok, out_path)
-    if _report_failures(failures):
+    workers = parallelism or cfg.parallelism
+    with ThreadPoolExecutor(workers) as pool:  # a thread starts on a submit only
+        results = _each(partial(_vad_entry, cfg, trim_dir), entries, pool if workers > 1 else None, workers)
+    write_manifest(sorted((e for e, _ in results if e is not None), key=lambda e: e.utt_id), out_path)
+    if _report_failures([(e.utt_id, str(exc)) for e, (_, exc) in zip(entries, results) if exc is not None]):
         sys.exit(1)
+
+
+def _vad_entry(cfg: RunConfig, trim_dir, entry):
+    """entry with its net speech filled in; with trim_dir, also its speech written there, which its path names."""
+    name = f"{entry.utt_id}.wav"
+    if trim_dir and Path(name).name != name:  # a "/" in the id would put the file outside trim_dir
+        raise ValueError(f"{name} is not a plain file name in {trim_dir}")
+    clip = resample(load_wav(entry.path), cfg.sample_rate_hz)
+    mask = detect_voice(clip, cfg.vad)
+    updated = replace(entry, net_speech_s=net_speech_seconds(mask))
+    if trim_dir:
+        trimmed_path = Path(trim_dir) / name
+        save_wav(trim_nonspeech(clip, mask), trimmed_path)
+        updated = replace(updated, path=str(trimmed_path))
+    return updated
 
 
 @main.command("present")
@@ -171,36 +199,29 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
     defaults to the input file stem.
     """
     global_seed = cfg.global_seed if seed is None else seed
-    jobs = _read_jobs(jobs_path)
-
-    def run(item):
-        lineno, line = item
-        name = f"line {lineno}"
+    jobs, failures = [], []  # failures: (line number, name, message)
+    for lineno, line in _read_jobs(jobs_path):
         try:
-            job = json.loads(line)
-            name = job.get("utt_id") or Path(job.get("input", name)).stem
-            clip = resample(load_wav(job["input"]), cfg.sample_rate_hz)
-            ir = None
-            if job.get("ir"):
-                ir = resample(load_wav(job["ir"]), cfg.sample_rate_hz)
-            channel = ChannelConfig(
-                path=job["path"],
-                ir=ir,
-                codec=job.get("codec", "none"),
-                gain_db=job.get("gain_db", 0.0),
-                noise_snr_db=job.get("snr_db"),
-            )
-            job_seed = job["seed"] if "seed" in job else derive_seed(global_seed, name)
-            out = present(clip, channel, job_seed)
-            Path(job["output"]).parent.mkdir(parents=True, exist_ok=True)
-            save_wav(out, job["output"])
-            return None
-        except Exception as exc:
-            return (name, str(exc))
-
-    failures = [f for f in _map_entries(run, jobs, parallelism or cfg.parallelism) if f]
-    if _report_failures(failures):
+            jobs.append((lineno, from_doc(PresentationJob, json.loads(line))))
+        except ValueError as exc:  # not JSON, not an object, a key or value of the wrong kind
+            failures.append((lineno, f"line {lineno}", str(exc)))
+    workers = parallelism or cfg.parallelism
+    with ThreadPoolExecutor(workers) as pool:
+        results = _each(partial(_present_job, cfg, global_seed), [job for _, job in jobs],
+                        pool if workers > 1 else None, workers)
+    failures += [(lineno, job.name, str(exc)) for (lineno, job), (_, exc) in zip(jobs, results) if exc is not None]
+    if _report_failures([failure[1:] for failure in sorted(failures)]):
         sys.exit(1)
+
+
+def _present_job(cfg: RunConfig, global_seed, job: PresentationJob):
+    """Present one job's input through its channel and write the output."""
+    clip = resample(load_wav(job.input), cfg.sample_rate_hz)
+    ir = resample(load_wav(job.ir), cfg.sample_rate_hz) if job.ir else None
+    channel = ChannelConfig(path=job.path, ir=ir, codec=job.codec, gain_db=job.gain_db, noise_snr_db=job.snr_db)
+    out = present(clip, channel, derive_seed(global_seed, job.name) if job.seed is None else job.seed)
+    Path(job.output).parent.mkdir(parents=True, exist_ok=True)
+    save_wav(out, job.output)
 
 
 @main.command("pool")
@@ -253,117 +274,60 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     except ValueError as exc:
         raise ValueError(f"{weights_path}: {exc}") from exc
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
-
-    def prepare(entry):
-        """(skip note, checkpoints, jobs): one score per checkpoint (None for full
-        length) from the forward jobs, each (features, prefix frame counts)."""
-        clip = resample(load_wav(entry.path), cfg.sample_rate_hz)
-        mask = detect_voice(clip, cfg.vad)
-        net = net_speech_seconds(mask)
-        if net < MIN_NET_SPEECH_S:
-            return f"{entry.utt_id}: skipped ({net:.2f}s net speech < {MIN_NET_SPEECH_S}s)", [], []
-        if cps is None:
-            return None, [None], [(log_mel(trim_nonspeech(clip, mask), cfg.features), None)]
-        ks = [k for k in cps if k <= net + 1e-9]
-        if not ks:
-            return None, [], []
-        prefixes = [net_speech_prefix(clip, mask, k) for k in ks]
-        if cfg.features.mean_var_norm:
-            # normalized features of a prefix are not rows of the longest prefix's
-            return None, ks, [(log_mel(p, cfg.features), None) for p in prefixes]
-        # one log-mel and one forward over the longest prefix score them all
-        counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
-        return None, ks, [(log_mel(max(prefixes, key=len), cfg.features), counts)]
-
+    work = partial(_score_entry, cfg, cps)
     workers = min(parallelism or cfg.parallelism, os.cpu_count() or 1, len(entries))
     if workers <= 1:
         # in-process, so a wrapper around this module's detector_forward sees every forward
-        results = _score_entries(entries, prepare, lambda job: _run_now(_job_scores, store, det_cfg, *job), 1)
+        _init_worker(store, det_cfg)
+        results = _each(work, entries)
     else:
-        results = _score_in_workers(entries, prepare, store, det_cfg, workers)
-    trials = [t for rows, _, _ in results for t in rows]
+        results = _in_workers(work, entries, workers, store, det_cfg)
+    trials = [t for out, _ in results if out for t in out[0]]
     trials.sort(key=lambda t: (t.utt_id, t.checkpoint_s if t.checkpoint_s is not None else -1.0))
     write_scores_csv(trials, out_path)
-    for _, _, note in results:
-        if note:
-            click.echo(note, err=True)
-    failures = [f for _, f, _ in results if f is not None]
-    if _report_failures(failures):
+    for out, _ in results:
+        if out and out[1]:
+            click.echo(out[1], err=True)
+    if _report_failures([(e.utt_id, str(exc)) for e, (_, exc) in zip(entries, results) if exc is not None]):
         sys.exit(1)
-
-
-def _job_scores(store, det_cfg, feat, counts):
-    """The scores of one forward job: one per prefix frame count, or one for the whole input."""
-    logits = detector_forward(feat, store, det_cfg, prefix_frames=counts)
-    return [score(l).s for l in (logits if counts is not None else [logits])]
-
-
-def _run_now(fn, *args) -> Future:
-    """fn(*args) run in this thread, as a finished future."""
-    future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
-def _score_entries(entries, prepare, submit, max_jobs):
-    """(rows, failure, note) of each entry, in manifest order.
-
-    prepare(entry) gives (note, checkpoints, jobs), and submit(job) gives a
-    future of one job's scores.  An entry's jobs are submitted once the
-    unfinished ones leave room for them under max_jobs (or none are left),
-    so a long manifest never holds every entry's features at once.
-    """
-    results, pending, running = [], collections.deque(), set()  # pending: (entry, note, checkpoints, futures, error)
-
-    def finish():
-        entry, note, ks, futures, error = pending.popleft()
-        scores = []
-        for future in futures:  # every result is read, also after a failure
-            try:
-                scores += future.result()
-            except Exception as exc:
-                error = error or exc
-        if error is not None:
-            return [], (entry.utt_id, str(error)), None
-        return [TrialScore(entry.utt_id, entry.label, s, entry.dataset, k) for k, s in zip(ks, scores)], None, note
-
-    for entry in entries:
-        note, ks, futures, error = None, (), [], None
-        try:
-            note, ks, jobs = prepare(entry)
-            while running and len(running) + len(jobs) > max_jobs:
-                running = wait(running, return_when=FIRST_COMPLETED).not_done
-            for job in jobs:
-                futures.append(submit(job))
-                running.add(futures[-1])
-        except Exception as exc:  # per-entry failure, keep going
-            error = exc
-        pending.append((entry, note, ks, futures, error))
-        while pending and all(f.done() for f in pending[0][3]):
-            results.append(finish())
-    while pending:
-        results.append(finish())
-    return results
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                      "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-_worker_model: dict = {}  # a worker process's weights and config, set once by _init_worker
+_worker_model: dict = {}  # the weights and detector config _score_entry uses, set once per process by _init_worker
 
 
 def _init_worker(store, det_cfg):
     _worker_model.update(store=store, det_cfg=det_cfg)
 
 
-def _worker_scores(job):
-    return _job_scores(_worker_model["store"], _worker_model["det_cfg"], *job)
+def _score_entry(cfg: RunConfig, cps, entry):
+    """(rows, skip note) of one manifest entry: load -> resample -> VAD -> (checkpoint prefixes) ->
+    log-mel -> detector, one row per checkpoint, or one for the full length when cps is None."""
+    clip = resample(load_wav(entry.path), cfg.sample_rate_hz)
+    mask = detect_voice(clip, cfg.vad)
+    net = net_speech_seconds(mask)
+    if net < MIN_NET_SPEECH_S:
+        return [], f"{entry.utt_id}: skipped ({net:.2f}s net speech < {MIN_NET_SPEECH_S}s)"
+    ks = [None] if cps is None else [k for k in cps if k <= net + 1e-9]
+    prefixes = [trim_nonspeech(clip, mask)] if cps is None else [net_speech_prefix(clip, mask, k) for k in ks]
+    del clip  # a long clip's samples are not held through the forwards
+    if cps is None or cfg.features.mean_var_norm:
+        # normalized features of a prefix are not rows of the longest prefix's
+        inputs = [(log_mel(p, cfg.features), None) for p in prefixes]
+    else:  # one log-mel and one forward over the longest prefix score them all
+        counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
+        inputs = [(log_mel(max(prefixes, key=len), cfg.features), counts)] if prefixes else []
+    del prefixes
+    scores = []
+    for feat, counts in inputs:
+        logits = detector_forward(feat, _worker_model["store"], _worker_model["det_cfg"], prefix_frames=counts)
+        scores += [score(l).s for l in (logits if counts is not None else [logits])]
+    return [TrialScore(entry.utt_id, entry.label, s, entry.dataset, k) for k, s in zip(ks, scores)], None
 
 
-def _score_in_workers(entries, prepare, store, det_cfg, workers):
-    """_score_entries with the forwards in spawned worker processes, one BLAS thread each.
+def _in_workers(work, items, workers, store, det_cfg):
+    """_each on spawned worker processes, one BLAS thread each, each given the model once.
 
     Each worker's numpy reads its BLAS thread count from the environment once,
     at import; workers start on the first submits, so the variables stay set
@@ -377,7 +341,7 @@ def _score_in_workers(entries, prepare, store, det_cfg, workers):
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
                                  initializer=_init_worker, initargs=(store, det_cfg)) as pool:
-            return _score_entries(entries, prepare, lambda job: pool.submit(_worker_scores, job), 2 * workers)
+            return _each(work, items, pool, workers)
     finally:
         for name, value in saved.items():
             if value is None:

@@ -8,6 +8,7 @@ preserved.  from_doc reads manifest lines, run configs and weights-header config
 from __future__ import annotations
 
 import json
+import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
@@ -26,7 +27,7 @@ MIN_NET_SPEECH_S = 0.5
 # The JSON types a value of each scalar annotation takes as they are (matched exactly, so
 # true is no integer or number), and their name in an error
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), bool: ((bool,), "true or false"),
-               str: ((str,), "a string"), str | None: ((str, type(None)), "a string or null")}
+               str: ((str,), "a string"), type(None): ((type(None),), "null")}
 
 
 class ManifestError(ValueError):
@@ -50,8 +51,9 @@ def from_doc(cls, doc, rest=None, key=""):
     """A frozen dataclass cls from the JSON object doc, each value checked against its field's annotation.
 
     An int field takes an integer, a float field any number (an integer is kept
-    as given), a bool field true or false, a tuple[T, ...] field an array of T
-    and a dataclass field an object, built the same way.  A key that names no
+    as given), a bool field true or false, a tuple[T, ...] field an array of T,
+    a tuple[T1, T2] field an array of two, a dataclass field an object, built
+    the same way, and a union the value its first arm takes.  A key that names no
     field is an error, or goes into the dict field named rest.  Every fault is a
     ValueError that names the key, dotted below the top (key is the prefix).
     """
@@ -76,14 +78,32 @@ def from_doc(cls, doc, rest=None, key=""):
 
 def _typed(hint, value, key):
     """value checked against the annotation hint: an array becomes a tuple, an object a dataclass."""
-    plain, wanted = _JSON_TYPES.get(hint, ((), "an array"))
-    if type(value) in plain:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if type(value) in _JSON_TYPES.get(hint, ((),))[0]:
         return value
     if is_dataclass(hint):
         return from_doc(hint, value, key=key)
-    if typing.get_origin(hint) is tuple and type(value) in (list, tuple):  # tuple[T, ...]
-        return tuple(_typed(typing.get_args(hint)[0], v, f"{key}[{i}]") for i, v in enumerate(value))
-    raise _wrong_type(key, wanted, value)
+    if origin is tuple and type(value) in (list, tuple):
+        items = [args[0]] * len(value) if args[-1] is Ellipsis else args  # tuple[T, ...] or tuple[T1, T2]
+        if len(items) == len(value):
+            return tuple(_typed(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if origin in (typing.Union, types.UnionType):
+        for arm in args:  # in order
+            try:
+                return _typed(arm, value, key)
+            except ValueError:
+                pass
+    raise _wrong_type(key, _wanted(hint), value)
+
+
+def _wanted(hint) -> str:
+    """The JSON values hint takes, as an error names them."""
+    if hint in _JSON_TYPES:
+        return _JSON_TYPES[hint][1]
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return "an array" if args[-1] is Ellipsis else f"an array of {len(args)}"
+    return " or ".join(map(_wanted, args))  # a union
 
 
 def _wrong_type(key, wanted, value) -> ValueError:

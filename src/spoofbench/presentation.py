@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,29 @@ class ChannelConfig:
             raise ValueError("clip_threshold must be in (0, 1]")
         if self.ir is not None and len(self.ir) == 0:
             raise ValueError("impulse response is empty")
+
+
+@dataclass(frozen=True)
+class PresentationJob:
+    """One line of a presentation jobs file: where the audio comes from and goes, and its channel.
+
+    A missing seed is derived from the global seed and the job's name (utt_id,
+    else the input file's stem).
+    """
+
+    input: str
+    output: str
+    path: str
+    codec: str = "none"
+    gain_db: float | tuple[float, float] = 0.0
+    snr_db: float | tuple[float, float] | None = None
+    ir: str | None = None
+    seed: int | None = None
+    utt_id: str | None = None
+
+    @property
+    def name(self) -> str:
+        return self.utt_id or Path(self.input).stem
 
 
 def convolve_ir(clip: AudioClip, ir: AudioClip) -> AudioClip:

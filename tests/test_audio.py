@@ -1,13 +1,17 @@
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spoofbench import AudioClip, VadConfig, VadMask
 from spoofbench.audio import (
     WavFormatError,
+    _design_polyphase,
+    _upfirdn,
     detect_voice,
     load_wav,
     net_speech_prefix,
@@ -69,6 +73,12 @@ class TestLoadWav:
         payload = struct.pack("<2h", 1, 2)
         with pytest.raises(WavFormatError, match="data chunk declares 1000 bytes, file has 4"):
             load_wav(make_wav(tmp_path / "a.wav", payload, data_size=1000))
+
+    def test_fmt_chunk_cut_short(self, tmp_path):
+        p = tmp_path / "a.wav"  # the fmt chunk declares 16 bytes, the file ends after 6
+        p.write_bytes(struct.pack("<4sI4s4sI", b"RIFF", 18, b"WAVE", b"fmt ", 16) + bytes(6))
+        with pytest.raises(WavFormatError, match=f"^{re.escape(str(p))}: fmt chunk too short$"):
+            load_wav(p)
 
     def test_not_riff(self, tmp_path):
         p = tmp_path / "a.wav"
@@ -283,6 +293,35 @@ def test_resample_identity_property(seed, n):
     x = np.random.default_rng(seed).uniform(-1, 1, n)
     clip = AudioClip(x, SR)
     assert np.array_equal(resample(clip, SR).samples, clip.samples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@example(1, 2, 65, 1, 0)  # 16 kHz -> 8 kHz: one input, a filter longer than it
+@example(1, 2, 65, 2, 0)
+@example(80, 441, 200, 30, 0)  # the ratio of 44.1 kHz -> 8 kHz
+@example(441, 80, 200, 3, 0)
+def test_upfirdn_equals_scipy_exactly(up, down, taps, n, seed):
+    """Exact equality, not a bound: each output sums the same products as scipy's loop, in its order."""
+    from scipy.signal import upfirdn
+
+    rng = np.random.default_rng(seed)
+    h, x = rng.standard_normal(taps), rng.standard_normal(n)
+    want = upfirdn(h, x, up=up, down=down)
+    got = _upfirdn(h, x, up, down)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("src, dst", [(16000, 8000), (44100, 8000), (8000, 16000), (22050, 8000), (48000, 8000),
+                                      (11025, 8000), (8000, 11025), (7, 3)])
+def test_upfirdn_equals_scipy_exactly_on_the_resampler_filters(src, dst):
+    from scipy.signal import upfirdn
+
+    up, down = dst // math.gcd(src, dst), src // math.gcd(src, dst)
+    h, _ = _design_polyphase(up, down)
+    for n in (1, 2, len(h) // up - 1, 3 * src):
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        assert np.array_equal(_upfirdn(h, x, up, down), upfirdn(h, x, up=up, down=down))
 
 
 @settings(max_examples=15, deadline=None)

@@ -123,6 +123,25 @@ class TestCmdVad:
         entries = __import__("spoofbench").read_manifest(out)
         assert entries[0].path.endswith("trimmed/u1.wav")
 
+    def test_trim_dir_refuses_an_id_that_is_no_file_name(self, runner, tmp_path):
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        entries = __import__("spoofbench").read_manifest(manifest)
+        wav = entries[0].path
+        entries += [ManifestEntry("../escaped", wav, "spoof", "d"), ManifestEntry("a/b", wav, "spoof", "d")]
+        write_manifest(entries, manifest)
+        out, trim = tmp_path / "out.jsonl", tmp_path / "work" / "trim"
+        result = runner.invoke(main, ["vad", "--in", str(manifest), "--out", str(out), "--trim-dir", str(trim)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [f"error: ../escaped: ../escaped.wav is not a plain file name in {trim}",
+                                              f"error: a/b: a/b.wav is not a plain file name in {trim}"]
+        assert sorted(p.name for p in (tmp_path / "work").rglob("*")) == ["trim", "u1.wav"]
+        assert [e.utt_id for e in __import__("spoofbench").read_manifest(out)] == ["u1"]
+        # without --trim-dir the same ids are only names
+        result = runner.invoke(main, ["vad", "--in", str(manifest), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert [e.utt_id for e in __import__("spoofbench").read_manifest(out)] == ["../escaped", "a/b", "u1"]
+
 
 class TestCmdPresent:
     def test_identity_job_byte_equal(self, runner, tmp_path):
@@ -180,6 +199,29 @@ class TestCmdPresent:
         assert isinstance(result.exception, SystemExit)
         assert "error: line 1:" in result.stderr
         assert dst.read_bytes() == src.read_bytes()
+
+    def test_job_of_the_wrong_shape_names_its_key(self, runner, tmp_path):
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        good = {"input": str(src), "path": "injection_digital"}
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("\n".join([
+            json.dumps({**good, "output": str(tmp_path / "a.wav")}),
+            '"utt_id"',
+            '{"input": 5, "output": "o.wav", "path": "injection_analog"}',
+            json.dumps({**good, "output": str(tmp_path / "b.wav"), "gain_db": [1, 2, 3]}),
+            json.dumps({**good, "output": str(tmp_path / "c.wav"), "path": "wire", "utt_id": "c"}),
+            json.dumps({**good, "output": str(tmp_path / "d.wav"), "utt_id": "d"}),
+        ]) + "\n")
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1", "--parallelism", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [
+            'error: line 2: PresentationJob must be a mapping, not "utt_id"',
+            "error: line 3: input must be a string, not 5",
+            "error: line 4: gain_db must be a number or an array of 2, not [1, 2, 3]",
+            "error: c: unknown path 'wire' (expected one of ('injection_digital', 'injection_analog', 'playback'))",
+        ]
+        assert sorted(p.name for p in tmp_path.glob("?.wav")) == ["a.wav", "d.wav"]
 
 
 class TestCmdPool:
@@ -781,8 +823,8 @@ class TestCmdDet:
 
 
 class TestStartup:
-    """scipy takes about a second to import, and only resampling, the channel
-    simulation and the aggregator use it."""
+    """scipy takes about a second to import, and only the channel simulation
+    and the aggregator use it."""
 
     SCRIPT = """
 import json, sys
@@ -794,9 +836,18 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
-    def test_import_eval_det_and_8khz_detect_load_no_scipy(self, runner, config_path, tmp_path):
+    def loaded_after(self, commands):
+        """The scipy modules loaded after importing the CLI, and after each command, in one process."""
         import spoofbench
 
+        src = str(Path(spoofbench.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_eval_det_and_8khz_detect_load_no_scipy(self, runner, config_path, tmp_path):
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])  # SR is 8 kHz, the default rate
         scores = TestCmdEval().write_toy_scores(tmp_path)
@@ -806,13 +857,22 @@ print(json.dumps(loaded))
             ["--config", config_path, "detect", "--manifest", str(manifest), "--weights", str(weights),
              "--out", str(tmp_path / "s.csv"), "--checkpoints", "0.5"],
         ]
-        src = str(Path(spoofbench.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
-                              capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[]] * 4  # after the import and after each command
+        assert self.loaded_after(commands) == [[]] * 4  # after the import and after each command
         assert [r.checkpoint_s for r in read_scores_csv(tmp_path / "s.csv").rows()] == [0.5]
+
+    def test_16khz_vad_and_detect_load_no_scipy(self, runner, config_path, tmp_path):
+        """The resampler is numpy's, so a 16 kHz manifest loads no scipy either."""
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        save_wav(resample(load_wav(tmp_path / "u1.wav"), 16000), tmp_path / "u1.wav")
+        commands = [
+            ["vad", "--in", str(manifest), "--out", str(tmp_path / "vad.jsonl"), "--trim-dir", str(tmp_path / "t")],
+            ["--config", config_path, "detect", "--manifest", str(manifest), "--weights", str(weights),
+             "--out", str(tmp_path / "s.csv"), "--checkpoints", "0.5"],
+        ]
+        assert self.loaded_after(commands) == [[]] * 3
+        assert [r.checkpoint_s for r in read_scores_csv(tmp_path / "s.csv").rows()] == [0.5]
+        assert load_wav(tmp_path / "t" / "u1.wav").sample_rate_hz == SR
 
 
 class TestConfigEnvVar:
@@ -868,12 +928,17 @@ class TestDetectWorkers:
              "--out", str(out), "--parallelism", str(parallelism), *extra],
         )
 
-    @pytest.mark.parametrize("mean_var_norm", [False, True])
-    def test_checkpoint_scores_independent_of_parallelism(self, runner, tmp_path, mean_var_norm):
+    # the workers load and resample too: at 16 kHz every entry is resampled in them
+    @pytest.mark.parametrize("mean_var_norm, rate", [(False, SR), (True, SR), (False, 16000)],
+                             ids=["False", "True", "False-16kHz"])
+    def test_checkpoint_scores_independent_of_parallelism(self, runner, tmp_path, mean_var_norm, rate):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "features": {"mean_var_norm": mean_var_norm}}))
         weights = TestCmdDetect().init_weights(runner, str(config), tmp_path)
         manifest = make_manifest(tmp_path, [(f"u{i}", "spoof", "d", 2.5 + 0.5 * i) for i in range(3)])
+        for i in range(3):
+            clip = load_wav(tmp_path / f"u{i}.wav")
+            save_wav(resample(clip, rate), tmp_path / f"u{i}.wav")
         outputs = []
         for workers in (1, 2):
             out = tmp_path / f"scores_{workers}.csv"
@@ -917,7 +982,7 @@ class TestDetectWorkers:
         def no_pool(*args):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(cli, "_score_in_workers", no_pool)
+        monkeypatch.setattr(cli, "_in_workers", no_pool)
         result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
         assert result.exit_code == 0, result.output
 
@@ -941,23 +1006,67 @@ class TestDetectWorkers:
 
         import spoofbench.cli as cli
 
-        def prepare(entry):
-            if entry.utt_id == "p":
+        class Pool:
+            """Runs an item at its submit; "w" as if its worker died, "s" as if the pool had broken before."""
+
+            def submit(self, work, item):
+                if item == "s":
+                    raise BrokenProcessPool("pool broken")
+                future = Future()
+                if item == "w":
+                    future.set_exception(BrokenProcessPool("worker died"))
+                else:
+                    try:
+                        future.set_result(work(item))
+                    except ValueError as exc:
+                        future.set_exception(exc)
+                return future
+
+        def work(item):
+            if item == "p":
                 raise ValueError("cannot read")
-            return None, [None], [entry.utt_id]
+            return len(item)
 
-        def submit(job):
-            future = Future()
-            if job == "w":
-                future.set_exception(BrokenProcessPool("worker died"))
-            else:
-                future.set_result([float(len(job))])
-            return future
+        def outcomes(results):
+            return [(r, type(e).__name__, str(e)) if e else (r, None) for r, e in results]
 
-        entries = [ManifestEntry(u, f"{u}.wav", "spoof", "d") for u in ("a", "w", "p", "bb")]
-        results = cli._score_entries(entries, prepare, submit, 2)
-        assert [[(t.utt_id, t.score) for t in rows] for rows, _, _ in results] == [[("a", 1.0)], [], [], [("bb", 2.0)]]
-        assert [failure for _, failure, _ in results] == [None, ("w", "worker died"), ("p", "cannot read"), None]
+        want = [(1, None), (None, "BrokenProcessPool", "worker died"), (None, "ValueError", "cannot read"),
+                (None, "BrokenProcessPool", "pool broken"), (2, None)]
+        assert outcomes(cli._each(work, ["a", "w", "p", "s", "bb"], Pool(), 1)) == want
+        assert outcomes(cli._each(work, ["a", "p", "bb"])) == [want[0], want[2], want[4]]
+
+    def test_unread_items_per_worker_are_bounded(self):
+        import random
+        from concurrent.futures import Future
+
+        import spoofbench.cli as cli
+
+        rng, workers = random.Random(0), 3
+        unfinished, held, peak = [], set(), [0]
+
+        class Finishing(Future):
+            """A worker finishes this item when it is read, and some others along with it."""
+
+            def result(self, timeout=None):
+                for future in [self] + rng.sample(unfinished, min(len(unfinished), rng.randrange(3))):
+                    if not future.done():
+                        future.set_result(future.item * 2)
+                        unfinished.remove(future)
+                held.discard(self)
+                return super().result(timeout)
+
+        class Pool:
+            def submit(self, work, item):
+                future = Finishing()
+                future.item = item
+                unfinished.append(future)
+                held.add(future)
+                peak[0] = max(peak[0], len(held))
+                return future
+
+        results = cli._each(None, list(range(300)), Pool(), workers)
+        assert results == [(2 * i, None) for i in range(300)]
+        assert peak[0] == cli._UNREAD_PER_WORKER * workers and not held
 
 
 class TestOutputPaths:

@@ -14,6 +14,7 @@ from spoofbench import (
     write_manifest,
 )
 from spoofbench.corpus import ManifestError, PoolError, from_doc
+from spoofbench.presentation import PresentationJob
 
 
 def entry(i, dataset="ds", label="bonafide", net=5.0):
@@ -134,6 +135,18 @@ class TestFromDoc:
         assert from_doc(ManifestEntry, doc, rest="extra").attack_id is None
         with pytest.raises(ValueError, match="^attack_id must be a string or null, not 7$"):
             from_doc(ManifestEntry, {**doc, "attack_id": 7}, rest="extra")
+
+    def test_union_takes_the_first_arm_that_fits(self):
+        job = {"input": "i.wav", "output": "o.wav", "path": "playback"}
+        assert from_doc(PresentationJob, {**job, "gain_db": 3}).gain_db == 3
+        assert from_doc(PresentationJob, {**job, "gain_db": [-3, 3.5]}).gain_db == (-3, 3.5)
+        assert from_doc(PresentationJob, {**job, "snr_db": None, "seed": 5}).snr_db is None
+        with pytest.raises(ValueError, match=r"^gain_db must be a number or an array of 2, not \[1, 2, 3\]$"):
+            from_doc(PresentationJob, {**job, "gain_db": [1, 2, 3]})
+        with pytest.raises(ValueError, match=r'^snr_db must be a number or an array of 2 or null, not \[1, "2"\]$'):
+            from_doc(PresentationJob, {**job, "snr_db": [1, "2"]})
+        with pytest.raises(ValueError, match="^seed must be an integer or null, not 1.5$"):
+            from_doc(PresentationJob, {**job, "seed": 1.5})
 
     def test_unknown_key_is_an_error_in_a_config(self):
         with pytest.raises(ValueError, match="^unexpected keyword argument 'global_sed'$"):
