@@ -203,7 +203,7 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
     for lineno, line in _read_jobs(jobs_path):
         try:
             jobs.append((lineno, from_doc(PresentationJob, json.loads(line))))
-        except ValueError as exc:  # not JSON, not an object, a key or value of the wrong kind
+        except (ValueError, RecursionError) as exc:  # not JSON (or nested too deep to decode), or of the wrong shape
             failures.append((lineno, f"line {lineno}", str(exc)))
     workers = parallelism or cfg.parallelism
     with ThreadPoolExecutor(workers) as pool:
@@ -280,6 +280,7 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         # in-process, so a wrapper around this module's detector_forward sees every forward
         _init_worker(store, det_cfg)
         results = _each(work, entries)
+        _worker_model.clear()  # the weights are not held past the command
     else:
         results = _in_workers(work, entries, workers, store, det_cfg)
     trials = [t for out, _ in results if out for t in out[0]]

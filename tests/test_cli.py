@@ -200,6 +200,18 @@ class TestCmdPresent:
         assert "error: line 1:" in result.stderr
         assert dst.read_bytes() == src.read_bytes()
 
+    def test_line_nested_too_deep_fails_only_that_job(self, runner, tmp_path):
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        dst = tmp_path / "out.wav"
+        jobs = tmp_path / "jobs.jsonl"
+        good = {"input": str(src), "output": str(dst), "path": "injection_digital"}
+        jobs.write_text("[" * 100_000 + "\n" + json.dumps(good) + "\n")
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: line 1: maximum recursion depth exceeded")
+        assert dst.read_bytes() == src.read_bytes()
+
     def test_job_of_the_wrong_shape_names_its_key(self, runner, tmp_path):
         src = make_clip_file(tmp_path / "in.wav", 0.5)
         good = {"input": str(src), "path": "injection_digital"}
@@ -985,6 +997,7 @@ class TestDetectWorkers:
         monkeypatch.setattr(cli, "_in_workers", no_pool)
         result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
         assert result.exit_code == 0, result.output
+        assert cli._worker_model == {}  # the in-process run lets go of the weights
 
     def test_environment_restored_and_no_worker_left(self, runner, config_path, tmp_path, monkeypatch):
         import spoofbench.cli as cli
