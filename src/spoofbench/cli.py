@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -51,32 +52,40 @@ from .metrics import (
 from .presentation import ChannelConfig, PresentationJob, present
 from .seeding import derive_seed
 
-_UNREAD_PER_WORKER = 4  # items a pool holds per worker, running, queued or done and not yet read
+# One item running and one queued per worker, so a worker that finishes finds its next item
+# waiting; more would only hold more futures here.
+_UNFINISHED_PER_WORKER = 2
 
 
-def _each(work, items, pool=None, workers=1):
+def _each(work, items, pool, workers):
     """(work(item), None), or (None, the exception it raised), for each item, in item order.
 
-    With no pool the items run here, one after another.  On a pool of workers,
-    the oldest item is read before one more is submitted once
-    _UNREAD_PER_WORKER * workers are unread, so a long input never holds a
-    future per item.  An exception fails its item only, also one that a broken
-    pool gives a future or a submit.
+    At one worker the items run here, one after another.  Above one they run
+    on pool, and an item is submitted once fewer than
+    _UNFINISHED_PER_WORKER * workers are unfinished, whichever finished, so a
+    long input never holds a future per item and a long item holds up no
+    other.  An exception fails its item only, also one that a broken pool
+    gives a future or a submit.
     """
-    if pool is None:
+    if workers <= 1:
         return [_attempt(work, item) for item in items]
-    results, unread = [], []  # unread: (future, None), or (None, the exception submit raised)
+    results = [None] * len(items)
+    slots = threading.Semaphore(_UNFINISHED_PER_WORKER * workers)
 
-    def read_oldest():
-        future, exc = unread.pop(0)
-        results.append(_attempt(future.result) if future else (None, exc))
+    def finish(i, future):  # runs when the future is done, on the pool's thread or here
+        results[i] = _attempt(future.result)
+        slots.release()
 
-    for item in items:
-        if len(unread) == _UNREAD_PER_WORKER * workers:
-            read_oldest()
-        unread.append(_attempt(pool.submit, work, item))
-    while unread:
-        read_oldest()
+    for i, item in enumerate(items):
+        slots.acquire()
+        future, exc = _attempt(pool.submit, work, item)
+        if future is None:
+            results[i] = None, exc
+            slots.release()
+        else:
+            future.add_done_callback(partial(finish, i))
+    for _ in range(_UNFINISHED_PER_WORKER * workers):  # every item has finished once every slot is free
+        slots.acquire()
     return results
 
 
@@ -165,7 +174,7 @@ def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
         Path(trim_dir).mkdir(parents=True, exist_ok=True)
     workers = parallelism or cfg.parallelism
     with ThreadPoolExecutor(workers) as pool:  # a thread starts on a submit only
-        results = _each(partial(_vad_entry, cfg, trim_dir), entries, pool if workers > 1 else None, workers)
+        results = _each(partial(_vad_entry, cfg, trim_dir), entries, pool, workers)
     write_manifest(sorted((e for e, _ in results if e is not None), key=lambda e: e.utt_id), out_path)
     if _report_failures([(e.utt_id, str(exc)) for e, (_, exc) in zip(entries, results) if exc is not None]):
         sys.exit(1)
@@ -207,8 +216,7 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
             failures.append((lineno, f"line {lineno}", str(exc)))
     workers = parallelism or cfg.parallelism
     with ThreadPoolExecutor(workers) as pool:
-        results = _each(partial(_present_job, cfg, global_seed), [job for _, job in jobs],
-                        pool if workers > 1 else None, workers)
+        results = _each(partial(_present_job, cfg, global_seed), [job for _, job in jobs], pool, workers)
     failures += [(lineno, job.name, str(exc)) for (lineno, job), (_, exc) in zip(jobs, results) if exc is not None]
     if _report_failures([failure[1:] for failure in sorted(failures)]):
         sys.exit(1)
@@ -279,7 +287,7 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     if workers <= 1:
         # in-process, so a wrapper around this module's detector_forward sees every forward
         _init_worker(store, det_cfg)
-        results = _each(work, entries)
+        results = _each(work, entries, None, 1)
         _worker_model.clear()  # the weights are not held past the command
     else:
         results = _in_workers(work, entries, workers, store, det_cfg)

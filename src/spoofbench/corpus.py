@@ -27,7 +27,8 @@ MIN_NET_SPEECH_S = 0.5
 # The JSON types a value of each scalar annotation takes as they are (matched exactly, so
 # true is no integer or number), and their name in an error
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), bool: ((bool,), "true or false"),
-               str: ((str,), "a string"), type(None): ((type(None),), "null")}
+               str: ((str,), "a string"), type(None): ((type(None),), "null"),
+               str | None: ((str, type(None)), "a string or null")}
 
 
 class ManifestError(ValueError):
@@ -78,9 +79,9 @@ def from_doc(cls, doc, rest=None, key=""):
 
 def _typed(hint, value, key):
     """value checked against the annotation hint: an array becomes a tuple, an object a dataclass."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
     if type(value) in _JSON_TYPES.get(hint, ((),))[0]:
         return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
     if is_dataclass(hint):
         return from_doc(hint, value, key=key)
     if origin is tuple and type(value) in (list, tuple):

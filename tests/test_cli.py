@@ -1045,41 +1045,67 @@ class TestDetectWorkers:
 
         want = [(1, None), (None, "BrokenProcessPool", "worker died"), (None, "ValueError", "cannot read"),
                 (None, "BrokenProcessPool", "pool broken"), (2, None)]
-        assert outcomes(cli._each(work, ["a", "w", "p", "s", "bb"], Pool(), 1)) == want
-        assert outcomes(cli._each(work, ["a", "p", "bb"])) == [want[0], want[2], want[4]]
+        assert outcomes(cli._each(work, ["a", "w", "p", "s", "bb"], Pool(), 2)) == want
+        assert outcomes(cli._each(work, ["a", "p", "bb"], None, 1)) == [want[0], want[2], want[4]]
 
-    def test_unread_items_per_worker_are_bounded(self):
+    def test_unfinished_items_per_worker_are_bounded(self):
         import random
+        import threading
         from concurrent.futures import Future
 
         import spoofbench.cli as cli
 
-        rng, workers = random.Random(0), 3
-        unfinished, held, peak = [], set(), [0]
-
-        class Finishing(Future):
-            """A worker finishes this item when it is read, and some others along with it."""
-
-            def result(self, timeout=None):
-                for future in [self] + rng.sample(unfinished, min(len(unfinished), rng.randrange(3))):
-                    if not future.done():
-                        future.set_result(future.item * 2)
-                        unfinished.remove(future)
-                held.discard(self)
-                return super().result(timeout)
+        rng, workers, n = random.Random(0), 3, 300
+        bound = cli._UNFINISHED_PER_WORKER * workers
+        unfinished, peak, submitted = [], [0], [0]
+        changed = threading.Condition()
 
         class Pool:
             def submit(self, work, item):
-                future = Finishing()
+                future = Future()
                 future.item = item
-                unfinished.append(future)
-                held.add(future)
-                peak[0] = max(peak[0], len(held))
+                with changed:
+                    unfinished.append(future)
+                    submitted[0] += 1
+                    peak[0] = max(peak[0], len(unfinished))
+                    changed.notify()
                 return future
 
-        results = cli._each(None, list(range(300)), Pool(), workers)
-        assert results == [(2 * i, None) for i in range(300)]
-        assert peak[0] == cli._UNREAD_PER_WORKER * workers and not held
+        def finish():
+            """Once the runner holds bound items (or stops submitting for a second), finish some, in any order."""
+            while submitted[0] < n or unfinished:
+                with changed:
+                    changed.wait_for(lambda: len(unfinished) >= bound or submitted[0] == n, timeout=1)
+                    some = rng.sample(unfinished, rng.randint(min(1, len(unfinished)), len(unfinished)))
+                    for future in some:
+                        unfinished.remove(future)
+                for future in some:
+                    future.set_result(future.item * 2)
+
+        finisher = threading.Thread(target=finish)
+        finisher.start()
+        results = list(cli._each(None, list(range(n)), Pool(), workers))  # as they were at the return
+        finisher.join()
+        assert results == [(2 * i, None) for i in range(n)]
+        assert peak[0] == bound
+
+    def test_a_long_item_holds_up_no_other(self):
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        import spoofbench.cli as cli
+
+        released = threading.Event()
+
+        def work(item):
+            if item == 0:
+                assert released.wait(10)
+            elif item == 99:
+                released.set()  # reached only while item 0 is still running
+            return item
+
+        with ThreadPoolExecutor(2) as pool:
+            assert cli._each(work, list(range(100)), pool, 2) == [(i, None) for i in range(100)]
 
 
 class TestOutputPaths:
