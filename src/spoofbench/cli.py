@@ -61,9 +61,9 @@ def _each(work, items, pool, workers):
     """(work(item), None), or (None, the exception it raised), for each item, in item order.
 
     At one worker the items run here, one after another.  Above one they run
-    on pool, and an item is submitted once fewer than
-    _UNFINISHED_PER_WORKER * workers are unfinished, whichever finished, so a
-    long input never holds a future per item and a long item holds up no
+    on pool, and the next item is submitted as soon as fewer than
+    _UNFINISHED_PER_WORKER * workers are unfinished, whichever item finished,
+    so a long input never holds a future per item and a long item holds up no
     other.  An exception fails its item only, also one that a broken pool
     gives a future or a submit.
     """
