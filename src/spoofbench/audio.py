@@ -272,37 +272,17 @@ def net_speech_seconds(mask: VadMask) -> float:
     return float(mask.flags.sum()) * mask.hop_s
 
 
-def _speech_chunks(clip: AudioClip, mask: VadMask):
-    hop = int(round(mask.hop_s * clip.sample_rate_hz))
-    x = clip.samples
-    for i in np.flatnonzero(mask.flags):
-        seg = x[i * hop : (i + 1) * hop]
-        if seg.size:
-            yield seg
-
-
 def trim_nonspeech(clip: AudioClip, mask: VadMask) -> AudioClip:
     """Concatenate the speech-flagged hops of the clip, in order."""
-    chunks = list(_speech_chunks(clip, mask))
-    if not chunks:
-        return AudioClip(np.zeros(0), clip.sample_rate_hz)
-    return AudioClip(np.concatenate(chunks), clip.sample_rate_hz)
+    keep = np.repeat(mask.flags, int(round(mask.hop_s * clip.sample_rate_hz)))[: len(clip)]
+    return AudioClip(clip.samples[: keep.size][keep], clip.sample_rate_hz)
 
 
 def net_speech_prefix(clip: AudioClip, mask: VadMask, k_seconds: float) -> AudioClip:
-    """Shortest clip prefix holding >= k seconds of flagged speech, trimmed.
-
-    Returns all available speech when the clip holds less than k seconds.
-    """
+    """The first ceil(k / hop_s) whole hops of the clip's trimmed speech, which hold >= k seconds,
+    or all of the speech when the clip holds less."""
     if k_seconds <= 0:
         raise ValueError("k_seconds must be positive")
-    flags = mask.flags
-    need = int(math.ceil(k_seconds / mask.hop_s - 1e-9))
-    counts = np.cumsum(flags)
-    hit = np.flatnonzero(counts >= need)
-    if hit.size == 0:
-        return trim_nonspeech(clip, mask)
-    j = int(hit[0])
     hop = int(round(mask.hop_s * clip.sample_rate_hz))
-    prefix = AudioClip(clip.samples[: (j + 1) * hop], clip.sample_rate_hz)
-    return trim_nonspeech(prefix, VadMask(flags[: j + 1], mask.hop_s))
+    need = int(math.ceil(k_seconds / mask.hop_s - 1e-9))
+    return AudioClip(trim_nonspeech(clip, mask).samples[: need * hop], clip.sample_rate_hz)

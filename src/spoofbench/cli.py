@@ -35,7 +35,7 @@ from .audio import (
     trim_nonspeech,
 )
 from .config import RunConfig, load_run_config
-from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, from_doc, read_manifest, write_manifest
+from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, from_doc, loads, read_lines, read_manifest, write_manifest
 from .detector.model import DetectorConfig, check_parameters, detector_forward, init_parameters, score
 from .detector.params import load_parameters, save_parameters
 from .features import frame_count, log_mel
@@ -94,15 +94,6 @@ def _attempt(fn, *args):
         return fn(*args), None
     except Exception as exc:  # an item's failure, reported by the command that runs it
         return None, exc
-
-
-def _read_jobs(path):
-    """The non-blank lines of a jobs file, with their line numbers."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_checkpoints(ctx, param, value):
@@ -209,10 +200,10 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
     """
     global_seed = cfg.global_seed if seed is None else seed
     jobs, failures = [], []  # failures: (line number, name, message)
-    for lineno, line in _read_jobs(jobs_path):
+    for lineno, line in read_lines(jobs_path):
         try:
-            jobs.append((lineno, from_doc(PresentationJob, json.loads(line))))
-        except (ValueError, RecursionError) as exc:  # not JSON (or nested too deep to decode), or of the wrong shape
+            jobs.append((lineno, from_doc(PresentationJob, loads(line))))
+        except ValueError as exc:  # not JSON, or of the wrong shape
             failures.append((lineno, f"line {lineno}", str(exc)))
     workers = parallelism or cfg.parallelism
     with ThreadPoolExecutor(workers) as pool:
@@ -321,17 +312,16 @@ def _score_entry(cfg: RunConfig, cps, entry):
     ks = [None] if cps is None else [k for k in cps if k <= net + 1e-9]
     prefixes = [trim_nonspeech(clip, mask)] if cps is None else [net_speech_prefix(clip, mask, k) for k in ks]
     del clip  # a long clip's samples are not held through the forwards
-    if cps is None or cfg.features.mean_var_norm:
-        # normalized features of a prefix are not rows of the longest prefix's
-        inputs = [(log_mel(p, cfg.features), None) for p in prefixes]
+    counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
+    if cfg.features.mean_var_norm:  # normalized features of a prefix are not rows of the longest prefix's
+        inputs = [(log_mel(p, cfg.features), [n]) for p, n in zip(prefixes, counts)]
     else:  # one log-mel and one forward over the longest prefix score them all
-        counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
         inputs = [(log_mel(max(prefixes, key=len), cfg.features), counts)] if prefixes else []
     del prefixes
     scores = []
-    for feat, counts in inputs:
-        logits = detector_forward(feat, _worker_model["store"], _worker_model["det_cfg"], prefix_frames=counts)
-        scores += [score(l).s for l in (logits if counts is not None else [logits])]
+    for feat, frames in inputs:
+        logits = detector_forward(feat, _worker_model["store"], _worker_model["det_cfg"], prefix_frames=frames)
+        scores += [score(l).s for l in logits]
     return [TrialScore(entry.utt_id, entry.label, s, entry.dataset, k) for k, s in zip(ks, scores)], None
 
 

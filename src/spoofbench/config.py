@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audio import VadConfig
-from .corpus import from_doc
+from .corpus import from_doc, loads
 from .detector.model import DetectorConfig
 from .features import FeatureConfig
 from .metrics import EvalProtocol
@@ -34,6 +33,6 @@ def load_run_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        return from_doc(RunConfig, json.loads(Path(path).read_text(encoding="utf-8")))
+        return from_doc(RunConfig, loads(Path(path).read_text(encoding="utf-8")))
     except ValueError as exc:  # an unknown key, a value of the wrong type, a bad value, bad JSON or not UTF-8
         raise ValueError(f"{path}: {exc}") from exc

@@ -2,7 +2,7 @@
 
 Manifests are JSON Lines, one utterance per line, with a canonical field
 order on write so a read/write cycle is byte-stable.  Unknown fields are
-preserved.  from_doc reads manifest lines, run configs and weights-header configs.
+preserved.  loads decodes all JSON input and from_doc reads it into dataclasses.
 """
 
 from __future__ import annotations
@@ -46,6 +46,20 @@ def _fields_of(cls) -> tuple[dict, dict]:
     hints = typing.get_type_hints(cls)
     return ({f.name: (hints[f.name], _JSON_TYPES.get(hints[f.name], ((),))[0]) for f in fields(cls)},
             dict.fromkeys(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING))
+
+
+def _finite(text):  # a JSON number, NaN, Infinity or -Infinity
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def loads(text):
+    """The JSON value in text; NaN, Infinity, a number that overflows and nesting too deep are ValueErrors."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def from_doc(cls, doc, rest=None, key=""):
@@ -108,7 +122,10 @@ def _wanted(hint) -> str:
 
 
 def _wrong_type(key, wanted, value) -> ValueError:
-    shown = json.dumps(value, default=repr)
+    try:
+        shown = json.dumps(value, default=repr)
+    except RecursionError:  # nested about as deep as json decodes
+        shown = "a value nested too deep to show"
     return ValueError(f"{key} must be {wanted}, not {shown if len(shown) <= 40 else shown[:36] + ' ...'}")
 
 
@@ -142,25 +159,27 @@ class ManifestEntry:
         return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
 
 
+def read_lines(path):
+    """Each non-blank line of a UTF-8 text file, stripped, with its line number."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from ((lineno, text) for lineno, line in enumerate(fh, start=1) if (text := line.strip()))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_manifest(path) -> list[ManifestEntry]:
     entries = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    for lineno, line in read_lines(path):
         try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = from_doc(ManifestEntry, json.loads(line), rest="extra")
-                except ValueError as exc:  # not JSON, a key or value of the wrong kind, a bad value
-                    raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-                if entry.utt_id in seen:
-                    raise ManifestError(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
-                seen.add(entry.utt_id)
-                entries.append(entry)
-        except UnicodeDecodeError as exc:
-            raise ManifestError(f"{path}: {exc}") from exc
+            entry = from_doc(ManifestEntry, loads(line), rest="extra")
+        except ValueError as exc:  # not JSON, a key or value of the wrong kind, a bad value
+            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+        if entry.utt_id in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
+        seen.add(entry.utt_id)
+        entries.append(entry)
     return entries
 
 

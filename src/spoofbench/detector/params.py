@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ..corpus import from_doc, loads
 
 FORMAT_NAME = "spoofbench-weights"
 FORMAT_VERSION = 1
@@ -19,6 +23,13 @@ FORMAT_VERSION = 1
 
 class WeightsError(ValueError):
     """Base error for unreadable weight files."""
+
+
+@dataclass(frozen=True)
+class _Tensor:
+    name: str
+    shape: tuple[int, ...]
+    offset: int
 
 
 class ParameterStore:
@@ -91,8 +102,8 @@ def load_parameters(path) -> ParameterStore:
     if nl < 0:
         raise WeightsError(f"{path}: missing manifest line")
     try:
-        manifest = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = loads(raw[:nl].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, a non-finite number or nesting too deep
         raise WeightsError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise WeightsError(f"{path}: not a {FORMAT_NAME} file")
@@ -102,10 +113,10 @@ def load_parameters(path) -> ParameterStore:
         )
     try:
         blob_bytes, blob_sha256 = manifest["blob_bytes"], manifest["blob_sha256"]
-        tensors = [(spec["name"], spec["shape"], spec["offset"]) for spec in manifest["tensors"]]
+        tensors = [astuple(from_doc(_Tensor, spec, key=f"tensors[{i}]")) for i, spec in enumerate(manifest["tensors"])]
     except KeyError as exc:
         raise WeightsError(f"{path}: manifest lacks field {exc}") from exc
-    except TypeError as exc:  # a field of the wrong kind
+    except (TypeError, ValueError) as exc:  # a field of the wrong kind
         raise WeightsError(f"{path}: malformed manifest: {exc}") from exc
     blob = raw[nl + 1 :]
     if len(blob) != blob_bytes:
@@ -117,7 +128,7 @@ def load_parameters(path) -> ParameterStore:
     store = ParameterStore(config=manifest.get("config"))
     end_seen = 0
     for name, shape, start in tensors:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)
         end = start + size * 4
         if start != end_seen or end > len(blob):
             raise WeightsError(

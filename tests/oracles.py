@@ -4,10 +4,13 @@ These deliberately avoid the library's vectorized code paths: rates are
 obtained by counting over explicit candidate thresholds, the parameter
 count by summing shape products from the documented architecture, and the
 detector's logits by a forward that loops over output positions and
-imports nothing from the library's tensor ops.
+imports nothing from the library's tensor ops; the speech cut by walking
+the mask one hop at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -192,3 +195,23 @@ def detector_forward_oracle(values, store, cfg):
     emb = _attentive_stats_pool_oracle(h, _tensor(store, "pool.w"), _tensor(store, "pool.b"), _tensor(store, "pool.v"))
     out = _tensor(store, "fc.weight") @ emb + _tensor(store, "fc.bias")
     return float(out[0]), float(out[1])
+
+
+def trim_nonspeech_oracle(samples, flags, hop):
+    """The clip's samples of each speech-flagged hop, one hop at a time, in order."""
+    chunks = [samples[i * hop : (i + 1) * hop] for i in np.flatnonzero(flags)]
+    return np.concatenate([np.zeros(0), *chunks])
+
+
+def net_speech_prefix_oracle(samples, flags, hop, hop_s, k_seconds):
+    """The speech of the shortest run of leading hops that flags >= k seconds, else all of it.
+
+    The first hop at which the running count of flags reaches ceil(k / hop_s)
+    ends the prefix; the prefix is cut to that many samples and trimmed.
+    """
+    need = int(math.ceil(k_seconds / hop_s - 1e-9))
+    hit = np.flatnonzero(np.cumsum(flags) >= need)
+    if hit.size == 0:
+        return trim_nonspeech_oracle(samples, flags, hop)
+    j = int(hit[0])
+    return trim_nonspeech_oracle(samples[: (j + 1) * hop], flags[: j + 1], hop)

@@ -22,6 +22,7 @@ from spoofbench.audio import (
 )
 
 from conftest import SR, silence, tone
+from oracles import net_speech_prefix_oracle, trim_nonspeech_oracle
 
 HOP = 0.010
 FRAME = 0.025
@@ -285,6 +286,27 @@ class TestNetSpeechPrefix:
     def test_k_must_be_positive(self, burst_clip):
         with pytest.raises(ValueError):
             net_speech_prefix(burst_clip, detect_voice(burst_clip), 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.sampled_from([8000, 11025, 16000]),
+    # hops that round to whole samples, ones that do not, and ones that round to 0 samples
+    hop_s=st.sampled_from([0.01, 0.0125, 0.007, 1.3e-3, 1e-4, 2e-5]),
+    n=st.integers(0, 4000),
+    flags=st.lists(st.booleans(), max_size=400),  # shorter or longer than the clip in hops
+    hops=st.one_of(st.integers(1, 500).map(float), st.floats(1e-3, 500.0)),  # k in hops, up to beyond the speech
+)
+def test_speech_cut_equals_the_per_hop_oracle(rate, hop_s, n, flags, hops):
+    """Exact, not within a bound: the cut samples are the oracle's, value for value."""
+    k = hops * hop_s
+    samples = np.random.default_rng(n).uniform(-1, 1, n)
+    clip, mask = AudioClip(samples, rate), VadMask(np.array(flags, dtype=bool), hop_s)
+    hop = int(round(hop_s * rate))
+    trimmed, prefix = trim_nonspeech(clip, mask), net_speech_prefix(clip, mask, k)
+    assert np.array_equal(trimmed.samples, trim_nonspeech_oracle(samples, mask.flags, hop))
+    assert np.array_equal(prefix.samples, net_speech_prefix_oracle(samples, mask.flags, hop, hop_s, k))
+    assert trimmed.sample_rate_hz == prefix.sample_rate_hz == rate
 
 
 @settings(max_examples=25, deadline=None)

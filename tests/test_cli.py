@@ -30,6 +30,7 @@ from spoofbench import (
     save_parameters,
     save_wav,
     score,
+    trim_nonspeech,
     write_manifest,
 )
 from spoofbench.cli import main
@@ -444,6 +445,31 @@ class TestCmdDetect:
         }
         assert {r.checkpoint_s: r.score for r in read_scores_csv(out).rows()} == want
 
+    @pytest.mark.parametrize("mean_var_norm", [False, True])
+    def test_full_length_is_the_one_prefix_case(self, runner, tmp_path, monkeypatch, mean_var_norm):
+        """Every forward gets its frame counts, and the full-length score is a plain forward's."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "features": {"mean_var_norm": mean_var_norm}}))
+        weights = self.init_weights(runner, str(config), tmp_path)
+        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
+        calls = []
+
+        def spy(feat, store, cfg, prefix_frames=None):
+            calls.append((feat.n_frames, prefix_frames))
+            return detector_forward(feat, store, cfg, prefix_frames=prefix_frames)
+
+        monkeypatch.setattr("spoofbench.cli.detector_forward", spy)
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(main, ["--config", str(config), "detect", "--manifest", str(manifest),
+                                      "--weights", str(weights), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert calls and all(frames == [n] for n, frames in calls)
+        cfg, store = load_run_config(config), load_parameters(weights)
+        clip = resample(load_wav(manifest.parent / "u.wav"), cfg.sample_rate_hz)
+        feat = log_mel(trim_nonspeech(clip, detect_voice(clip, cfg.vad)), cfg.features)
+        want = score(detector_forward(feat, store, from_doc(DetectorConfig, store.config))).s
+        assert [r.score for r in read_scores_csv(out).rows()] == [want]
+
     def test_checkpoint_below_min_frames_fails_entry(self, runner, config_path, tmp_path):
         weights = self.init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("u", "spoof", "d", 1.0)])
@@ -516,6 +542,41 @@ class TestUnreadableInputs:
         result = runner.invoke(main, ["vad", "--in", str(bad), "--out", str(tmp_path / "out")])
         self.assert_fails_closed(result, f"{bad}:1: {named}\n")
 
+    @pytest.mark.parametrize("command", ["vad", "pool", "config"])
+    def test_json_nested_too_deep(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100_000 + "\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "vad": ["vad", "--in", str(bad), "--out", out],
+            "pool": ["pool", "--manifests", str(bad), "--out", out],
+            "config": ["--config", str(bad), "init-weights", "--out", out],
+        }[command]
+        where = f"{bad}:1" if command != "config" else str(bad)
+        self.assert_fails_closed(runner.invoke(main, argv), f"{where}: maximum recursion depth exceeded")
+
+    def test_pool_refuses_a_nan_net_speech(self, runner, tmp_path):
+        """Not left out of the pool as an entry below the net-speech floor."""
+        good = {"path": "x.wav", "label": "spoof", "dataset": "d", "net_speech_s": 5.0}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"utt_id": "a", **good}) + "\n" + '{"utt_id": "b", "net_speech_s": NaN}\n')
+        result = runner.invoke(main, ["pool", "--manifests", str(bad), "--per-class", "1", "--out", str(tmp_path / "o")])
+        self.assert_fails_closed(result, f"{bad}:2: NaN is not a finite number\n")
+
+    @pytest.mark.parametrize("config, named", [
+        ('{"protocol": {"checkpoints_s": [2, NaN]}}', "NaN"),
+        ('{"protocol": {"checkpoints_s": [2, Infinity]}}', "Infinity"),
+        ('{"vad": {"energy_margin_db": NaN}}', "NaN"),
+        ('{"features": {"log_floor": NaN}}', "NaN"),
+        ('{"features": {"log_floor": -Infinity}}', "-Infinity"),
+        ('{"features": {"log_floor": 1e999}}', "1e999"),
+    ])
+    def test_run_config_non_finite_number(self, runner, tmp_path, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        result = runner.invoke(main, ["--config", str(path), "init-weights", "--out", str(tmp_path / "w.bin")])
+        self.assert_fails_closed(result, f"{path}: {named} is not a finite number\n")
+
     def test_manifest_line_missing_keys(self, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"utt_id": "a"}\n')
@@ -561,6 +622,16 @@ class TestUnreadableInputs:
         ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256,
           "tensors": [{"name": "a", "shape": [0], "offset": 0}, {"name": "a", "shape": [0], "offset": 0}]},
          "duplicate tensor name"),
+        ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256, "tensors": [{"name": "a", "shape": [2.5], "offset": 0}]},
+         "tensors[0].shape[0] must be an integer, not 2.5\n"),
+        ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256, "tensors": [{"name": "a", "shape": [0], "offset": None}]},
+         "tensors[0].offset must be an integer, not null\n"),
+        ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256, "tensors": [{"name": "a", "shape": "ab", "offset": 0}]},
+         'tensors[0].shape must be an array, not "ab"\n'),
+        ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256, "tensors": [{"name": ["a"], "shape": [0], "offset": 0}]},
+         'tensors[0].name must be a string, not ["a"]\n'),
+        ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256, "tensors": [{"name": "a", "shape": [10**30], "offset": 0}]},
+         "tensor a shape/offset inconsistent with blob\n"),
     ])
     def test_malformed_weights_header(self, runner, tmp_path, header, named):
         weights = tmp_path / "w.bin"
@@ -1246,10 +1317,13 @@ CORRUPTION_TARGETS = [
     ("eval", "scores.csv"), ("eval", "out"), ("det", "scores.csv"), ("det", "out"), ("init-weights", "out"),
     *[(command, "config.json") for command in ("vad", "present", "pool", "detect", "eval", "det", "init-weights")],
 ]
-# Valid JSON of the wrong shape for a manifest or jobs line: not an object, no field, a field of the wrong type
+# JSON a manifest or jobs line (or a config) must not hold: not an object, no field, a field of the wrong
+# type, nesting too deep to decode, a NaN
 WRONG_SHAPE_LINES = [b'"utt_id"', b'["u1", "x.wav"]', b"{}",
                      b'{"utt_id": ["a"], "path": "x.wav", "label": "spoof", "dataset": "d"}',
-                     b'{"input": 5, "output": "o.wav", "path": "injection_analog"}']
+                     b'{"input": 5, "output": "o.wav", "path": "injection_analog"}',
+                     b"[" * 100_000,
+                     b'{"utt_id": "n", "path": "x.wav", "label": "spoof", "dataset": "d", "net_speech_s": NaN}']
 CORRUPTIONS = st.one_of(
     st.tuples(st.just("truncate"), st.floats(0, 1)),
     st.tuples(st.just("splice"), st.floats(0, 1),
@@ -1306,6 +1380,10 @@ def _corrupt(data: bytes, name: str, corruption) -> str:
 @example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[2]))
 @example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[3]))
 @example(target=("present", "jobs.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[4]))
+@example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[5]))
+@example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[6]))
+@example(target=("init-weights", "config.json"), corruption=("line", 0.0, WRONG_SHAPE_LINES[5]))
+@example(target=("init-weights", "config.json"), corruption=("line", 0.0, WRONG_SHAPE_LINES[6]))
 def test_corrupted_input_fails_closed(valid_inputs, target, corruption):
     """Any command on a corrupted valid input exits 0, exits 1 with an `error:` line, or
     exits 2 with click's usage message; no exception but SystemExit escapes."""

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from spoofbench import (
@@ -13,7 +15,7 @@ from spoofbench import (
     read_manifest,
     write_manifest,
 )
-from spoofbench.corpus import ManifestError, PoolError, from_doc
+from spoofbench.corpus import ManifestError, PoolError, from_doc, loads
 from spoofbench.presentation import PresentationJob
 
 
@@ -170,12 +172,40 @@ class TestFromDoc:
         with pytest.raises(ValueError, match="^ManifestEntry must be a mapping, not "):
             from_doc(ManifestEntry, doc, rest="extra")
 
+    def test_a_value_too_deep_to_show_is_named_as_such(self):
+        deep = []
+        for _ in range(sys.getrecursionlimit()):
+            deep = [deep]
+        with pytest.raises(ValueError, match="^global_seed must be an integer, not a value nested too deep to show$"):
+            from_doc(RunConfig, {"global_seed": deep})
+
     def test_range_checks_still_apply(self):
         with pytest.raises(ValueError, match="cot_kernel must be odd"):
             from_doc(DetectorConfig, {"cot_kernel": 2})
         with pytest.raises(ManifestError, match="net_speech_s must be >= 0"):
             from_doc(ManifestEntry, {"utt_id": "u", "path": "p", "label": "spoof", "dataset": "d", "net_speech_s": -1},
                      rest="extra")
+
+
+class TestLoads:
+    def test_decodes_json(self):
+        assert loads('{"a": [1, 2.5, -3e2, true, null, "x"]}') == {"a": [1, 2.5, -300.0, True, None, "x"]}
+
+    @pytest.mark.parametrize("text, named", [
+        ("NaN", "NaN"), ('{"a": [Infinity]}', "Infinity"), ("-Infinity", "-Infinity"),
+        ("1e999", "1e999"), ("-1.5e400", "-1.5e400"),
+    ])
+    def test_refuses_a_number_that_is_not_finite(self, text, named):
+        with pytest.raises(ValueError, match=f"^{named} is not a finite number$"):
+            loads(text)
+
+    def test_nesting_too_deep_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^maximum recursion depth exceeded"):
+            loads("[" * 100_000)
+
+    def test_not_json_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            loads("{not json")
 
 
 class TestFilterMinNetSpeech:
