@@ -54,10 +54,15 @@ def _finite(text):  # a JSON number, NaN, Infinity or -Infinity
     return value
 
 
+def _int(text):  # a JSON integer, kept as an int when a float can hold it
+    _finite(text)
+    return int(text)
+
+
 def loads(text):
-    """The JSON value in text; NaN, Infinity, a number that overflows and nesting too deep are ValueErrors."""
+    """The JSON value in text; NaN, Infinity, a number that overflows a float and nesting too deep are ValueErrors."""
     try:
-        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+        return json.loads(text, parse_float=_finite, parse_int=_int, parse_constant=_finite)
     except RecursionError as exc:
         raise ValueError(str(exc)) from None
 

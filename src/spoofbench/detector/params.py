@@ -114,6 +114,10 @@ def load_parameters(path) -> ParameterStore:
     try:
         blob_bytes, blob_sha256 = manifest["blob_bytes"], manifest["blob_sha256"]
         tensors = [astuple(from_doc(_Tensor, spec, key=f"tensors[{i}]")) for i, spec in enumerate(manifest["tensors"])]
+        for i, (_, shape, _) in enumerate(tensors):
+            for j, n in enumerate(shape):
+                if n < 0:
+                    raise ValueError(f"tensors[{i}].shape[{j}] must be >= 0, not {n}")
     except KeyError as exc:
         raise WeightsError(f"{path}: manifest lacks field {exc}") from exc
     except (TypeError, ValueError) as exc:  # a field of the wrong kind

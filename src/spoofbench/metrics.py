@@ -172,8 +172,9 @@ def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricRepor
     if not (0.0 < far_target <= 1.0):
         raise EvalError("far_target must be in (0, 1]")
     bona, spoof = _split_scores(trials, context)
-    eer, eer_thr = _eer_from_points(*_operating_points(bona, spoof))
-    cands = _mdr_candidates(np.unique(np.concatenate([bona, spoof])))
+    thresholds, far, mdr = _operating_points(bona, spoof)
+    eer, eer_thr = _eer_from_points(thresholds, far, mdr)
+    cands = _mdr_candidates(thresholds[1:-1])  # the distinct scores
     far, mdr = _rates_at(cands, bona, spoof)
     idx = int(np.argmax(far <= far_target))  # first hit; far is non-increasing
     return MetricReport(
@@ -273,41 +274,20 @@ def write_scores_csv(trials, path) -> None:
             writer.writerow([t.utt_id, t.dataset, t.label, cp, repr(float(t.score))])
 
 
-def _floats(strings) -> tuple[np.ndarray, np.ndarray]:
-    """float() of each string, and the mask of the strings it rejects (NaN there)."""
+def _floats(strings) -> np.ndarray:
+    """float() of each string; all NaN when float() rejects one, which no rule lets pass."""
     try:
-        return np.fromiter(map(float, strings), np.float64, len(strings)), np.zeros(len(strings), bool)
+        return np.fromiter(map(float, strings), np.float64, len(strings))
     except ValueError:
-        values, bad = np.full(len(strings), math.nan), np.zeros(len(strings), bool)
-        for i, text in enumerate(strings):
-            try:
-                values[i] = float(text)
-            except ValueError:
-                bad[i] = True
-        return values, bad
+        return np.full(len(strings), math.nan)
 
 
-def _float_error(text: str) -> str:
-    """The message of the ValueError that float(text) raises."""
-    try:
-        float(text)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _parse_chunk(rows) -> tuple[tuple, str | None]:
-    """The columns of a chunk of non-blank CSV rows up to the first row that
-    fails a check, and that row's message, or None.  The message is that of
-    the first check the row fails, in the order below; duplicate rows are
-    left to _first_duplicate."""
-    failures = []  # (row index, check order, message)
-    n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
-    wrong = np.flatnonzero(n_fields != len(SCORES_HEADER))
-    if wrong.size:
-        i = int(wrong[0])
-        failures.append((i, 0, f"expected {len(SCORES_HEADER)} fields, got {n_fields[i]}"))
-        rows = rows[:i]  # a later row cannot be the first bad one
-    utt_id, dataset, label, cp_text, score_text = zip(*rows) if rows else ((),) * 5
+def _parse_chunk(rows) -> tuple | None:
+    """The columns of a chunk of non-blank CSV rows, or None when a row breaks a
+    rule; _first_fault says which and why."""
+    if any(len(row) != len(SCORES_HEADER) for row in rows):
+        return None
+    utt_id, dataset, label, cp_text, score_text = zip(*rows)
     # one string object per distinct name keeps large files compact
     utt_id = np.array(list(map(sys.intern, utt_id)), dtype=object)
     dataset = np.array(list(map(sys.intern, dataset)), dtype=object)
@@ -315,84 +295,77 @@ def _parse_chunk(rows) -> tuple[tuple, str | None]:
     is_spoof = label == "spoof"
     cp_text = np.array(cp_text, dtype=object)
     full = cp_text == ""
-    cp, cp_unparsed = _floats(np.where(full, "nan", cp_text))
-    score, score_unparsed = _floats(score_text)
-    checks = [
-        (score_unparsed, lambda i: _float_error(score_text[i])),
-        (cp_unparsed, lambda i: _float_error(cp_text[i])),
-        (~is_spoof & (label != "bonafide"), lambda i: f"{utt_id[i]}: label must be one of {LABELS}"),
-        (~np.isfinite(score), lambda i: f"{utt_id[i]}: score must be finite"),
-        (~full & ~((cp > 0) & (cp < math.inf)), lambda i: f"{utt_id[i]}: checkpoint_s must be positive and finite"),
-    ]
-    for order, (bad, message) in enumerate(checks, start=1):
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            failures.append((int(hits[0]), order, message(int(hits[0]))))
-    columns = (utt_id, dataset, is_spoof, cp, score)
-    if not failures:
-        return columns, None
-    index, _, message = min(failures)
-    return tuple(c[:index] for c in columns), message
+    cp = _floats(np.where(full, "nan", cp_text))
+    score = _floats(score_text)
+    valid = (is_spoof | (label == "bonafide")) & np.isfinite(score) & (full | ((cp > 0) & (cp < math.inf)))
+    return (utt_id, dataset, is_spoof, cp, score) if valid.all() else None
 
 
-def _first_duplicate(table: ScoreTable) -> int | None:
-    """The index of the first row whose (utt_id, checkpoint_s) an earlier row has."""
+def _has_duplicate(table: ScoreTable) -> bool:
+    """Whether two rows have the same (utt_id, checkpoint_s)."""
     # names are interned, so equal names are one object; full-length rows are
     # keyed 0 (a NaN key would equal nothing), which no valid checkpoint is
     names = np.fromiter(map(id, table.utt_id), np.uintp, len(table))
     cps = np.nan_to_num(table.checkpoint_s, nan=0.0)
-    order = np.lexsort((cps, names))  # stable: equal keys keep their row order
+    order = np.lexsort((cps, names))
     names, cps = names[order], cps[order]
-    repeat = (names[1:] == names[:-1]) & (cps[1:] == cps[:-1])
-    return int(order[1:][repeat].min()) if repeat.any() else None
+    return bool(((names[1:] == names[:-1]) & (cps[1:] == cps[:-1])).any())
 
 
-def _row_at(path, index: int) -> tuple[int, list]:
-    """The line on which the index-th non-blank row after the header ends, and the row."""
+def _first_fault(path) -> str:
+    """`path:line: message` for the first row, in file order, that breaks a rule:
+    the header, the field count, float() of the score and of the checkpoint,
+    TrialScore, an earlier row with the same (utt_id, checkpoint_s), or a line
+    the csv module cannot split."""
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        row = next(itertools.islice(filter(None, reader), index + 1, None))
-        return reader.line_num, row
-
-
-def _split_rows(reader, errors: list):
-    """The rows of a csv reader; a line it cannot split (a field over
-    csv.field_size_limit(), say) ends them, and `line: message` goes to errors."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        errors.append(f"{reader.line_num}: {exc}")
+        try:
+            header = next(reader, None)
+        except csv.Error:  # a header line that cannot be split is no header
+            header = None
+        if header != SCORES_HEADER:
+            return f"{path}:1: expected header {','.join(SCORES_HEADER)}"
+        try:
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != len(SCORES_HEADER):
+                    return f"{path}:{reader.line_num}: expected {len(SCORES_HEADER)} fields, got {len(row)}"
+                utt_id, dataset, label, cp_text, score_text = row
+                try:
+                    score, cp = float(score_text), float(cp_text) if cp_text else None
+                    TrialScore(utt_id, label, score, dataset, cp)
+                except ValueError as exc:
+                    return f"{path}:{reader.line_num}: {exc}"
+                if (utt_id, cp) in seen:
+                    return f"{path}:{reader.line_num}: duplicate row for {utt_id!r} at checkpoint {cp_text or 'full'}"
+                seen.add((utt_id, cp))
+        except csv.Error as exc:
+            return f"{path}:{reader.line_num}: {exc}"
 
 
 def read_scores_csv(path) -> ScoreTable:
-    """Parse a scores CSV into columns, a chunk of rows at a time; a malformed
-    or duplicate row raises EvalError at path:line."""
-    chunks, failure, unsplit = [], None, []
+    """Parse a scores CSV into columns, a chunk of rows at a time; a file that
+    breaks a rule raises EvalError naming the first row that does, as path:line."""
+    chunks, clean = [], False
     gc_was_enabled = gc.isenabled()
     gc.disable()  # parsing makes millions of objects and no cycles
     try:
         with open(path, newline="") as fh:
-            rows = _split_rows(csv.reader(fh), unsplit)
-            if next(rows, None) != SCORES_HEADER:
-                raise EvalError(f"{path}:1: expected header {','.join(SCORES_HEADER)}")
+            rows = csv.reader(fh)
+            clean = next(rows, None) == SCORES_HEADER
             rows = filter(None, rows)  # blank lines are skipped
-            while failure is None and (chunk := list(itertools.islice(rows, _CHUNK_ROWS))):
-                columns, failure = _parse_chunk(chunk)
-                chunks.append(columns)
+            while clean and (chunk := list(itertools.islice(rows, _CHUNK_ROWS))):
+                chunks.append(_parse_chunk(chunk))
+                clean = chunks[-1] is not None
+    except csv.Error:  # a line that cannot be split, a field over csv.field_size_limit() say
+        clean = False
     except UnicodeDecodeError as exc:
         raise EvalError(f"{path}: {exc}") from exc
     finally:
         if gc_was_enabled:
             gc.enable()
-    table = ScoreTable(*map(np.concatenate, zip(*chunks))) if chunks else ScoreTable.of(())
-    # rows before the first bad one are all checked, so a duplicate among them comes first
-    duplicate = _first_duplicate(table)
-    if duplicate is not None:
-        line, row = _row_at(path, duplicate)
-        raise EvalError(f"{path}:{line}: duplicate row for {row[0]!r} at checkpoint {row[3] or 'full'}")
-    if failure is not None:  # the table holds the rows before it
-        line, _ = _row_at(path, len(table))
-        raise EvalError(f"{path}:{line}: {failure}")
-    if unsplit:  # every row before the line is valid
-        raise EvalError(f"{path}:{unsplit[0]}")
-    return table
+    if clean:
+        table = ScoreTable(*map(np.concatenate, zip(*chunks))) if chunks else ScoreTable.of(())
+        if not _has_duplicate(table):
+            return table
+    raise EvalError(_first_fault(path))

@@ -563,6 +563,17 @@ class TestUnreadableInputs:
         result = runner.invoke(main, ["pool", "--manifests", str(bad), "--per-class", "1", "--out", str(tmp_path / "o")])
         self.assert_fails_closed(result, f"{bad}:2: NaN is not a finite number\n")
 
+    @pytest.mark.parametrize("command", ["vad", "pool"])
+    def test_manifest_integer_over_float_range(self, runner, tmp_path, command):
+        """Refused as the line is read, not when a float is made of it."""
+        big = "1" + "0" * 400
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"utt_id": "a", "path": "x.wav", "label": "spoof", "dataset": "d", "net_speech_s": %s}\n' % big)
+        out = str(tmp_path / "o")
+        argv = {"vad": ["vad", "--in", str(bad), "--out", out],
+                "pool": ["pool", "--manifests", str(bad), "--per-class", "1", "--out", out]}[command]
+        self.assert_fails_closed(runner.invoke(main, argv), f"{bad}:1: {big} is not a finite number\n")
+
     @pytest.mark.parametrize("config, named", [
         ('{"protocol": {"checkpoints_s": [2, NaN]}}', "NaN"),
         ('{"protocol": {"checkpoints_s": [2, Infinity]}}', "Infinity"),
@@ -570,6 +581,7 @@ class TestUnreadableInputs:
         ('{"features": {"log_floor": NaN}}', "NaN"),
         ('{"features": {"log_floor": -Infinity}}', "-Infinity"),
         ('{"features": {"log_floor": 1e999}}', "1e999"),
+        pytest.param('{"vad": {"energy_margin_db": 1%s}}' % ("0" * 400), "1" + "0" * 400, id="integer-over-float-range"),
     ])
     def test_run_config_non_finite_number(self, runner, tmp_path, config, named):
         path = tmp_path / "config.json"
@@ -632,6 +644,8 @@ class TestUnreadableInputs:
          'tensors[0].name must be a string, not ["a"]\n'),
         ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256, "tensors": [{"name": "a", "shape": [10**30], "offset": 0}]},
          "tensor a shape/offset inconsistent with blob\n"),
+        ({"blob_bytes": 0, "blob_sha256": EMPTY_SHA256, "tensors": [{"name": "a", "shape": [-1], "offset": 0}]},
+         "malformed manifest: tensors[0].shape[0] must be >= 0, not -1\n"),
     ])
     def test_malformed_weights_header(self, runner, tmp_path, header, named):
         weights = tmp_path / "w.bin"
@@ -1318,12 +1332,13 @@ CORRUPTION_TARGETS = [
     *[(command, "config.json") for command in ("vad", "present", "pool", "detect", "eval", "det", "init-weights")],
 ]
 # JSON a manifest or jobs line (or a config) must not hold: not an object, no field, a field of the wrong
-# type, nesting too deep to decode, a NaN
+# type, nesting too deep to decode, a NaN, an integer no float can hold
 WRONG_SHAPE_LINES = [b'"utt_id"', b'["u1", "x.wav"]', b"{}",
                      b'{"utt_id": ["a"], "path": "x.wav", "label": "spoof", "dataset": "d"}',
                      b'{"input": 5, "output": "o.wav", "path": "injection_analog"}',
                      b"[" * 100_000,
-                     b'{"utt_id": "n", "path": "x.wav", "label": "spoof", "dataset": "d", "net_speech_s": NaN}']
+                     b'{"utt_id": "n", "path": "x.wav", "label": "spoof", "dataset": "d", "net_speech_s": NaN}',
+                     b'{"utt_id": "n", "path": "x.wav", "label": "spoof", "dataset": "d", "net_speech_s": 1%s}' % (b"0" * 400)]
 CORRUPTIONS = st.one_of(
     st.tuples(st.just("truncate"), st.floats(0, 1)),
     st.tuples(st.just("splice"), st.floats(0, 1),
@@ -1382,8 +1397,10 @@ def _corrupt(data: bytes, name: str, corruption) -> str:
 @example(target=("present", "jobs.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[4]))
 @example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[5]))
 @example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[6]))
+@example(target=("vad", "manifest.jsonl"), corruption=("line", 0.0, WRONG_SHAPE_LINES[7]))
 @example(target=("init-weights", "config.json"), corruption=("line", 0.0, WRONG_SHAPE_LINES[5]))
 @example(target=("init-weights", "config.json"), corruption=("line", 0.0, WRONG_SHAPE_LINES[6]))
+@example(target=("init-weights", "config.json"), corruption=("line", 0.0, WRONG_SHAPE_LINES[7]))
 def test_corrupted_input_fails_closed(valid_inputs, target, corruption):
     """Any command on a corrupted valid input exits 0, exits 1 with an `error:` line, or
     exits 2 with click's usage message; no exception but SystemExit escapes."""

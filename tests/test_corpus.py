@@ -190,10 +190,12 @@ class TestFromDoc:
 class TestLoads:
     def test_decodes_json(self):
         assert loads('{"a": [1, 2.5, -3e2, true, null, "x"]}') == {"a": [1, 2.5, -300.0, True, None, "x"]}
+        assert [type(v) for v in loads("[1, -2, 2.0]")] == [int, int, float]  # an integer stays one
 
     @pytest.mark.parametrize("text, named", [
         ("NaN", "NaN"), ('{"a": [Infinity]}', "Infinity"), ("-Infinity", "-Infinity"),
         ("1e999", "1e999"), ("-1.5e400", "-1.5e400"),
+        pytest.param("-1" + "0" * 400, "-1" + "0" * 400, id="integer-over-float-range"),
     ])
     def test_refuses_a_number_that_is_not_finite(self, text, named):
         with pytest.raises(ValueError, match=f"^{named} is not a finite number$"):

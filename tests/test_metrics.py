@@ -1,6 +1,10 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spoofbench import (
@@ -296,8 +300,6 @@ class TestDetCurve:
         assert abs(eer_from_curve(curve) - compute_eer(trials)[0]) < 1e-9
 
     def test_csv_roundtrip(self, tmp_path):
-        import csv
-
         trials = trials_from([0.1, 0.4], [0.3, 0.9])
         curve = det_curve(trials)
         path = tmp_path / "det.csv"
@@ -371,8 +373,9 @@ class TestScoresCsv:
 
 
 class TestScoresCsvChunks:
-    """Rows are checked a chunk at a time; errors name the same path:line as
-    a row-by-row reader, on either side of a chunk boundary."""
+    """A clean file is read a chunk at a time; a refused one is read again row
+    by row, so the first bad row in file order is named at its path:line on
+    either side of a chunk boundary."""
 
     CHUNK = 4  # data rows 0-3 are lines 2-5, rows 4-7 lines 6-9, rows 8-9 lines 10-11
 
@@ -420,6 +423,90 @@ class TestScoresCsvChunks:
         assert table.score.tolist() == [float(f"0.{i}") for i in range(10)]
         assert table.is_spoof.tolist() == [i % 2 == 1 for i in range(10)]
         assert np.isnan(table.checkpoint_s).all()
+
+    # kind: the row written in place of row {u}, and the message it gets; the
+    # rows that break two rules pin the order of the rules within a row
+    ROW_EDITS = {
+        "6 fields": ("{u},ds,spoof,,0.5,x", "expected 5 fields, got 6"),
+        "4 fields": ("{u},ds,spoof,0.5", "expected 5 fields, got 4"),
+        "6 fields, text score": ("{u},ds,spoof,,abc,x", "expected 5 fields, got 6"),
+        "bad label": ("{u},ds,fake,,0.5", f"{{u}}: label must be one of {LABELS}"),
+        "nan score": ("{u},ds,spoof,,nan", "{u}: score must be finite"),
+        "inf score": ("{u},ds,bonafide,,-inf", "{u}: score must be finite"),
+        "text score": ("{u},ds,spoof,,abc", "could not convert string to float: 'abc'"),
+        "nan checkpoint": ("{u},ds,spoof,nan,0.5", "{u}: checkpoint_s must be positive and finite"),
+        "inf checkpoint": ("{u},ds,spoof,inf,0.5", "{u}: checkpoint_s must be positive and finite"),
+        "zero checkpoint": ("{u},ds,spoof,0,0.5", "{u}: checkpoint_s must be positive and finite"),
+        "negative checkpoint": ("{u},ds,spoof,-1,0.5", "{u}: checkpoint_s must be positive and finite"),
+        "text checkpoint": ("{u},ds,spoof,two,0.5", "could not convert string to float: 'two'"),
+        "text score, bad label": ("{u},ds,fake,,abc", "could not convert string to float: 'abc'"),
+        "text score, text checkpoint": ("{u},ds,spoof,two,abc", "could not convert string to float: 'abc'"),
+        "text checkpoint, bad label": ("{u},ds,fake,two,0.5", "could not convert string to float: 'two'"),
+        "bad label, nan score": ("{u},ds,fake,,nan", f"{{u}}: label must be one of {LABELS}"),
+        "nan score, zero checkpoint": ("{u},ds,spoof,0,nan", "{u}: score must be finite"),
+        "field over the csv limit": ("{u}" + "x" * 140_000 + ",ds,spoof,,0.5", "field larger than field limit (131072)"),
+        "quoted newline": ("{u}\nx,ds,bonafide,,0.25", None),  # a valid row on two lines, its first field quoted
+    }
+    # kind: the checkpoints of the first and second row of a pair with the same utt_id
+    DUPLICATES = {"duplicate full": ("", ""), "duplicate 2": ("2", "2"), "duplicate 2.0": ("2", "2.0")}
+
+    @staticmethod
+    @st.composite
+    def edited_files(draw):
+        """(file text, chunk rows, the expected line and message or None, the rows as TrialScore or None)."""
+        cls = TestScoresCsvChunks
+        kinds = draw(st.lists(st.sampled_from([*cls.ROW_EDITS, *cls.DUPLICATES, "bad header"]), max_size=2))
+        n = draw(st.integers(sum(2 if k in cls.DUPLICATES else k in cls.ROW_EDITS for k in kinds), 12))
+        rows = [[f"u{i}", f"ds{i % 3}", draw(st.sampled_from(LABELS)),
+                 draw(st.just("") | st.floats(0, exclude_min=True, allow_infinity=False).map(repr)),
+                 repr(draw(st.floats(allow_nan=False, allow_infinity=False)))] for i in range(n)]
+        free, faults = draw(st.permutations(range(n))), {}  # each edit takes rows of its own; row -> message
+        for kind in kinds:
+            if kind in cls.DUPLICATES:
+                first, second = sorted([free.pop(), free.pop()])
+                cp1, cp2 = cls.DUPLICATES[kind]
+                rows[first][3], rows[second][:4] = cp1, [f"u{first}", "ds", "bonafide", cp2]
+                faults[second] = f"duplicate row for 'u{first}' at checkpoint {cp2 or 'full'}"
+            elif kind in cls.ROW_EDITS:
+                i = free.pop()
+                text, message = cls.ROW_EDITS[kind]
+                rows[i] = text.format(u=f"u{i}").split(",")
+                if message:
+                    faults[i] = message.format(u=f"u{i}")
+        blanks = draw(st.lists(st.integers(0, n), max_size=3))  # a blank line before row i, or at the end
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["utt_id", "dataset", "label", "score"] if "bad header" in kinds else metrics.SCORES_HEADER)
+        line_of = []  # the line each row ends on
+        for i in range(n + 1):
+            writer.writerows([[]] * blanks.count(i))
+            if i < n:
+                writer.writerow(rows[i])
+                line_of.append(out.getvalue().count("\n"))
+        if "bad header" in kinds:
+            expected = (1, f"expected header {','.join(metrics.SCORES_HEADER)}")
+        else:
+            expected = min(((line_of[i], message) for i, message in faults.items()), default=None)
+        trials = None if expected else [TrialScore(u, label, float(score), ds, float(cp) if cp else None)
+                                        for u, ds, label, cp, score in rows]
+        return out.getvalue(), draw(st.integers(1, 5)), expected, trials
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=edited_files())
+    def test_first_fault_named_property(self, tmp_path_factory, case):
+        """The first row in file order that breaks a rule, or the second of a duplicate
+        pair, is named at the line it ends on, whatever the chunk size; a file with
+        no such row reads back as written."""
+        text, chunk_rows, expected, trials = case
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        path.write_text(text)
+        with mock.patch.object(metrics, "_CHUNK_ROWS", chunk_rows):
+            if expected is None:
+                assert read_scores_csv(path).rows() == trials
+            else:
+                with pytest.raises(EvalError) as info:
+                    read_scores_csv(path)
+                assert str(info.value) == f"{path}:{expected[0]}: {expected[1]}"
 
 
 class TestMetricReport:
