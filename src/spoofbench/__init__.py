@@ -1,5 +1,16 @@
 """spoofbench: desk-scale evaluation toolkit for telephony deepfake detection."""
 
+import os
+
+# BLAS reads its thread count once, when numpy loads.  The detector runs its
+# own threads over time tiles (detector_forward), so BLAS gets one thread per
+# caller unless the user set a count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _name in _BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .audio import (
     AudioClip,
     VadConfig,

@@ -25,6 +25,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import _BLAS_THREAD_VARS
 from .audio import (
     detect_voice,
     load_wav,
@@ -277,7 +278,7 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     workers = min(parallelism or cfg.parallelism, os.cpu_count() or 1, len(entries))
     if workers <= 1:
         # in-process, so a wrapper around this module's detector_forward sees every forward
-        _init_worker(store, det_cfg)
+        _init_worker(store, det_cfg, None)
         results = _each(work, entries, None, 1)
         _worker_model.clear()  # the weights are not held past the command
     else:
@@ -292,13 +293,12 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         sys.exit(1)
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-_worker_model: dict = {}  # the weights and detector config _score_entry uses, set once per process by _init_worker
+_worker_model: dict = {}  # what _score_entry's forwards use, set once per process by _init_worker
 
 
-def _init_worker(store, det_cfg):
-    _worker_model.update(store=store, det_cfg=det_cfg)
+def _init_worker(store, det_cfg, threads):
+    """threads: the forward's tile threads, None for one per core."""
+    _worker_model.update(store=store, det_cfg=det_cfg, threads=threads)
 
 
 def _score_entry(cfg: RunConfig, cps, entry):
@@ -320,13 +320,15 @@ def _score_entry(cfg: RunConfig, cps, entry):
     del prefixes
     scores = []
     for feat, frames in inputs:
-        logits = detector_forward(feat, _worker_model["store"], _worker_model["det_cfg"], prefix_frames=frames)
+        logits = detector_forward(feat, _worker_model["store"], _worker_model["det_cfg"], prefix_frames=frames,
+                                  threads=_worker_model["threads"])
         scores += [score(l).s for l in logits]
     return [TrialScore(entry.utt_id, entry.label, s, entry.dataset, k) for k, s in zip(ks, scores)], None
 
 
 def _in_workers(work, items, workers, store, det_cfg):
-    """_each on spawned worker processes, one BLAS thread each, each given the model once.
+    """_each on spawned worker processes, one BLAS thread each, each given the model once
+    and an equal share of the cores as tile threads for its forwards.
 
     Each worker's numpy reads its BLAS thread count from the environment once,
     at import; workers start on the first submits, so the variables stay set
@@ -339,7 +341,7 @@ def _in_workers(work, items, workers, store, det_cfg):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_init_worker, initargs=(store, det_cfg)) as pool:
+                                 initializer=_init_worker, initargs=(store, det_cfg, os.cpu_count() // workers)) as pool:
             return _each(work, items, pool, workers)
     finally:
         for name, value in saved.items():

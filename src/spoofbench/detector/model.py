@@ -13,11 +13,15 @@ No unit writes to its input: BN, ReLU and the additions run in place only
 on arrays the unit itself just created, which keeps the peak memory of a
 forward down without changing a bit of its result.  For the same reason a
 unit's weights are cast from the float32 store to float64 when the forward
-reaches that unit, once for its main and fringe passes, and never all at once.
+reaches that unit, once for all the tiles of its main pass and its fringe
+passes, and never all at once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -45,6 +49,11 @@ MAX_STAGE_CHANNELS = 1024
 MAX_BLOCKS_PER_STAGE = 8
 MAX_COT_KERNEL = 15
 MAX_POOL_HIDDEN = 512
+# Input elements (channels x mel bands x frames, halo aside) of one tile of a
+# unit's main pass: about 122 frames at every stage of the default width.  A
+# tile's scratch stays small, so the threads' freed buffers held in their own
+# malloc arenas add little to the peak memory of a forward.
+_TILE_ELEMS = 250_000
 
 
 @dataclass(frozen=True)
@@ -206,27 +215,56 @@ def cot_block_forward(x, params):
     return static
 
 
+def _block_params(tensors, prefix: str) -> dict:
+    """A residual block's tensors as _unit_params gives them, with its attention
+    unit's also under "cot", so a pass over one tile prepares nothing."""
+    params = _unit_params(tensors, prefix)
+    return {**params, "cot": _unit_params(params, "cot")}
+
+
 def res_cot_forward(x, params):
     """Residual block with the attention unit before the add and final ReLU;
-    the shortcut is the identity, so the block keeps its channel count."""
+    the shortcut is the identity, so the block keeps its channel count.
+    params is a _block_params dict."""
     y = conv2d(x, params["conv1.weight"], params["conv1.bias"], stride=1, padding=1)
     batch_norm(y, params["bn1.gamma"], params["bn1.beta"], params["bn1.mean"], params["bn1.var"], out=y)
     y = conv2d(relu(y, out=y), params["conv2.weight"], params["conv2.bias"], stride=1, padding=1)
     batch_norm(y, params["bn2.gamma"], params["bn2.beta"], params["bn2.mean"], params["bn2.var"], out=y)
-    y = cot_block_forward(y, _unit_params(params, "cot"))
+    y = cot_block_forward(y, params["cot"])
     y += x
     return relu(y, out=y)
 
 
 def _units(store, cfg: DetectorConfig):
-    """Each unit of the network in call order, as (forward, stride, halo):
+    """Each unit of the network in call order, as (forward, stride, halo, output channels):
     output frame t of a unit reads input frames stride*t - halo .. stride*t + halo."""
     block_halo = 2 + cfg.cot_kernel // 2  # two 3x3 convs, then the k x k attention window
-    for s, n_blocks in enumerate(cfg.blocks_per_stage, start=1):
+    for s, (c, n_blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage), start=1):
         stride = 1 if s == 1 else 2
-        yield partial(adapter_forward, params=_unit_params(store, f"stage{s}.adapter"), stride=stride), stride, 1
+        yield partial(adapter_forward, params=_unit_params(store, f"stage{s}.adapter"), stride=stride), stride, 1, c
         for b in range(1, n_blocks + 1):
-            yield partial(res_cot_forward, params=_unit_params(store, f"stage{s}.block{b}")), 1, block_halo
+            yield partial(res_cot_forward, params=_block_params(store, f"stage{s}.block{b}")), 1, block_halo, c
+
+
+def _window(unit, stride, halo, x, start, fringe, first, last):
+    """Output frames first .. last-1 of unit over x's first start frames followed by fringe.
+
+    The unit runs on just the input frames those outputs read, in a window
+    that starts on the stride grid, and the outputs that read the zero
+    padding at a cut edge of the window are dropped: the rest equal the
+    unit's pass over the whole input bit for bit.
+    """
+    lo = max(0, stride * first - halo) // stride * stride
+    hi = min(start + fringe.shape[2], stride * (last - 1) + halo + 1)
+    if hi <= start:
+        window = x[:, :, lo:hi]
+    else:
+        window = np.concatenate([x[:, :, lo:start], fringe[:, :, max(0, lo - start) : hi - start]], axis=2)
+    return unit(window)[:, :, first - lo // stride : last - lo // stride]
+
+
+def _tile(y, window, first, last):
+    y[:, :, first:last] = window(first, last)
 
 
 def _head(x, pool, fc) -> Logits:
@@ -237,7 +275,7 @@ def _head(x, pool, fc) -> Logits:
     return Logits(l_spoof=float(out[0]), l_bonafide=float(out[1]))
 
 
-def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_frames=None):
+def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_frames=None, threads=None):
     """Forward pass from a log-mel spectrogram to the two class logits.
 
     With prefix_frames, a sequence of frame counts, returns one Logits per
@@ -248,6 +286,12 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
     is kept: the prefix's activation is the long pass's leading frames
     followed by its fringe (streaming convolution, Rybakov et al.,
     arXiv:2005.06720).
+
+    The same window arithmetic cuts each unit's pass over the longest prefix
+    into tiles of contiguous output frames, each run on its input window of
+    at most about _TILE_ELEMS elements plus its halo.  threads workers
+    (None: os.cpu_count()) run a unit's tiles and fringe passes together,
+    and the unit's outputs are bit-identical for every thread count.
     """
     values = feat.values
     counts = [values.shape[0]] if prefix_frames is None else [int(n) for n in prefix_frames]
@@ -258,23 +302,36 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
             raise ValueError(f"prefix of {n} frames exceeds the input's {values.shape[0]}")
     longest = max(counts)
     x = values[:longest].T[None, :, :]  # (1, mels, frames)
-    # shorter prefix n -> (its length at this layer, first frame that differs from x, its frames from there on)
-    fringes = {n: (n, n, x[:, :, n:n]) for n in set(counts) if n < longest}
-    for unit, stride, halo in _units(store, cfg):
-        y = unit(x)
-        for n, (length, start, fringe) in fringes.items():
-            first = max(0, -((halo - start) // stride))  # first output frame reading the fringe
-            lo = max(0, (stride * first - halo) // stride * stride)  # window start on the stride grid
-            out = unit(np.concatenate([x[:, :, lo:start], fringe], axis=2))
-            fringes[n] = (-(-length // stride), first, out[:, :, first - lo // stride :])
-        x = y
+    # shorter prefix n -> (first frame that differs from x, its frames from there on)
+    fringes = {n: (n, x[:, :, n:n]) for n in set(counts) if n < longest}
+    threads = (os.cpu_count() or 1) if threads is None else threads
+    with contextlib.ExitStack() as stack:
+        run = map if threads == 1 else stack.enter_context(ThreadPoolExecutor(threads)).map
+        for unit, stride, halo, channels in _units(store, cfg):
+            c, f, length = x.shape
+            y = np.empty((channels, -(-f // stride), -(-length // stride)))
+            whole = partial(_window, unit, stride, halo, x, length, x[:, :, length:])
+            step = max(1, (_TILE_ELEMS // (c * f) - 2 * halo) // stride)
+            tiles = [partial(_tile, y, whole, t, min(t + step, y.shape[2])) for t in range(0, y.shape[2], step)]
+            # a shorter prefix's outputs from the first one that reads its fringe to its end
+            spans = {n: (max(0, -((halo - start) // stride)), -(-(start + fringe.shape[2]) // stride))
+                     for n, (start, fringe) in fringes.items()}
+            passes = [partial(_window, unit, stride, halo, x, start, fringe, *spans[n])
+                      for n, (start, fringe) in fringes.items()]
+            outs = list(run(_call, tiles + passes))[len(tiles) :]
+            fringes = {n: (spans[n][0], out) for n, out in zip(fringes, outs)}
+            x = y
     pool, fc = _unit_params(store, "pool"), _unit_params(store, "fc")
     logits = {longest: _head(x, pool, fc)}
-    for n, (_, start, fringe) in fringes.items():
+    for n, (start, fringe) in fringes.items():
         logits[n] = _head(np.concatenate([x[:, :, :start], fringe], axis=2), pool, fc)
     if prefix_frames is None:
         return logits[longest]
     return [logits[n] for n in counts]
+
+
+def _call(job):
+    return job()
 
 
 @dataclass(frozen=True)

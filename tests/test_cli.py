@@ -454,9 +454,9 @@ class TestCmdDetect:
         manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
         calls = []
 
-        def spy(feat, store, cfg, prefix_frames=None):
+        def spy(feat, store, cfg, prefix_frames=None, threads=None):
             calls.append((feat.n_frames, prefix_frames))
-            return detector_forward(feat, store, cfg, prefix_frames=prefix_frames)
+            return detector_forward(feat, store, cfg, prefix_frames=prefix_frames, threads=threads)
 
         monkeypatch.setattr("spoofbench.cli.detector_forward", spy)
         out = tmp_path / "scores.csv"
@@ -1097,6 +1097,42 @@ class TestDetectWorkers:
         assert result.exit_code == 0, result.output
         assert {name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS} == before
         assert multiprocessing.active_children() == []
+
+    def test_import_pins_blas_unless_set(self):
+        import spoofbench
+        import spoofbench.cli as cli
+
+        src = str(Path(spoofbench.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
+        env.update(OPENBLAS_NUM_THREADS="3", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import json, os, spoofbench; print(json.dumps({n: os.environ.get(n) for n in spoofbench._BLAS_THREAD_VARS}))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        want = dict.fromkeys(cli._BLAS_THREAD_VARS, "1") | {"OPENBLAS_NUM_THREADS": "3"}
+        assert json.loads(proc.stdout) == want
+
+    def test_tiled_forward_leaves_no_thread(self, runner, config_path, tmp_path, monkeypatch):
+        import threading
+
+        from spoofbench.detector import model
+
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("a", "spoof", "d", 3.5)])  # scored at 2 and 3 s
+        monkeypatch.setattr(model, "_TILE_ELEMS", 8 * 64 * 16)  # about ten output frames per tile of a stage-1 block
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        tile_threads = set()
+
+        def tile(*args):
+            tile_threads.add(threading.get_ident())
+            return model_tile(*args)
+
+        model_tile = model._tile
+        monkeypatch.setattr(model, "_tile", tile)
+        before = threading.active_count()
+        result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 1, "--checkpoints")
+        assert result.exit_code == 0, result.output
+        assert tile_threads and threading.get_ident() not in tile_threads  # the tiles ran on the pool
+        assert threading.active_count() == before
 
     def test_failed_job_fails_its_entry_in_order(self):
         from concurrent.futures import Future

@@ -22,12 +22,14 @@ from spoofbench import (
     save_parameters,
     score,
 )
+from spoofbench.detector import model
 from spoofbench.detector.model import (
     MAX_BLOCKS_PER_STAGE,
     MAX_COT_KERNEL,
     MAX_POOL_HIDDEN,
     MAX_STAGE_CHANNELS,
     MIN_INPUT_FRAMES,
+    _block_params,
     _init_block,
     _unit_params,
     adapter_forward,
@@ -61,7 +63,7 @@ def init_res_cot_params(channels: int, kernel: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     tensors: dict = {}
     _init_block(tensors, "block", channels, kernel, rng)
-    return _unit_params(tensors, "block")
+    return _block_params(tensors, "block")
 
 
 class TestInit:
@@ -481,3 +483,35 @@ def test_prefix_frames_equal_separate_forwards(seed, counts, extra, kernel, bloc
     got = detector_forward(feat, store, cfg, prefix_frames=counts)
     want = [detector_forward(LogMelSpectrogram(feat.values[:n], 0.01), store, cfg) for n in counts]
     assert got == want
+
+
+@functools.lru_cache(maxsize=None)
+def _stats_store(cfg):
+    return store_with_stats(cfg, seed=5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    counts=st.lists(st.integers(MIN_INPUT_FRAMES, 70), min_size=1, max_size=4),
+    tile_frames=st.integers(1, 6),
+    threads=st.sampled_from((1, 2, 3)),
+    kernel=st.sampled_from((3, 5)),
+)
+@example(seed=0, counts=[40, 17, 40, 23], tile_frames=1, threads=3, kernel=3)
+@example(seed=1, counts=[70, 16], tile_frames=4, threads=2, kernel=5)
+def test_tiles_are_exact(seed, counts, tile_frames, threads, kernel):
+    """A forward cut into tiles of a few frames, on any number of threads, gives
+    the logits of one tile per unit bit for bit, and the oracle's within 1e-10."""
+    cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=(1, 1, 1, 1), cot_kernel=kernel,
+                         embedding_dim=128)
+    store = _stats_store(cfg)
+    feat = random_feat(seed, n_frames=max(counts))
+    whole = detector_forward(feat, store, cfg, prefix_frames=counts, threads=1)  # every unit in one tile
+    halo = 2 + kernel // 2
+    with pytest.MonkeyPatch.context() as mp:  # tile_frames output frames per tile of a stage-1 block
+        mp.setattr(model, "_TILE_ELEMS", 8 * 64 * (tile_frames + 2 * halo))
+        got = detector_forward(feat, store, cfg, prefix_frames=counts, threads=threads)
+    assert got == whole
+    for n, logits in zip(counts, got):
+        TestOracle.assert_close(logits, detector_forward_oracle(feat.values[:n], store, cfg))
