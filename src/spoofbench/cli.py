@@ -274,6 +274,8 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     except ValueError as exc:
         raise ValueError(f"{weights_path}: {exc}") from exc
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
+    if cps is not None and not cps:
+        raise ValueError("protocol.checkpoints_s is empty: no checkpoint to score")
     work = partial(_score_entry, cfg, cps)
     workers = min(parallelism or cfg.parallelism, os.cpu_count() or 1, len(entries))
     if workers <= 1:
@@ -310,13 +312,15 @@ def _score_entry(cfg: RunConfig, cps, entry):
     if net < MIN_NET_SPEECH_S:
         return [], f"{entry.utt_id}: skipped ({net:.2f}s net speech < {MIN_NET_SPEECH_S}s)"
     ks = [None] if cps is None else [k for k in cps if k <= net + 1e-9]
+    if not ks:
+        return [], f"{entry.utt_id}: skipped ({net:.2f}s net speech < first checkpoint {min(cps):g}s)"
     prefixes = [trim_nonspeech(clip, mask)] if cps is None else [net_speech_prefix(clip, mask, k) for k in ks]
     del clip  # a long clip's samples are not held through the forwards
     counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
     if cfg.features.mean_var_norm:  # normalized features of a prefix are not rows of the longest prefix's
         inputs = [(log_mel(p, cfg.features), [n]) for p, n in zip(prefixes, counts)]
     else:  # one log-mel and one forward over the longest prefix score them all
-        inputs = [(log_mel(max(prefixes, key=len), cfg.features), counts)] if prefixes else []
+        inputs = [(log_mel(max(prefixes, key=len), cfg.features), counts)]
     del prefixes
     scores = []
     for feat, frames in inputs:

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -399,6 +400,33 @@ class TestCmdDetect:
         rows = read_scores_csv(out).rows()
         assert [r.utt_id for r in rows] == ["ok"]
         assert "tiny" in result.stderr and "skip" in result.stderr.lower()
+
+    def test_entry_below_first_checkpoint_skipped(self, runner, config_path, tmp_path):
+        """Above the 0.5 s floor but below every checkpoint: no row, and a note that says why."""
+        weights = self.init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("short", "spoof", "d", 1.2), ("ok", "bonafide", "d", 2.5)])
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(
+            main,
+            ["--config", config_path, "detect", "--manifest", str(manifest),
+             "--weights", str(weights), "--out", str(out), "--checkpoints"],
+        )
+        assert result.exit_code == 0, result.output
+        assert [(r.utt_id, r.checkpoint_s) for r in read_scores_csv(out).rows()] == [("ok", 2.0)]
+        assert re.fullmatch(r"short: skipped \(1\.\d\ds net speech < first checkpoint 2s\)\n", result.stderr)
+
+    def test_empty_checkpoint_list_fails_closed(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "protocol": {"checkpoints_s": []}}))
+        weights = self.init_weights(runner, str(config), tmp_path)
+        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
+        result = runner.invoke(
+            main,
+            ["--config", str(config), "detect", "--manifest", str(manifest),
+             "--weights", str(weights), "--out", str(tmp_path / "scores.csv"), "--checkpoints"],
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "error: protocol.checkpoints_s is empty: no checkpoint to score\n"
 
     def test_explicit_checkpoint_list(self, runner, config_path, tmp_path):
         weights = self.init_weights(runner, config_path, tmp_path)
