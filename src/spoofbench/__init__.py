@@ -4,7 +4,8 @@ import os
 
 # BLAS reads its thread count once, when numpy loads.  The detector runs its
 # own threads over time tiles (detector_forward), so BLAS gets one thread per
-# caller unless the user set a count.
+# caller unless the user set a count.  The pin holds only when spoofbench is
+# imported before numpy, as the CLI is; numpy loaded first keeps its own count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                      "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 for _name in _BLAS_THREAD_VARS:

@@ -25,7 +25,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import _BLAS_THREAD_VARS
 from .audio import (
     detect_voice,
     load_wav,
@@ -276,15 +275,12 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
     if cps is not None and not cps:
         raise ValueError("protocol.checkpoints_s is empty: no checkpoint to score")
-    work = partial(_score_entry, cfg, cps)
-    workers = min(parallelism or cfg.parallelism, os.cpu_count() or 1, len(entries))
-    if workers <= 1:
-        # in-process, so a wrapper around this module's detector_forward sees every forward
-        _init_worker(store, det_cfg, None)
-        results = _each(work, entries, None, 1)
-        _worker_model.clear()  # the weights are not held past the command
-    else:
-        results = _in_workers(work, entries, workers, store, det_cfg)
+    cores = os.cpu_count() or 1
+    workers = max(1, min(parallelism or cfg.parallelism, cores, len(entries)))
+    # each worker's forwards run their tiles on an equal share of the cores
+    work = partial(_score_entry, cfg, cps, store, det_cfg, cores // workers)
+    with ThreadPoolExecutor(workers) as pool:  # at one worker the entries run here and no thread starts
+        results = _each(work, entries, pool, workers)
     trials = [t for out, _ in results if out for t in out[0]]
     trials.sort(key=lambda t: (t.utt_id, t.checkpoint_s if t.checkpoint_s is not None else -1.0))
     write_scores_csv(trials, out_path)
@@ -295,17 +291,10 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         sys.exit(1)
 
 
-_worker_model: dict = {}  # what _score_entry's forwards use, set once per process by _init_worker
-
-
-def _init_worker(store, det_cfg, threads):
-    """threads: the forward's tile threads, None for one per core."""
-    _worker_model.update(store=store, det_cfg=det_cfg, threads=threads)
-
-
-def _score_entry(cfg: RunConfig, cps, entry):
+def _score_entry(cfg: RunConfig, cps, store, det_cfg, threads, entry):
     """(rows, skip note) of one manifest entry: load -> resample -> VAD -> (checkpoint prefixes) ->
-    log-mel -> detector, one row per checkpoint, or one for the full length when cps is None."""
+    log-mel -> detector, one row per checkpoint, or one for the full length when cps is None.
+    threads: the tile threads of each forward."""
     clip = resample(load_wav(entry.path), cfg.sample_rate_hz)
     mask = detect_voice(clip, cfg.vad)
     net = net_speech_seconds(mask)
@@ -324,35 +313,9 @@ def _score_entry(cfg: RunConfig, cps, entry):
     del prefixes
     scores = []
     for feat, frames in inputs:
-        logits = detector_forward(feat, _worker_model["store"], _worker_model["det_cfg"], prefix_frames=frames,
-                                  threads=_worker_model["threads"])
+        logits = detector_forward(feat, store, det_cfg, prefix_frames=frames, threads=threads)
         scores += [score(l).s for l in logits]
     return [TrialScore(entry.utt_id, entry.label, s, entry.dataset, k) for k, s in zip(ks, scores)], None
-
-
-def _in_workers(work, items, workers, store, det_cfg):
-    """_each on spawned worker processes, one BLAS thread each, each given the model once
-    and an equal share of the cores as tile threads for its forwards.
-
-    Each worker's numpy reads its BLAS thread count from the environment once,
-    at import; workers start on the first submits, so the variables stay set
-    until the pool has shut down.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_init_worker, initargs=(store, det_cfg, os.cpu_count() // workers)) as pool:
-            return _each(work, items, pool, workers)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def _full_length(trials, path):

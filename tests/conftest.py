@@ -1,7 +1,8 @@
+# spoofbench first: it pins BLAS to one thread only when numpy has not loaded yet, as in the CLI
+from spoofbench import AudioClip  # isort: skip
+
 import numpy as np
 import pytest
-
-from spoofbench import AudioClip
 
 SR = 8000
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -1044,7 +1045,8 @@ class TestDeterminism:
 
 
 class TestDetectWorkers:
-    """detect --parallelism N runs the forwards in up to os.cpu_count() spawned workers."""
+    """detect --parallelism N scores up to min(N, os.cpu_count(), entries) entries at once, each on a
+    thread of the detect process, and each forward on os.cpu_count() // workers tile threads."""
 
     def run_detect(self, runner, config, weights, manifest, out, parallelism, *extra):
         return runner.invoke(
@@ -1097,51 +1099,99 @@ class TestDetectWorkers:
         assert result.stderr.splitlines() == [f"error: {u}: input has 8 frames; detector needs >= 16" for u in "ab"]
         assert read_scores_csv(out).rows() == []
 
-    def test_one_cpu_starts_no_pool(self, runner, config_path, tmp_path, monkeypatch):
+    def score_entry_spy(self, monkeypatch, before=None):
+        """Record the thread each entry is scored on; before() runs first in that thread."""
         import spoofbench.cli as cli
 
+        threads = {}
+        score_entry = cli._score_entry
+
+        def spy(*args):
+            threads[args[-1].utt_id] = threading.get_ident()
+            if before:
+                before()
+            return score_entry(*args)
+
+        monkeypatch.setattr(cli, "_score_entry", spy)
+        return threads
+
+    def test_one_cpu_starts_no_pool(self, runner, config_path, tmp_path, monkeypatch):
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-
-        def no_pool(*args):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(cli, "_in_workers", no_pool)
+        threads = self.score_entry_spy(monkeypatch)
+        before = threading.active_count()
         result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
         assert result.exit_code == 0, result.output
-        assert cli._worker_model == {}  # the in-process run lets go of the weights
+        assert threads == {"a": threading.get_ident(), "b": threading.get_ident()}  # both in the calling thread
+        assert threading.active_count() == before
 
     def test_environment_restored_and_no_worker_left(self, runner, config_path, tmp_path, monkeypatch):
-        import spoofbench.cli as cli
+        import spoofbench
 
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        for name in cli._BLAS_THREAD_VARS[1:]:
+        for name in spoofbench._BLAS_THREAD_VARS[1:]:
             monkeypatch.delenv(name, raising=False)
-        before = {name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS}
+        env = {name: os.environ.get(name) for name in spoofbench._BLAS_THREAD_VARS}
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
+        before = threading.active_count()
         result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
         assert result.exit_code == 0, result.output
-        assert {name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS} == before
+        assert {name: os.environ.get(name) for name in spoofbench._BLAS_THREAD_VARS} == env
+        assert threading.active_count() == before
         assert multiprocessing.active_children() == []
 
     def test_import_pins_blas_unless_set(self):
         import spoofbench
-        import spoofbench.cli as cli
 
+        names = spoofbench._BLAS_THREAD_VARS
         src = str(Path(spoofbench.__file__).parents[1])
-        env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
+        env = {k: v for k, v in os.environ.items() if k not in names}
         env.update(OPENBLAS_NUM_THREADS="3", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import json, os, spoofbench; print(json.dumps({n: os.environ.get(n) for n in spoofbench._BLAS_THREAD_VARS}))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        want = dict.fromkeys(cli._BLAS_THREAD_VARS, "1") | {"OPENBLAS_NUM_THREADS": "3"}
-        assert json.loads(proc.stdout) == want
+        assert json.loads(proc.stdout) == dict.fromkeys(names, "1") | {"OPENBLAS_NUM_THREADS": "3"}
+
+    def test_entries_scored_at_once_on_threads(self, runner, config_path, tmp_path, monkeypatch):
+        import multiprocessing.process
+
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a child process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        # each entry waits here for the other, so an entry not scored at the same time fails on the timeout
+        threads = self.score_entry_spy(monkeypatch, threading.Barrier(2, timeout=30).wait)
+        result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
+        assert result.exit_code == 0, result.output
+        assert len(set(threads.values())) == 2 and threading.get_ident() not in threads.values()
+        assert [r.utt_id for r in read_scores_csv(tmp_path / "scores.csv").rows()] == ["a", "b"]
+
+    def test_more_worker_threads_than_cores_score_as_one(self, runner, config_path, tmp_path, monkeypatch):
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [(f"u{i}", ("spoof", "bonafide")[i % 2], "d", 1.0 + 0.25 * i) for i in range(8)])
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads switch often, so an update lost between them would show
+        try:
+            for workers in (1, 8):
+                monkeypatch.setattr(os, "cpu_count", lambda: workers)  # 8 workers on the cores this machine has
+                out = tmp_path / f"scores_{workers}.csv"
+                result = self.run_detect(runner, config_path, weights, manifest, out, workers)
+                assert result.exit_code == 0, result.output
+                outputs.append(out.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1]
+        assert len(read_scores_csv(out)) == 8
 
     def test_tiled_forward_leaves_no_thread(self, runner, config_path, tmp_path, monkeypatch):
-        import threading
-
         from spoofbench.detector import model
 
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
@@ -1199,7 +1249,6 @@ class TestDetectWorkers:
 
     def test_unfinished_items_per_worker_are_bounded(self):
         import random
-        import threading
         from concurrent.futures import Future
 
         import spoofbench.cli as cli
@@ -1239,7 +1288,6 @@ class TestDetectWorkers:
         assert peak[0] == bound
 
     def test_a_long_item_holds_up_no_other(self):
-        import threading
         from concurrent.futures import ThreadPoolExecutor
 
         import spoofbench.cli as cli
