@@ -16,8 +16,6 @@ import json
 import math
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -49,51 +47,14 @@ from .metrics import (
     write_det_csv,
     write_scores_csv,
 )
+from .parallel import each
 from .presentation import ChannelConfig, PresentationJob, present
 from .seeding import derive_seed
 
-# One item running and one queued per worker, so a worker that finishes finds its next item
-# waiting; more would only hold more futures here.
-_UNFINISHED_PER_WORKER = 2
 
-
-def _each(work, items, pool, workers):
-    """(work(item), None), or (None, the exception it raised), for each item, in item order.
-
-    At one worker the items run here, one after another.  Above one they run
-    on pool, and the next item is submitted as soon as fewer than
-    _UNFINISHED_PER_WORKER * workers are unfinished, whichever item finished,
-    so a long input never holds a future per item and a long item holds up no
-    other.  An exception fails its item only, also one that a broken pool
-    gives a future or a submit.
-    """
-    if workers <= 1:
-        return [_attempt(work, item) for item in items]
-    results = [None] * len(items)
-    slots = threading.Semaphore(_UNFINISHED_PER_WORKER * workers)
-
-    def finish(i, future):  # runs when the future is done, on the pool's thread or here
-        results[i] = _attempt(future.result)
-        slots.release()
-
-    for i, item in enumerate(items):
-        slots.acquire()
-        future, exc = _attempt(pool.submit, work, item)
-        if future is None:
-            results[i] = None, exc
-            slots.release()
-        else:
-            future.add_done_callback(partial(finish, i))
-    for _ in range(_UNFINISHED_PER_WORKER * workers):  # every item has finished once every slot is free
-        slots.acquire()
-    return results
-
-
-def _attempt(fn, *args):
-    try:
-        return fn(*args), None
-    except Exception as exc:  # an item's failure, reported by the command that runs it
-        return None, exc
+def _workers(cfg: RunConfig, parallelism, n_items):
+    """Threads that run n_items at once: --parallelism (else the config's), at most one per core and per item."""
+    return max(1, min(parallelism or cfg.parallelism, os.cpu_count() or 1, n_items))
 
 
 def _parse_checkpoints(ctx, param, value):
@@ -163,9 +124,8 @@ def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
     entries = read_manifest(in_path)
     if trim_dir:
         Path(trim_dir).mkdir(parents=True, exist_ok=True)
-    workers = parallelism or cfg.parallelism
-    with ThreadPoolExecutor(workers) as pool:  # a thread starts on a submit only
-        results = _each(partial(_vad_entry, cfg, trim_dir), entries, pool, workers)
+    workers = _workers(cfg, parallelism, len(entries))
+    results = each(partial(_vad_entry, cfg, trim_dir), entries, workers)
     write_manifest(sorted((e for e, _ in results if e is not None), key=lambda e: e.utt_id), out_path)
     if _report_failures([(e.utt_id, str(exc)) for e, (_, exc) in zip(entries, results) if exc is not None]):
         sys.exit(1)
@@ -205,9 +165,8 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
             jobs.append((lineno, from_doc(PresentationJob, loads(line))))
         except ValueError as exc:  # not JSON, or of the wrong shape
             failures.append((lineno, f"line {lineno}", str(exc)))
-    workers = parallelism or cfg.parallelism
-    with ThreadPoolExecutor(workers) as pool:
-        results = _each(partial(_present_job, cfg, global_seed), [job for _, job in jobs], pool, workers)
+    workers = _workers(cfg, parallelism, len(jobs))
+    results = each(partial(_present_job, cfg, global_seed), [job for _, job in jobs], workers)
     failures += [(lineno, job.name, str(exc)) for (lineno, job), (_, exc) in zip(jobs, results) if exc is not None]
     if _report_failures([failure[1:] for failure in sorted(failures)]):
         sys.exit(1)
@@ -275,12 +234,10 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
     if cps is not None and not cps:
         raise ValueError("protocol.checkpoints_s is empty: no checkpoint to score")
-    cores = os.cpu_count() or 1
-    workers = max(1, min(parallelism or cfg.parallelism, cores, len(entries)))
+    workers = _workers(cfg, parallelism, len(entries))
     # each worker's forwards run their tiles on an equal share of the cores
-    work = partial(_score_entry, cfg, cps, store, det_cfg, cores // workers)
-    with ThreadPoolExecutor(workers) as pool:  # at one worker the entries run here and no thread starts
-        results = _each(work, entries, pool, workers)
+    work = partial(_score_entry, cfg, cps, store, det_cfg, (os.cpu_count() or 1) // workers)
+    results = each(work, entries, workers)
     trials = [t for out, _ in results if out for t in out[0]]
     trials.sort(key=lambda t: (t.utt_id, t.checkpoint_s if t.checkpoint_s is not None else -1.0))
     write_scores_csv(trials, out_path)

@@ -19,14 +19,13 @@ passes, and never all at once.
 
 from __future__ import annotations
 
-import contextlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
+from ..parallel import each
 from .ops import (
     _window_accumulate,
     attentive_stats_pool,
@@ -289,9 +288,11 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
 
     The same window arithmetic cuts each unit's pass over the longest prefix
     into tiles of contiguous output frames, each run on its input window of
-    at most about _TILE_ELEMS elements plus its halo.  threads workers
-    (None: os.cpu_count()) run a unit's tiles and fringe passes together,
-    and the unit's outputs are bit-identical for every thread count.
+    at most about _TILE_ELEMS elements plus its halo.  threads threads (None:
+    os.cpu_count()), the calling thread among them, run a unit's tiles and
+    fringe passes together, and the unit's outputs are bit-identical for every
+    thread count.  The first failed job, in job order, ends the forward with
+    its exception.
     """
     values = feat.values
     counts = [values.shape[0]] if prefix_frames is None else [int(n) for n in prefix_frames]
@@ -305,22 +306,23 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
     # shorter prefix n -> (first frame that differs from x, its frames from there on)
     fringes = {n: (n, x[:, :, n:n]) for n in set(counts) if n < longest}
     threads = (os.cpu_count() or 1) if threads is None else threads
-    with contextlib.ExitStack() as stack:
-        run = map if threads == 1 else stack.enter_context(ThreadPoolExecutor(threads)).map
-        for unit, stride, halo, channels in _units(store, cfg):
-            c, f, length = x.shape
-            y = np.empty((channels, -(-f // stride), -(-length // stride)))
-            whole = partial(_window, unit, stride, halo, x, length, x[:, :, length:])
-            step = max(1, (_TILE_ELEMS // (c * f) - 2 * halo) // stride)
-            tiles = [partial(_tile, y, whole, t, min(t + step, y.shape[2])) for t in range(0, y.shape[2], step)]
-            # a shorter prefix's outputs from the first one that reads its fringe to its end
-            spans = {n: (max(0, -((halo - start) // stride)), -(-(start + fringe.shape[2]) // stride))
-                     for n, (start, fringe) in fringes.items()}
-            passes = [partial(_window, unit, stride, halo, x, start, fringe, *spans[n])
-                      for n, (start, fringe) in fringes.items()]
-            outs = list(run(_call, tiles + passes))[len(tiles) :]
-            fringes = {n: (spans[n][0], out) for n, out in zip(fringes, outs)}
-            x = y
+    for unit, stride, halo, channels in _units(store, cfg):
+        c, f, length = x.shape
+        y = np.empty((channels, -(-f // stride), -(-length // stride)))
+        whole = partial(_window, unit, stride, halo, x, length, x[:, :, length:])
+        step = max(1, (_TILE_ELEMS // (c * f) - 2 * halo) // stride)
+        tiles = [partial(_tile, y, whole, t, min(t + step, y.shape[2])) for t in range(0, y.shape[2], step)]
+        # a shorter prefix's outputs from the first one that reads its fringe to its end
+        spans = {n: (max(0, -((halo - start) // stride)), -(-(start + fringe.shape[2]) // stride))
+                 for n, (start, fringe) in fringes.items()}
+        passes = [partial(_window, unit, stride, halo, x, start, fringe, *spans[n])
+                  for n, (start, fringe) in fringes.items()]
+        done = each(_call, tiles + passes, threads)
+        for _, exc in done:
+            if exc is not None:
+                raise exc
+        fringes = {n: (spans[n][0], out) for n, (out, _) in zip(fringes, done[len(tiles) :])}
+        x = y
     pool, fc = _unit_params(store, "pool"), _unit_params(store, "fc")
     logits = {longest: _head(x, pool, fc)}
     for n, (start, fringe) in fringes.items():

@@ -2,9 +2,11 @@
 
 The detector ops take float64 activations, with layout (channels, freq,
 time), and float64 weights: the model casts each unit's weights from the
-float32 store once per forward, before its first op.  Convolutions
-accumulate one GEMM per kernel offset, which keeps memory flat and hands the
-hot loop to BLAS.
+float32 store once per forward, before its first op.  conv2d is im2col
+with one GEMM per chunk of output frames, the chunk sized to bound its
+scratch, which hands the hot loop to BLAS; one GEMM per kernel offset was
+measured slower.  Only depthwise_conv2d and the contextual-attention
+aggregation accumulate per kernel offset, through _window_accumulate.
 """
 
 from __future__ import annotations

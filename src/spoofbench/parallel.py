@@ -1,0 +1,36 @@
+"""The one way spoofbench runs work on threads, for per-item commands and forward tiles alike."""
+
+import threading
+
+
+def each(work, items, threads):
+    """(work(item), None), or (None, the exception it raised), for each item, in item order.
+
+    The calling thread and min(threads, len(items)) - 1 helper threads each
+    take the next item as soon as they finish their last: a long item holds up
+    no other, and at one thread or one item no thread starts.
+    """
+    results, lock = [None] * len(items), threading.Lock()
+    indices = iter(range(len(items)))
+
+    def take():
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = work(items[i]), None
+            except Exception as exc:  # fails its item only; the caller reports it
+                results[i] = None, exc
+
+    helpers = [threading.Thread(target=take) for _ in range(min(threads, len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        take()
+    finally:
+        indices = iter(())  # an interrupted caller leaves the helpers no further item
+        for helper in helpers:
+            helper.join()
+    return results

@@ -331,6 +331,27 @@ class TestParallelismOption:
         assert "Invalid value for '--parallelism'" in result.stderr
         assert not Path(out).exists()
 
+    def test_vad_runs_at_most_one_thread_per_core(self, runner, tmp_path, monkeypatch):
+        import spoofbench.cli as cli
+
+        manifest = make_manifest(tmp_path, [(f"u{i}", "bonafide", "d", 1.0) for i in range(6)])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threads, counts = set(), []
+        vad_entry = cli._vad_entry
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            counts.append(threading.active_count())
+            return vad_entry(*args)
+
+        monkeypatch.setattr(cli, "_vad_entry", spy)
+        before = threading.active_count()
+        result = runner.invoke(main, ["vad", "--in", str(manifest), "--out", str(tmp_path / "out.jsonl"),
+                                      "--parallelism", "8"])
+        assert result.exit_code == 0, result.output
+        assert len(counts) == 6 and 1 <= len(threads) <= 2
+        assert max(counts) <= before + 1 and threading.active_count() == before
+
 
 class TestCmdDetect:
     def init_weights(self, runner, config_path, tmp_path):
@@ -1045,8 +1066,9 @@ class TestDeterminism:
 
 
 class TestDetectWorkers:
-    """detect --parallelism N scores up to min(N, os.cpu_count(), entries) entries at once, each on a
-    thread of the detect process, and each forward on os.cpu_count() // workers tile threads."""
+    """detect --parallelism N scores up to min(N, os.cpu_count(), entries) entries at once, on the
+    calling thread and helper threads of the detect process, and each forward on
+    os.cpu_count() // workers tile threads."""
 
     def run_detect(self, runner, config, weights, manifest, out, parallelism, *extra):
         return runner.invoke(
@@ -1170,7 +1192,7 @@ class TestDetectWorkers:
         threads = self.score_entry_spy(monkeypatch, threading.Barrier(2, timeout=30).wait)
         result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
         assert result.exit_code == 0, result.output
-        assert len(set(threads.values())) == 2 and threading.get_ident() not in threads.values()
+        assert len(set(threads.values())) == 2
         assert [r.utt_id for r in read_scores_csv(tmp_path / "scores.csv").rows()] == ["a", "b"]
 
     def test_more_worker_threads_than_cores_score_as_one(self, runner, config_path, tmp_path, monkeypatch):
@@ -1197,11 +1219,16 @@ class TestDetectWorkers:
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("a", "spoof", "d", 3.5)])  # scored at 2 and 3 s
         monkeypatch.setattr(model, "_TILE_ELEMS", 8 * 64 * 16)  # about ten output frames per tile of a stage-1 block
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one worker, its forwards on 2 tile threads
         tile_threads = set()
+        # the first tile of each of the first unit's two threads waits for the other's, so both threads run one
+        barrier, started = threading.Barrier(2, timeout=30), threading.Event()
 
         def tile(*args):
             tile_threads.add(threading.get_ident())
+            if not started.is_set():
+                barrier.wait()
+                started.set()
             return model_tile(*args)
 
         model_tile = model._tile
@@ -1209,88 +1236,56 @@ class TestDetectWorkers:
         before = threading.active_count()
         result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 1, "--checkpoints")
         assert result.exit_code == 0, result.output
-        assert tile_threads and threading.get_ident() not in tile_threads  # the tiles ran on the pool
+        assert len(tile_threads) >= 2 and threading.get_ident() in tile_threads  # the calling thread works too
         assert threading.active_count() == before
 
     def test_failed_job_fails_its_entry_in_order(self):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
+        from spoofbench.parallel import each
 
-        import spoofbench.cli as cli
-
-        class Pool:
-            """Runs an item at its submit; "w" as if its worker died, "s" as if the pool had broken before."""
-
-            def submit(self, work, item):
-                if item == "s":
-                    raise BrokenProcessPool("pool broken")
-                future = Future()
-                if item == "w":
-                    future.set_exception(BrokenProcessPool("worker died"))
-                else:
-                    try:
-                        future.set_result(work(item))
-                    except ValueError as exc:
-                        future.set_exception(exc)
-                return future
+        barrier, failed_on = threading.Barrier(2, timeout=30), set()
 
         def work(item):
-            if item == "p":
-                raise ValueError("cannot read")
+            if item in ("p", "q"):  # each waits for the other, so one of them fails on the helper thread
+                barrier.wait()
+                failed_on.add(threading.get_ident())
+                raise ValueError(f"cannot read {item}")
             return len(item)
 
-        def outcomes(results):
-            return [(r, type(e).__name__, str(e)) if e else (r, None) for r, e in results]
-
-        want = [(1, None), (None, "BrokenProcessPool", "worker died"), (None, "ValueError", "cannot read"),
-                (None, "BrokenProcessPool", "pool broken"), (2, None)]
-        assert outcomes(cli._each(work, ["a", "w", "p", "s", "bb"], Pool(), 2)) == want
-        assert outcomes(cli._each(work, ["a", "p", "bb"], None, 1)) == [want[0], want[2], want[4]]
+        results = each(work, ["a", "p", "q", "bb"], 2)
+        assert [(r, type(e).__name__, str(e)) if e else (r, None) for r, e in results] == [
+            (1, None), (None, "ValueError", "cannot read p"), (None, "ValueError", "cannot read q"), (2, None)]
+        assert len(failed_on) == 2
 
     def test_unfinished_items_per_worker_are_bounded(self):
-        import random
-        from concurrent.futures import Future
+        from spoofbench.parallel import each
 
-        import spoofbench.cli as cli
+        workers, n = 3, 300
+        barrier, lock = threading.Barrier(workers, timeout=30), threading.Lock()
+        running, peak = [0], [0]
 
-        rng, workers, n = random.Random(0), 3, 300
-        bound = cli._UNFINISHED_PER_WORKER * workers
-        unfinished, peak, submitted = [], [0], [0]
-        changed = threading.Condition()
+        def work(item):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            if item < workers:  # the first items wait for each other, so every worker runs one at once
+                barrier.wait()
+            with lock:
+                running[0] -= 1
+            return 2 * item
 
-        class Pool:
-            def submit(self, work, item):
-                future = Future()
-                future.item = item
-                with changed:
-                    unfinished.append(future)
-                    submitted[0] += 1
-                    peak[0] = max(peak[0], len(unfinished))
-                    changed.notify()
-                return future
-
-        def finish():
-            """Once the runner holds bound items (or stops submitting for a second), finish some, in any order."""
-            while submitted[0] < n or unfinished:
-                with changed:
-                    changed.wait_for(lambda: len(unfinished) >= bound or submitted[0] == n, timeout=1)
-                    some = rng.sample(unfinished, rng.randint(min(1, len(unfinished)), len(unfinished)))
-                    for future in some:
-                        unfinished.remove(future)
-                for future in some:
-                    future.set_result(future.item * 2)
-
-        finisher = threading.Thread(target=finish)
-        finisher.start()
-        results = list(cli._each(None, list(range(n)), Pool(), workers))  # as they were at the return
-        finisher.join()
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads switch often, so an item taken twice or run at once would show
+        try:
+            results = each(work, list(range(n)), workers)
+        finally:
+            sys.setswitchinterval(interval)
         assert results == [(2 * i, None) for i in range(n)]
-        assert peak[0] == bound
+        assert peak[0] == workers
+        assert threading.active_count() == before
 
     def test_a_long_item_holds_up_no_other(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        import spoofbench.cli as cli
+        from spoofbench.parallel import each
 
         released = threading.Event()
 
@@ -1301,8 +1296,25 @@ class TestDetectWorkers:
                 released.set()  # reached only while item 0 is still running
             return item
 
-        with ThreadPoolExecutor(2) as pool:
-            assert cli._each(work, list(range(100)), pool, 2) == [(i, None) for i in range(100)]
+        assert each(work, list(range(100)), 2) == [(i, None) for i in range(100)]
+
+    def test_an_interrupted_caller_leaves_the_helpers_no_further_item(self):
+        import time
+
+        from spoofbench.parallel import each
+
+        caller, done = threading.get_ident(), []
+
+        def work(item):
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt  # as Ctrl-C would, in the calling thread's first item
+            time.sleep(0.01)
+            done.append(item)
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            each(work, list(range(100)), 2)
+        assert len(done) < 10 and threading.active_count() == before  # the helper finished its item and stopped
 
 
 class TestOutputPaths:

@@ -1,5 +1,6 @@
 import functools
 import json
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -515,3 +516,29 @@ def test_tiles_are_exact(seed, counts, tile_frames, threads, kernel):
     assert got == whole
     for n, logits in zip(counts, got):
         TestOracle.assert_close(logits, detector_forward_oracle(feat.values[:n], store, cfg))
+
+
+def test_a_failed_tile_ends_the_forward_with_its_exception(monkeypatch):
+    """A tile that raises on a helper thread ends the forward with that very exception, after the
+    unit's other tiles, and leaves no thread behind."""
+    cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=(1, 1, 1, 1), embedding_dim=128)
+    feat = random_feat(0, n_frames=60)
+    monkeypatch.setattr(model, "_TILE_ELEMS", 64 * 12)  # ten output frames per tile of the first unit
+    caller, seen, boom = threading.get_ident(), set(), RuntimeError("tile failed")
+    barrier = threading.Barrier(2, timeout=30)  # each thread's first tile waits for the other's
+
+    def tile(*args):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+        if threading.get_ident() != caller:
+            raise boom
+        return model_tile(*args)
+
+    model_tile = model._tile
+    monkeypatch.setattr(model, "_tile", tile)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        detector_forward(feat, _stats_store(cfg), cfg, threads=2)
+    assert info.value is boom
+    assert len(seen) == 2 and threading.active_count() == before
