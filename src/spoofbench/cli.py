@@ -47,14 +47,14 @@ from .metrics import (
     write_det_csv,
     write_scores_csv,
 )
-from .parallel import each
+from .parallel import cores, each
 from .presentation import ChannelConfig, PresentationJob, present
 from .seeding import derive_seed
 
 
 def _workers(cfg: RunConfig, parallelism, n_items):
     """Threads that run n_items at once: --parallelism (else the config's), at most one per core and per item."""
-    return max(1, min(parallelism or cfg.parallelism, os.cpu_count() or 1, n_items))
+    return max(1, min(parallelism or cfg.parallelism, cores(), n_items))
 
 
 def _parse_checkpoints(ctx, param, value):
@@ -236,8 +236,12 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         raise ValueError("protocol.checkpoints_s is empty: no checkpoint to score")
     workers = _workers(cfg, parallelism, len(entries))
     # each worker's forwards run their tiles on an equal share of the cores
-    work = partial(_score_entry, cfg, cps, store, det_cfg, (os.cpu_count() or 1) // workers)
-    results = each(work, entries, workers)
+    work = partial(_score_entry, cfg, cps, store, det_cfg, cores() // workers)
+    # the largest files start first, so no worker is left with a long entry at the end
+    order = sorted(range(len(entries)), key=lambda i: _file_size(entries[i].path), reverse=True)
+    results = [None] * len(entries)
+    for i, result in zip(order, each(work, [entries[i] for i in order], workers)):
+        results[i] = result
     trials = [t for out, _ in results if out for t in out[0]]
     trials.sort(key=lambda t: (t.utt_id, t.checkpoint_s if t.checkpoint_s is not None else -1.0))
     write_scores_csv(trials, out_path)
@@ -246,6 +250,14 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
             click.echo(out[1], err=True)
     if _report_failures([(e.utt_id, str(exc)) for e, (_, exc) in zip(entries, results) if exc is not None]):
         sys.exit(1)
+
+
+def _file_size(path):
+    """path's size in bytes; -1 when it cannot be read, so its entry starts last and fails when scored."""
+    try:
+        return os.stat(path).st_size
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        return -1
 
 
 def _score_entry(cfg: RunConfig, cps, store, det_cfg, threads, entry):

@@ -19,13 +19,12 @@ passes, and never all at once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
-from ..parallel import each
+from ..parallel import cores, each
 from .ops import (
     _window_accumulate,
     attentive_stats_pool,
@@ -288,11 +287,12 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
 
     The same window arithmetic cuts each unit's pass over the longest prefix
     into tiles of contiguous output frames, each run on its input window of
-    at most about _TILE_ELEMS elements plus its halo.  threads threads (None:
-    os.cpu_count()), the calling thread among them, run a unit's tiles and
-    fringe passes together, and the unit's outputs are bit-identical for every
-    thread count.  The first failed job, in job order, ends the forward with
-    its exception.
+    at most about _TILE_ELEMS elements plus its halo.  threads threads, the
+    calling thread among them, run a unit's tiles and fringe passes together,
+    and the unit's outputs are bit-identical for every thread count.  threads
+    None means one per CPU this process may run on (parallel.cores(): its
+    affinity mask, not os.cpu_count()); CPU quotas are not counted.  The first
+    failed job, in job order, ends the forward with its exception.
     """
     values = feat.values
     counts = [values.shape[0]] if prefix_frames is None else [int(n) for n in prefix_frames]
@@ -305,7 +305,7 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
     x = values[:longest].T[None, :, :]  # (1, mels, frames)
     # shorter prefix n -> (first frame that differs from x, its frames from there on)
     fringes = {n: (n, x[:, :, n:n]) for n in set(counts) if n < longest}
-    threads = (os.cpu_count() or 1) if threads is None else threads
+    threads = cores() if threads is None else threads
     for unit, stride, halo, channels in _units(store, cfg):
         c, f, length = x.shape
         y = np.empty((channels, -(-f // stride), -(-length // stride)))

@@ -6,7 +6,9 @@ float32 store once per forward, before its first op.  conv2d is im2col
 with one GEMM per chunk of output frames, the chunk sized to bound its
 scratch, which hands the hot loop to BLAS; one GEMM per kernel offset was
 measured slower.  Only depthwise_conv2d and the contextual-attention
-aggregation accumulate per kernel offset, through _window_accumulate.
+aggregation accumulate per kernel offset, through _window_accumulate, per
+block of channels sized so that its k*k offset passes stay in L2 (cache
+blocking); each sum keeps its order, so the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ POOL_EPS = 1e-9
 # Scratch budget (elements) for the im2col buffer of one conv2d chunk: an
 # 8 MB patch stays near the caches and off the page-fault path.
 _CONV_CHUNK_ELEMS = 1_000_000
+# Elements (C x F x T) of one channel block of a window sum, 256 KiB in float64:
+# its padded input, product and sum stay in a 2 MiB L2 over the k*k passes.
+_WINDOW_BLOCK_ELEMS = 32_768
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=1):
@@ -59,16 +64,22 @@ def conv1x1(x, weight, bias=None):
 
 def _window_accumulate(x, weights, k):
     """Sum of weights[o] * x shifted by offset o = di*k + dj over a zero-padded
-    k x k window; weights[o] broadcasts against one (C, F, T) shift."""
-    _, f, t = x.shape
+    k x k window; weights[o], per channel (k*k, C, 1, 1) or shared (k*k, 1, F, T),
+    broadcasts against one (C, F, T) shift.  Runs per block of channels, each
+    element summing the same products in the same order as one block would."""
+    c, f, t = x.shape
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     out = np.zeros_like(x)
-    product = np.empty_like(x)  # one buffer for every offset's product
-    for o in range(k * k):
-        di, dj = divmod(o, k)
-        np.multiply(weights[o], xp[:, di : di + f, dj : dj + t], out=product)
-        out += product
+    block = max(1, _WINDOW_BLOCK_ELEMS // (f * t))
+    for c0 in range(0, c, block):
+        xp = np.pad(x[c0 : c0 + block], ((0, 0), (pad, pad), (pad, pad)))
+        w = weights[:, c0 : c0 + block] if weights.shape[1] == c else weights
+        acc = out[c0 : c0 + block]
+        product = np.empty_like(acc)  # one buffer for every offset's product
+        for o in range(k * k):
+            di, dj = divmod(o, k)
+            np.multiply(w[o], xp[:, di : di + f, dj : dj + t], out=product)
+            acc += product
     return out
 
 

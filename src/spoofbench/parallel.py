@@ -1,6 +1,14 @@
 """The one way spoofbench runs work on threads, for per-item commands and forward tiles alike."""
 
+import os
 import threading
+
+
+def cores():
+    """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def each(work, items, threads):

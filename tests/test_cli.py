@@ -335,7 +335,7 @@ class TestParallelismOption:
         import spoofbench.cli as cli
 
         manifest = make_manifest(tmp_path, [(f"u{i}", "bonafide", "d", 1.0) for i in range(6)])
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "cores", lambda: 2)
         threads, counts = set(), []
         vad_entry = cli._vad_entry
 
@@ -1066,9 +1066,9 @@ class TestDeterminism:
 
 
 class TestDetectWorkers:
-    """detect --parallelism N scores up to min(N, os.cpu_count(), entries) entries at once, on the
-    calling thread and helper threads of the detect process, and each forward on
-    os.cpu_count() // workers tile threads."""
+    """detect --parallelism N scores up to min(N, cores, entries) entries at once, on the calling
+    thread and helper threads of the detect process, and each forward on cores // workers tile
+    threads; cores is parallel.cores(), the CPUs the process may run on."""
 
     def run_detect(self, runner, config, weights, manifest, out, parallelism, *extra):
         return runner.invoke(
@@ -1101,15 +1101,17 @@ class TestDetectWorkers:
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("bad", "spoof", "d", 1.0),
                                             ("c", "bonafide", "d", 1.2)])
-        (tmp_path / "bad.wav").write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
-        out = tmp_path / "scores.csv"
-        result = self.run_detect(runner, config_path, weights, manifest, out, 2)
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and errors[0].startswith("error: bad: ")
-        assert [r.utt_id for r in read_scores_csv(out).rows()] == ["a", "c"]
-        assert multiprocessing.active_children() == []
+        # a corrupt file, then one that is not there: it cannot be stat'ed, so it starts last
+        for broken in (lambda path: path.write_bytes(b"RIFF\x00\x00\x00\x00WAVE"), Path.unlink):
+            broken(tmp_path / "bad.wav")
+            out = tmp_path / "scores.csv"
+            result = self.run_detect(runner, config_path, weights, manifest, out, 2)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and errors[0].startswith("error: bad: ")
+            assert [r.utt_id for r in read_scores_csv(out).rows()] == ["a", "c"]
+            assert multiprocessing.active_children() == []
 
     def test_worker_error_fails_its_entry(self, runner, config_path, tmp_path):
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
@@ -1137,16 +1139,49 @@ class TestDetectWorkers:
         monkeypatch.setattr(cli, "_score_entry", spy)
         return threads
 
+    def test_largest_file_starts_first(self, runner, config_path, tmp_path, monkeypatch):
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("gone", "spoof", "d", 3.0), ("a", "spoof", "d", 1.0),
+                                            ("b", "bonafide", "d", 2.0), ("c", "spoof", "d", 1.5)])
+        (tmp_path / "gone.wav").unlink()
+        with open(manifest, "a") as fh:  # a path that os.stat refuses with ValueError, not OSError
+            fh.write(json.dumps({"utt_id": "nul", "path": "a\0b.wav", "label": "spoof", "dataset": "d"}) + "\n")
+        threads = self.score_entry_spy(monkeypatch)
+        result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 1)
+        assert result.exit_code == 1
+        assert list(threads) == ["b", "c", "a", "gone", "nul"]  # the order the entries were taken in
+        assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+            f"error: gone: [Errno 2] No such file or directory: '{tmp_path / 'gone.wav'}'",
+            "error: nul: embedded null byte"]
+        assert [r.utt_id for r in read_scores_csv(tmp_path / "scores.csv").rows()] == ["a", "b", "c"]
+
     def test_one_cpu_starts_no_pool(self, runner, config_path, tmp_path, monkeypatch):
+        import spoofbench.cli as cli
+
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "cores", lambda: 1)
         threads = self.score_entry_spy(monkeypatch)
         before = threading.active_count()
         result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 2)
         assert result.exit_code == 0, result.output
         assert threads == {"a": threading.get_ident(), "b": threading.get_ident()}  # both in the calling thread
         assert threading.active_count() == before
+
+    def test_cores_are_the_cpus_the_process_may_run_on(self, runner, config_path, tmp_path, monkeypatch):
+        weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [(u, "spoof", "d", 1.0) for u in "abc"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # as under taskset -c 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        threads = self.score_entry_spy(monkeypatch)
+        result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 4)
+        assert result.exit_code == 0, result.output
+        assert threads == dict.fromkeys("abc", threading.get_ident())
 
     def test_environment_restored_and_no_worker_left(self, runner, config_path, tmp_path, monkeypatch):
         import spoofbench
@@ -1179,9 +1214,11 @@ class TestDetectWorkers:
     def test_entries_scored_at_once_on_threads(self, runner, config_path, tmp_path, monkeypatch):
         import multiprocessing.process
 
+        import spoofbench.cli as cli
+
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "cores", lambda: 2)
 
         def no_process(*args, **kwargs):
             raise AssertionError("a child process was started")
@@ -1196,6 +1233,8 @@ class TestDetectWorkers:
         assert [r.utt_id for r in read_scores_csv(tmp_path / "scores.csv").rows()] == ["a", "b"]
 
     def test_more_worker_threads_than_cores_score_as_one(self, runner, config_path, tmp_path, monkeypatch):
+        import spoofbench.cli as cli
+
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [(f"u{i}", ("spoof", "bonafide")[i % 2], "d", 1.0 + 0.25 * i) for i in range(8)])
         outputs = []
@@ -1203,7 +1242,7 @@ class TestDetectWorkers:
         sys.setswitchinterval(1e-5)  # threads switch often, so an update lost between them would show
         try:
             for workers in (1, 8):
-                monkeypatch.setattr(os, "cpu_count", lambda: workers)  # 8 workers on the cores this machine has
+                monkeypatch.setattr(cli, "cores", lambda: workers)  # 8 workers on the cores this machine has
                 out = tmp_path / f"scores_{workers}.csv"
                 result = self.run_detect(runner, config_path, weights, manifest, out, workers)
                 assert result.exit_code == 0, result.output
@@ -1214,12 +1253,13 @@ class TestDetectWorkers:
         assert len(read_scores_csv(out)) == 8
 
     def test_tiled_forward_leaves_no_thread(self, runner, config_path, tmp_path, monkeypatch):
+        import spoofbench.cli as cli
         from spoofbench.detector import model
 
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("a", "spoof", "d", 3.5)])  # scored at 2 and 3 s
         monkeypatch.setattr(model, "_TILE_ELEMS", 8 * 64 * 16)  # about ten output frames per tile of a stage-1 block
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one worker, its forwards on 2 tile threads
+        monkeypatch.setattr(cli, "cores", lambda: 2)  # one worker, its forwards on 2 tile threads
         tile_threads = set()
         # the first tile of each of the first unit's two threads waits for the other's, so both threads run one
         barrier, started = threading.Barrier(2, timeout=30), threading.Event()

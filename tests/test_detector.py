@@ -23,7 +23,7 @@ from spoofbench import (
     save_parameters,
     score,
 )
-from spoofbench.detector import model
+from spoofbench.detector import model, ops
 from spoofbench.detector.model import (
     MAX_BLOCKS_PER_STAGE,
     MAX_COT_KERNEL,
@@ -498,24 +498,47 @@ def _stats_store(cfg):
     tile_frames=st.integers(1, 6),
     threads=st.sampled_from((1, 2, 3)),
     kernel=st.sampled_from((3, 5)),
+    # window-sum blocks of one channel; of a few channels, the last one partial; of every channel
+    block_elems=st.sampled_from((1, 3_000, 10**12)),
 )
-@example(seed=0, counts=[40, 17, 40, 23], tile_frames=1, threads=3, kernel=3)
-@example(seed=1, counts=[70, 16], tile_frames=4, threads=2, kernel=5)
-def test_tiles_are_exact(seed, counts, tile_frames, threads, kernel):
-    """A forward cut into tiles of a few frames, on any number of threads, gives
-    the logits of one tile per unit bit for bit, and the oracle's within 1e-10."""
+@example(seed=0, counts=[40, 17, 40, 23], tile_frames=1, threads=3, kernel=3, block_elems=1)
+@example(seed=1, counts=[70, 16], tile_frames=4, threads=2, kernel=5, block_elems=3_000)
+@example(seed=2, counts=[16, 33], tile_frames=6, threads=1, kernel=3, block_elems=10**12)
+def test_tiles_are_exact(seed, counts, tile_frames, threads, kernel, block_elems):
+    """A forward cut into tiles of a few frames, on any number of threads, with its window sums
+    cut into any channel blocks, gives the logits of one tile per unit and one block per window
+    sum bit for bit, and the oracle's within 1e-10."""
     cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=(1, 1, 1, 1), cot_kernel=kernel,
                          embedding_dim=128)
     store = _stats_store(cfg)
     feat = random_feat(seed, n_frames=max(counts))
-    whole = detector_forward(feat, store, cfg, prefix_frames=counts, threads=1)  # every unit in one tile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_WINDOW_BLOCK_ELEMS", 10**12)
+        whole = detector_forward(feat, store, cfg, prefix_frames=counts, threads=1)  # one tile, one block
     halo = 2 + kernel // 2
     with pytest.MonkeyPatch.context() as mp:  # tile_frames output frames per tile of a stage-1 block
         mp.setattr(model, "_TILE_ELEMS", 8 * 64 * (tile_frames + 2 * halo))
+        mp.setattr(ops, "_WINDOW_BLOCK_ELEMS", block_elems)
         got = detector_forward(feat, store, cfg, prefix_frames=counts, threads=threads)
     assert got == whole
     for n, logits in zip(counts, got):
         TestOracle.assert_close(logits, detector_forward_oracle(feat.values[:n], store, cfg))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-channel", "shared"])
+@pytest.mark.parametrize("c, f, t, k", [(5, 4, 6, 3), (7, 3, 9, 5), (3, 40, 50, 3)])
+def test_window_blocks_are_exact(monkeypatch, shared, c, f, t, k):
+    """The window sum cut into channel blocks equals the one-block sum bit for bit, with
+    per-channel (k*k, C, 1, 1) or shared (k*k, 1, F, T) weights: blocks of one channel, also
+    when F x T alone is over the budget, and blocks whose last one is partial."""
+    rng = np.random.default_rng(c * f * t)
+    x = rng.standard_normal((c, f, t))
+    weights = rng.standard_normal((k * k, 1, f, t) if shared else (k * k, c, 1, 1))
+    monkeypatch.setattr(ops, "_WINDOW_BLOCK_ELEMS", 10**12)
+    whole = ops._window_accumulate(x, weights, k)
+    for budget in (f * t - 1, f * t, 2 * f * t, 3 * f * t + 1):  # 1, 1, 2 and 3 channels per block
+        monkeypatch.setattr(ops, "_WINDOW_BLOCK_ELEMS", budget)
+        assert np.array_equal(ops._window_accumulate(x, weights, k), whole)
 
 
 def test_a_failed_tile_ends_the_forward_with_its_exception(monkeypatch):
