@@ -278,11 +278,14 @@ def trim_nonspeech(clip: AudioClip, mask: VadMask) -> AudioClip:
     return AudioClip(clip.samples[: keep.size][keep], clip.sample_rate_hz)
 
 
-def net_speech_prefix(clip: AudioClip, mask: VadMask, k_seconds: float) -> AudioClip:
-    """The first ceil(k / hop_s) whole hops of the clip's trimmed speech, which hold >= k seconds,
-    or all of the speech when the clip holds less."""
+def prefix_samples(k_seconds: float, hop_s: float, sample_rate_hz: int) -> int:
+    """Samples in the first ceil(k / hop_s) whole VAD hops, which hold >= k seconds."""
     if k_seconds <= 0:
         raise ValueError("k_seconds must be positive")
-    hop = int(round(mask.hop_s * clip.sample_rate_hz))
-    need = int(math.ceil(k_seconds / mask.hop_s - 1e-9))
-    return AudioClip(trim_nonspeech(clip, mask).samples[: need * hop], clip.sample_rate_hz)
+    return int(math.ceil(k_seconds / hop_s - 1e-9)) * int(round(hop_s * sample_rate_hz))
+
+
+def net_speech_prefix(clip: AudioClip, mask: VadMask, k_seconds: float) -> AudioClip:
+    """The first prefix_samples(k) of the clip's trimmed speech, or all of it when the clip holds less."""
+    n = prefix_samples(k_seconds, mask.hop_s, clip.sample_rate_hz)
+    return AudioClip(trim_nonspeech(clip, mask).samples[:n], clip.sample_rate_hz)

@@ -28,15 +28,16 @@ from .audio import (
     load_wav,
     net_speech_prefix,
     net_speech_seconds,
+    prefix_samples,
     resample,
     save_wav,
     trim_nonspeech,
 )
 from .config import RunConfig, load_run_config
 from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, from_doc, loads, read_lines, read_manifest, write_manifest
-from .detector.model import DetectorConfig, check_parameters, detector_forward, init_parameters, score
+from .detector.model import MIN_INPUT_FRAMES, DetectorConfig, check_parameters, detector_forward, init_parameters, score
 from .detector.params import load_parameters, save_parameters
-from .features import frame_count, log_mel
+from .features import FeatureError, frame_count, log_mel
 from .metrics import (
     TrialScore,
     checkpoint_eval,
@@ -232,8 +233,16 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     except ValueError as exc:
         raise ValueError(f"{weights_path}: {exc}") from exc
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
-    if cps is not None and not cps:
-        raise ValueError("protocol.checkpoints_s is empty: no checkpoint to score")
+    if cps is not None:
+        if not cps:
+            raise ValueError("protocol.checkpoints_s is empty: no checkpoint to score")
+        k, sr = min(cps), cfg.sample_rate_hz  # the shortest checkpoint's prefix has the fewest frames
+        try:
+            frames = frame_count(prefix_samples(k, cfg.vad.hop_s, sr), sr, cfg.features)
+        except FeatureError as exc:  # a prefix shorter than one feature window, or a window over n_fft
+            raise ValueError(f"checkpoint {k:g}s: {exc}") from exc
+        if frames < MIN_INPUT_FRAMES:
+            raise ValueError(f"checkpoint {k:g}s: its prefix has {frames} frames; detector needs >= {MIN_INPUT_FRAMES}")
     workers = _workers(cfg, parallelism, len(entries))
     # each worker's forwards run their tiles on an equal share of the cores
     work = partial(_score_entry, cfg, cps, store, det_cfg, cores() // workers)

@@ -48,9 +48,10 @@ MAX_BLOCKS_PER_STAGE = 8
 MAX_COT_KERNEL = 15
 MAX_POOL_HIDDEN = 512
 # Input elements (channels x mel bands x frames, halo aside) of one tile of a
-# unit's main pass: about 122 frames at every stage of the default width.  A
-# tile's scratch stays small, so the threads' freed buffers held in their own
-# malloc arenas add little to the peak memory of a forward.
+# unit's main pass: about 122 frames at every stage of the default width.  It
+# bounds all of a tile's scratch, a 3x3 conv's im2col patch (about 9x, 18 MB)
+# the largest, so the threads' freed buffers held in their own malloc arenas
+# add little to the peak memory of a forward.
 _TILE_ELEMS = 250_000
 
 
@@ -188,7 +189,7 @@ def _unit_params(tensors, prefix: str) -> dict:
 
 def adapter_forward(x, params, stride: int = 1):
     """Channel-raising adapter: 3x3 conv -> BN -> ReLU."""
-    y = conv2d(x, params["conv.weight"], params["conv.bias"], stride=stride, padding=1)
+    y = conv2d(x, params["conv.weight"], params["conv.bias"], stride=stride)
     batch_norm(y, params["bn.gamma"], params["bn.beta"], params["bn.mean"], params["bn.var"], out=y)
     return relu(y, out=y)
 
@@ -206,7 +207,7 @@ def cot_block_forward(x, params):
     static = depthwise_conv2d(x, params["key.weight"], params["key.bias"])
     head = conv1x1(np.concatenate([static, x], axis=0), params["attn1.weight"], params["attn1.bias"])
     logits = conv1x1(relu(head, out=head), params["attn2.weight"], params["attn2.bias"])
-    weights = softmax(logits, axis=0)
+    weights = softmax(logits)
     del head, logits  # not needed by the aggregation, the widest step
     values = conv1x1(x, params["value.weight"], params["value.bias"])
     static += _window_accumulate(values, weights[:, None], params["key.weight"].shape[-1])
@@ -224,9 +225,9 @@ def res_cot_forward(x, params):
     """Residual block with the attention unit before the add and final ReLU;
     the shortcut is the identity, so the block keeps its channel count.
     params is a _block_params dict."""
-    y = conv2d(x, params["conv1.weight"], params["conv1.bias"], stride=1, padding=1)
+    y = conv2d(x, params["conv1.weight"], params["conv1.bias"])
     batch_norm(y, params["bn1.gamma"], params["bn1.beta"], params["bn1.mean"], params["bn1.var"], out=y)
-    y = conv2d(relu(y, out=y), params["conv2.weight"], params["conv2.bias"], stride=1, padding=1)
+    y = conv2d(relu(y, out=y), params["conv2.weight"], params["conv2.bias"])
     batch_norm(y, params["bn2.gamma"], params["bn2.beta"], params["bn2.mean"], params["bn2.var"], out=y)
     y = cot_block_forward(y, params["cot"])
     y += x

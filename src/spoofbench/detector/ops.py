@@ -3,9 +3,9 @@
 The detector ops take float64 activations, with layout (channels, freq,
 time), and float64 weights: the model casts each unit's weights from the
 float32 store once per forward, before its first op.  conv2d is im2col
-with one GEMM per chunk of output frames, the chunk sized to bound its
-scratch, which hands the hot loop to BLAS; one GEMM per kernel offset was
-measured slower.  Only depthwise_conv2d and the contextual-attention
+with one GEMM per call, which hands the hot loop to BLAS; its scratch is
+bounded by the forward's time tiles, not here.  One GEMM per kernel offset
+was measured slower.  Only depthwise_conv2d and the contextual-attention
 aggregation accumulate per kernel offset, through _window_accumulate, per
 block of channels sized so that its k*k offset passes stay in L2 (cache
 blocking); each sum keeps its order, so the blocks change no bit.
@@ -20,45 +20,29 @@ LN_EPS = 1e-5
 POOL_EPS = 1e-9
 
 
-# Scratch budget (elements) for the im2col buffer of one conv2d chunk: an
-# 8 MB patch stays near the caches and off the page-fault path.
-_CONV_CHUNK_ELEMS = 1_000_000
 # Elements (C x F x T) of one channel block of a window sum, 256 KiB in float64:
 # its padded input, product and sum stay in a 2 MiB L2 over the k*k passes.
 _WINDOW_BLOCK_ELEMS = 32_768
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=1):
-    """2-D convolution; x (Ci,F,T), weight (Co,Ci,kh,kw).
-
-    im2col + GEMM, chunked along time to bound scratch memory.
-    """
+def conv2d(x, weight, bias, stride=1):
+    """2-D 'same' convolution; x (Ci,F,T), weight (Co,Ci,kh,kw), kh and kw odd: im2col + one GEMM."""
     co, ci, kh, kw = weight.shape
     if x.shape[0] != ci:
         raise ValueError(f"conv2d: input has {x.shape[0]} channels, weight expects {ci}")
-    s = int(stride)
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    fo = (x.shape[1] + 2 * padding - kh) // s + 1
-    to = (x.shape[2] + 2 * padding - kw) // s + 1
-    w2 = weight.reshape(co, ci * kh * kw)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-    out = np.empty((co, fo, to))
-    chunk = max(1, _CONV_CHUNK_ELEMS // max(ci * kh * kw * fo, 1))
-    for t0 in range(0, to, chunk):
-        t1 = min(t0 + chunk, to)
-        patch = windows[:, :, t0:t1].transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, -1)
-        out[:, :, t0:t1] = (w2 @ patch).reshape(co, fo, t1 - t0)
-    if bias is not None:
-        out += bias[:, None, None]
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    patch = windows.transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, -1)  # (Ci*kh*kw, Fo*To)
+    out = (weight.reshape(co, -1) @ patch).reshape(co, *windows.shape[1:3])
+    out += bias[:, None, None]
     return out
 
 
-def conv1x1(x, weight, bias=None):
+def conv1x1(x, weight, bias):
     """Pointwise convolution; weight (Co, Ci)."""
     c, f, t = x.shape
     out = (weight @ x.reshape(c, -1)).reshape(-1, f, t)
-    if bias is not None:
-        out += bias[:, None, None]
+    out += bias[:, None, None]
     return out
 
 
@@ -83,12 +67,11 @@ def _window_accumulate(x, weights, k):
     return out
 
 
-def depthwise_conv2d(x, weight, bias=None):
+def depthwise_conv2d(x, weight, bias):
     """Per-channel (fully grouped) 'same' convolution; weight (C, k, k), k odd."""
     c, k = weight.shape[0], weight.shape[-1]
     out = _window_accumulate(x, weight.reshape(c, k * k).T[:, :, None, None], k)
-    if bias is not None:
-        out += bias[:, None, None]
+    out += bias[:, None, None]
     return out
 
 
@@ -113,20 +96,20 @@ def gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def softmax(x, axis=0):
-    z = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x):
+    """Softmax over the first axis."""
+    e = np.exp(x - np.max(x, axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
 
 
-def layer_norm(x, gamma, beta, eps=LN_EPS):
+def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gamma.astype(np.float64) + beta.astype(np.float64)
+    return (x - mu) / np.sqrt(var + LN_EPS) * gamma.astype(np.float64) + beta.astype(np.float64)
 
 
-def attentive_stats_pool(h, w, b, v, eps=POOL_EPS):
+def attentive_stats_pool(h, w, b, v):
     """Attention-weighted mean and stddev over time.
 
     h is (T, D); attention energies are v . tanh(W h_t + b), softmaxed over
@@ -136,10 +119,10 @@ def attentive_stats_pool(h, w, b, v, eps=POOL_EPS):
     if h.ndim != 2 or h.shape[0] < 1:
         raise ValueError("attentive_stats_pool needs a nonempty (T, D) input")
     energies = np.tanh(h @ w.T + b) @ v
-    alpha = softmax(energies, axis=0)
+    alpha = softmax(energies)
     mu = alpha @ h
     second = alpha @ (h * h)
-    sigma = np.sqrt(np.maximum(second - mu * mu, 0.0) + eps)
+    sigma = np.sqrt(np.maximum(second - mu * mu, 0.0) + POOL_EPS)
     return np.concatenate([mu, sigma])
 
 
@@ -158,6 +141,6 @@ def aggregate_layers(stack, params, cfg):
     proj_b = params["proj.bias"].astype(np.float64)  # (L, proj)
     layers = np.einsum("ltd,lpd->ltp", stack, proj_w) + proj_b[:, None, :]
     layers = layer_norm(gelu(layers), params["ln1.gamma"], params["ln1.beta"])
-    weights = softmax(params["layer_logits"].astype(np.float64), axis=0)
+    weights = softmax(params["layer_logits"].astype(np.float64))
     fused = np.tensordot(weights, layers, axes=(0, 0))
     return layer_norm(fused, params["ln2.gamma"], params["ln2.beta"])

@@ -520,18 +520,52 @@ class TestCmdDetect:
         want = score(detector_forward(feat, store, from_doc(DetectorConfig, store.config))).s
         assert [r.score for r in read_scores_csv(out).rows()] == [want]
 
-    def test_checkpoint_below_min_frames_fails_entry(self, runner, config_path, tmp_path):
+    def test_checkpoint_below_min_frames_is_refused(self, runner, config_path, tmp_path):
+        """A checkpoint whose prefix is too short for the detector is refused before any entry is
+        scored, not failed in every entry along with the checkpoints that would have scored."""
         weights = self.init_weights(runner, config_path, tmp_path)
-        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 1.0)])
+        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
         out = tmp_path / "scores.csv"
         result = runner.invoke(
             main,
             ["--config", config_path, "detect", "--manifest", str(manifest),
-             "--weights", str(weights), "--out", str(out), "--checkpoints", "0.1"],
+             "--weights", str(weights), "--out", str(out), "--checkpoints", "2,0.1"],
         )
         assert result.exit_code == 1
-        assert "error: u: input has 8 frames; detector needs >= 16" in result.stderr
-        assert read_scores_csv(out).rows() == []
+        assert result.stderr == "error: checkpoint 0.1s: its prefix has 8 frames; detector needs >= 16\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("checkpoints, message", [
+        ([0.17, 2.0], "checkpoint 0.17s: its prefix has 15 frames; detector needs >= 16"),
+        ([0.01], "checkpoint 0.01s: clip too short for features"),
+    ], ids=["0.17s", "0.01s"])
+    def test_protocol_checkpoint_below_min_frames_is_refused(self, runner, tmp_path, checkpoints, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "protocol": {"checkpoints_s": checkpoints}}))
+        weights = self.init_weights(runner, str(config), tmp_path)
+        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(
+            main,
+            ["--config", str(config), "detect", "--manifest", str(manifest),
+             "--weights", str(weights), "--out", str(out), "--checkpoints"],
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_shortest_scorable_checkpoint_is_scored(self, runner, config_path, tmp_path):
+        """The refusal is exact: the shortest checkpoint whose prefix has 16 frames scores."""
+        weights = self.init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(
+            main,
+            ["--config", config_path, "detect", "--manifest", str(manifest),
+             "--weights", str(weights), "--out", str(out), "--checkpoints", "0.18"],
+        )
+        assert result.exit_code == 0, result.output
+        assert [r.checkpoint_s for r in read_scores_csv(out).rows()] == [0.18]
 
     @pytest.mark.parametrize("value, named", [
         ("2,x", "comma-separated list of seconds"),
@@ -1116,11 +1150,13 @@ class TestDetectWorkers:
     def test_worker_error_fails_its_entry(self, runner, config_path, tmp_path):
         weights = TestCmdDetect().init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("a", "spoof", "d", 1.0), ("b", "bonafide", "d", 1.0)])
+        for u in "ab":
+            (tmp_path / f"{u}.wav").write_bytes(b"not a wav")
         out = tmp_path / "scores.csv"
-        result = self.run_detect(runner, config_path, weights, manifest, out, 2, "--checkpoints", "0.1")
+        result = self.run_detect(runner, config_path, weights, manifest, out, 2)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr.splitlines() == [f"error: {u}: input has 8 frames; detector needs >= 16" for u in "ab"]
+        assert result.stderr.splitlines() == [f"error: {u}: {tmp_path / u}.wav: not a RIFF/WAVE file" for u in "ab"]
         assert read_scores_csv(out).rows() == []
 
     def score_entry_spy(self, monkeypatch, before=None):

@@ -525,6 +525,21 @@ def test_tiles_are_exact(seed, counts, tile_frames, threads, kernel, block_elems
         TestOracle.assert_close(logits, detector_forward_oracle(feat.values[:n], store, cfg))
 
 
+def test_default_width_tiles_are_exact():
+    """At the default width the production tiles on two threads give, bit for bit, the logits of one
+    tile per unit on one thread and of a separate forward per prefix.  Each conv is one GEMM per
+    tile, so this pins that BLAS results at the default widths (K up to 2304) do not depend on N."""
+    store = _stats_store(CFG)
+    feat = random_feat(11, n_frames=1000)
+    counts = [1000, 611, 203]
+    got = detector_forward(feat, store, CFG, prefix_frames=counts, threads=2)
+    assert CFG.stage_channels[-1] * (64 // 8) * (1000 // 8) > model._TILE_ELEMS  # stage 4 gets more than one tile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_TILE_ELEMS", 10**12)
+        assert detector_forward(feat, store, CFG, prefix_frames=counts, threads=1) == got
+    assert [detector_forward(LogMelSpectrogram(feat.values[:n], 0.01), store, CFG, threads=2) for n in counts] == got
+
+
 @pytest.mark.parametrize("shared", [False, True], ids=["per-channel", "shared"])
 @pytest.mark.parametrize("c, f, t, k", [(5, 4, 6, 3), (7, 3, 9, 5), (3, 40, 50, 3)])
 def test_window_blocks_are_exact(monkeypatch, shared, c, f, t, k):
