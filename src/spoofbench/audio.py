@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,9 @@ _ROLLOFF = 0.945
 _TAPS_PER_PHASE = 64
 
 
+@lru_cache(maxsize=8)
 def _design_polyphase(up: int, down: int) -> tuple[np.ndarray, int]:
+    """(filter, half its length) for the ratio up/down, designed once per ratio; the filter is read-only."""
     half = int(math.ceil((_TAPS_PER_PHASE // 2) * up / down)) * down
     n = np.arange(-half, half + 1, dtype=np.float64)
     fc = 0.5 * _ROLLOFF / max(up, down)
@@ -172,6 +175,7 @@ def _design_polyphase(up: int, down: int) -> tuple[np.ndarray, int]:
     for p in range(up):
         branch = h[p::up]
         h[p::up] = branch / branch.sum()
+    h.setflags(write=False)  # shared by every caller of this ratio
     return h, half
 
 

@@ -166,16 +166,66 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
             jobs.append((lineno, from_doc(PresentationJob, loads(line))))
         except ValueError as exc:  # not JSON, or of the wrong shape
             failures.append((lineno, f"line {lineno}", str(exc)))
+    collisions = _collisions(jobs)
+    failures += collisions.values()
+    jobs = [(lineno, job) for lineno, job in jobs if lineno not in collisions]
     workers = _workers(cfg, parallelism, len(jobs))
-    results = each(partial(_present_job, cfg, global_seed), [job for _, job in jobs], workers)
-    failures += [(lineno, job.name, str(exc)) for (lineno, job), (_, exc) in zip(jobs, results) if exc is not None]
+    groups = _input_groups(jobs, -(-len(jobs) // workers))
+    results = each(partial(_present_group, cfg, global_seed), [[job for _, job in group] for group in groups], workers)
+    failures += [(lineno, job.name, str(exc)) for group, (errors, _) in zip(groups, results)
+                 for (lineno, job), exc in zip(group, errors) if exc is not None]
     if _report_failures([failure[1:] for failure in sorted(failures)]):
         sys.exit(1)
 
 
-def _present_job(cfg: RunConfig, global_seed, job: PresentationJob):
-    """Present one job's input through its channel and write the output."""
-    clip = resample(load_wav(job.input), cfg.sample_rate_hz)
+def _collisions(jobs):
+    """{line number: failure} of each job whose output another job also reads or writes: which of
+    the two ran first would decide the result."""
+    real = {path: _resolved(path) for _, job in jobs for path in (job.input, job.ir, job.output) if path is not None}
+    users = {}  # resolved path -> (line number, role) of each job that names it, in file order
+    for lineno, job in jobs:
+        for role, path in (("input", job.input), ("ir", job.ir), ("output", job.output)):
+            if path is not None:
+                users.setdefault(real[path], []).append((lineno, role))
+    collisions = {}
+    for lineno, job in jobs:
+        other = next(((n, role) for n, role in users[real[job.output]] if n != lineno), None)
+        if other is not None:
+            collisions[lineno] = (lineno, job.name, f"output {job.output} is also the {other[1]} of line {other[0]}")
+    return collisions
+
+
+def _resolved(path):
+    """path made absolute with its symbolic links resolved; a path holding a NUL names no file and stays as it is."""
+    try:
+        return os.path.realpath(path)
+    except ValueError:  # a NUL in the path: its job fails when it runs
+        return path
+
+
+def _input_groups(jobs, size):
+    """(line number, job) pairs grouped by input, in order of first appearance, each group in file
+    order and cut into pieces of at most size jobs, so that an input shared by many jobs still
+    spreads over the workers."""
+    by_input = {}
+    for lineno, job in jobs:
+        by_input.setdefault(job.input, []).append((lineno, job))
+    return [group[i : i + size] for group in by_input.values() for i in range(0, len(group), size)]
+
+
+def _present_group(cfg: RunConfig, global_seed, jobs):
+    """The exception of each of jobs, None where it was written; jobs share one input, which is
+    read and resampled once."""
+    try:
+        clip = resample(load_wav(jobs[0].input), cfg.sample_rate_hz)
+    except Exception as exc:  # each job fails as it would alone
+        return [exc] * len(jobs)
+    # one thread: the jobs run in file order on this worker, each failing alone
+    return [exc for _, exc in each(partial(_present_job, cfg, global_seed, clip), jobs, 1)]
+
+
+def _present_job(cfg: RunConfig, global_seed, clip, job: PresentationJob):
+    """Present clip, job's input read and resampled, through job's channel and write the output."""
     ir = resample(load_wav(job.ir), cfg.sample_rate_hz) if job.ir else None
     channel = ChannelConfig(path=job.path, ir=ir, codec=job.codec, gain_db=job.gain_db, noise_snr_db=job.snr_db)
     out = present(clip, channel, derive_seed(global_seed, job.name) if job.seed is None else job.seed)

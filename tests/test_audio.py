@@ -346,6 +346,11 @@ def test_upfirdn_equals_scipy_exactly_on_the_resampler_filters(src, dst):
         assert np.array_equal(_upfirdn(h, x, up, down), upfirdn(h, x, up=up, down=down))
 
 
+def test_polyphase_filter_is_designed_once_per_ratio_and_read_only():
+    h, _ = _design_polyphase(1, 2)
+    assert _design_polyphase(1, 2)[0] is h and not h.flags.writeable
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_vad_deterministic_property(seed):

@@ -238,6 +238,124 @@ class TestCmdPresent:
         ]
         assert sorted(p.name for p in tmp_path.glob("?.wav")) == ["a.wav", "d.wav"]
 
+    @staticmethod
+    def interleaved_jobs(tmp_path):
+        """Six jobs over two 16 kHz inputs, A, B, A, B, ..., through playback, analog and digital routes."""
+        rng = np.random.default_rng(3)
+        ir = tmp_path / "ir.wav"
+        save_wav(AudioClip(np.concatenate([[0.8], 0.2 * rng.standard_normal(199) * np.exp(-np.arange(199) / 40)]),
+                           16000), ir)
+        inputs = []
+        for k in range(2):
+            inputs.append(tmp_path / f"src{k}.wav")
+            save_wav(AudioClip(np.clip(0.3 * rng.standard_normal(16000 + 4000 * k), -1, 1), 16000), inputs[-1])
+        routes = [("playback", "mulaw"), ("playback", "alaw"), ("injection_analog", "alaw"),
+                  ("injection_analog", "mulaw"), ("injection_digital", "mulaw"), ("injection_digital", "none")]
+        jobs = []
+        for i, (route, codec) in enumerate(routes):
+            job = {"utt_id": f"j{i}", "input": str(inputs[i % 2]), "output": str(tmp_path / "out" / f"j{i}.wav"),
+                   "path": route, "codec": codec, "gain_db": [-3.0, 3.0]}
+            if route != "injection_digital":
+                job["snr_db"] = [20.0, 30.0]
+            if route == "playback":
+                job["ir"] = str(ir)
+            jobs.append(job)
+        return jobs
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_shared_inputs_write_what_each_job_writes_alone(self, runner, tmp_path, monkeypatch, parallelism):
+        jobs = self.interleaved_jobs(tmp_path)
+        alone = {}
+        for job in jobs:
+            one = tmp_path / "one.jsonl"
+            one.write_text(json.dumps({**job, "output": str(tmp_path / "alone.wav")}) + "\n")
+            assert runner.invoke(main, ["present", "--jobs", str(one), "--seed", "4"]).exit_code == 0
+            alone[job["utt_id"]] = (tmp_path / "alone.wav").read_bytes()
+        from spoofbench import cli
+
+        monkeypatch.setattr(cli, "cores", lambda: 2)
+        loads = []
+        monkeypatch.setattr(cli, "load_wav", lambda path: loads.append(path) or load_wav(path))
+        path = tmp_path / "jobs.jsonl"
+        path.write_text("".join(json.dumps(job) + "\n" for job in jobs))
+        result = runner.invoke(main, ["present", "--jobs", str(path), "--seed", "4", "--parallelism", str(parallelism)])
+        assert result.exit_code == 0, result.output
+        assert {job["utt_id"]: Path(job["output"]).read_bytes() for job in jobs} == alone
+        if parallelism == 1:  # each input once, the impulse response once per playback job
+            assert sorted(loads) == sorted([jobs[0]["input"], jobs[1]["input"], jobs[0]["ir"], jobs[1]["ir"]])
+
+    def test_input_shared_by_many_jobs_spreads_over_the_workers(self, runner, tmp_path, monkeypatch):
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        from spoofbench import cli
+
+        monkeypatch.setattr(cli, "cores", lambda: 2)
+        calls = []
+
+        def spy(work, items, threads):
+            calls.append(([[job.utt_id for job in item] if isinstance(item, list) else item.utt_id for item in items],
+                          threads))
+            return each(work, items, threads)
+
+        each = cli.each
+        monkeypatch.setattr(cli, "each", spy)
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(json.dumps({"utt_id": f"u{i}", "input": str(src), "output": str(tmp_path / f"u{i}.wav"),
+                                            "path": "injection_digital"}) + "\n" for i in range(4)))
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1", "--parallelism", "2"])
+        assert result.exit_code == 0, result.output
+        assert calls[0] == ([["u0", "u1"], ["u2", "u3"]], 2)  # the two items; each then runs its jobs on one thread
+        assert all((tmp_path / f"u{i}.wav").read_bytes() == src.read_bytes() for i in range(4))
+
+    def test_shared_missing_input_fails_each_of_its_jobs(self, runner, tmp_path, monkeypatch):
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        missing = tmp_path / "missing.wav"
+        with pytest.raises(FileNotFoundError) as not_found:
+            load_wav(missing)
+        from spoofbench import cli
+
+        monkeypatch.setattr(cli, "cores", lambda: 2)
+        names = ["m1", "ok", "m2", "m3"]
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(json.dumps({"utt_id": name, "input": str(src if name == "ok" else missing),
+                                            "output": str(tmp_path / f"{name}.wav"), "path": "injection_digital"})
+                                + "\n" for name in names))
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1", "--parallelism", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [f"error: {name}: {not_found.value}" for name in ("m1", "m2", "m3")]
+        assert (tmp_path / "ok.wav").read_bytes() == src.read_bytes() and not list(tmp_path.glob("m?.wav"))
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_colliding_jobs_fail_before_any_job_runs(self, runner, tmp_path, parallelism):
+        a, b = make_clip_file(tmp_path / "a.wav", 0.5), make_clip_file(tmp_path / "b.wav", 0.5, freq=700.0)
+        ir = tmp_path / "ir.wav"
+        save_wav(AudioClip(np.array([1.0, 0.5, 0.25]), SR), ir)
+        (tmp_path / "link.wav").symlink_to(ir)
+        before = {p: p.read_bytes() for p in (a, b, ir)}
+        out = tmp_path / "out"
+        lines = [
+            {"utt_id": "j1", "input": str(a), "output": str(out / "j1.wav"), "path": "injection_digital"},
+            {"utt_id": "j2", "input": str(b), "output": str(a), "path": "injection_digital"},
+            {"utt_id": "j3", "input": str(b), "output": str(tmp_path / "link.wav"), "path": "injection_digital"},
+            {"utt_id": "j4", "input": str(a), "output": str(out / "j4.wav"), "path": "playback", "ir": str(ir)},
+            {"utt_id": "j5", "input": str(a), "output": str(out / "j5.wav"), "path": "injection_digital"},
+            {"utt_id": "j6", "input": str(b), "output": str(out / "sub" / ".." / "j5.wav"), "path": "injection_digital"},
+        ]
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1", "--parallelism", str(parallelism)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [
+            f"error: j2: output {a} is also the input of line 1",
+            f"error: j3: output {tmp_path / 'link.wav'} is also the ir of line 4",
+            f"error: j5: output {out / 'j5.wav'} is also the output of line 6",
+            f"error: j6: output {out / 'sub' / '..' / 'j5.wav'} is also the output of line 5",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == ["j1.wav", "j4.wav"]
+        assert (out / "j1.wav").read_bytes() == a.read_bytes()
+        assert {p: p.read_bytes() for p in before} == before
+
 
 class TestCmdPool:
     def make_dataset_manifests(self, tmp_path, n_datasets=7, per_class=40):
