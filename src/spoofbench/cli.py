@@ -24,6 +24,7 @@ import click
 import numpy as np
 
 from .audio import (
+    AudioClip,
     detect_voice,
     load_wav,
     net_speech_prefix,
@@ -331,14 +332,17 @@ def _score_entry(cfg: RunConfig, cps, store, det_cfg, threads, entry):
     ks = [None] if cps is None else [k for k in cps if k <= net + 1e-9]
     if not ks:
         return [], f"{entry.utt_id}: skipped ({net:.2f}s net speech < first checkpoint {min(cps):g}s)"
-    prefixes = [trim_nonspeech(clip, mask)] if cps is None else [net_speech_prefix(clip, mask, k) for k in ks]
+    # the speech is cut once, to the longest prefix: a shorter one is its first prefix_samples(k)
+    speech = trim_nonspeech(clip, mask) if cps is None else net_speech_prefix(clip, mask, max(ks))
     del clip  # a long clip's samples are not held through the forwards
-    counts = [frame_count(len(p), p.sample_rate_hz, cfg.features) for p in prefixes]
+    sr = speech.sample_rate_hz
+    lengths = [len(speech) if k is None else min(prefix_samples(k, mask.hop_s, sr), len(speech)) for k in ks]
+    counts = [frame_count(n, sr, cfg.features) for n in lengths]
     if cfg.features.mean_var_norm:  # normalized features of a prefix are not rows of the longest prefix's
-        inputs = [(log_mel(p, cfg.features), [n]) for p, n in zip(prefixes, counts)]
+        inputs = [(log_mel(AudioClip(speech.samples[:n], sr), cfg.features), [c]) for n, c in zip(lengths, counts)]
     else:  # one log-mel and one forward over the longest prefix score them all
-        inputs = [(log_mel(max(prefixes, key=len), cfg.features), counts)]
-    del prefixes
+        inputs = [(log_mel(speech, cfg.features), counts)]
+    del speech
     scores = []
     for feat, frames in inputs:
         logits = detector_forward(feat, store, det_cfg, prefix_frames=frames, threads=threads)

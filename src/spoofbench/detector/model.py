@@ -41,8 +41,8 @@ from .params import ParameterStore
 ATTN_REDUCTION = 4
 # Three stride-2 stages leave T/8 frames; 16 keeps every stage nonempty.
 MIN_INPUT_FRAMES = 16
-# Upper bounds on the width, each at least 4x its default: init-weights and
-# check_parameters allocate the whole model a config asks for.
+# Upper bounds on the width, each at least 4x its default: only init-weights
+# allocates the whole model a config asks for; check_parameters reads shapes alone.
 MAX_STAGE_CHANNELS = 1024
 MAX_BLOCKS_PER_STAGE = 8
 MAX_COT_KERNEL = 15
@@ -106,71 +106,67 @@ def score(logits: Logits) -> Score:
 
 
 def _uniform(rng, shape, fan_in):
-    if rng is None:  # only the layout is wanted: draw nothing
-        return np.empty(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _init_bn(tensors: dict, prefix: str, c: int):
-    tensors[f"{prefix}.gamma"] = np.ones(c)
-    tensors[f"{prefix}.beta"] = np.zeros(c)
-    tensors[f"{prefix}.mean"] = np.zeros(c)
-    tensors[f"{prefix}.var"] = np.ones(c)
+def _fill(value):
+    return lambda rng, shape: np.full(shape, value)
 
 
-def _init_block(tensors: dict, prefix: str, c: int, k: int, rng):
-    tensors[f"{prefix}.conv1.weight"] = _uniform(rng, (c, c, 3, 3), c * 9)
-    tensors[f"{prefix}.conv1.bias"] = np.zeros(c)
-    _init_bn(tensors, f"{prefix}.bn1", c)
-    tensors[f"{prefix}.conv2.weight"] = _uniform(rng, (c, c, 3, 3), c * 9)
-    tensors[f"{prefix}.conv2.bias"] = np.zeros(c)
-    _init_bn(tensors, f"{prefix}.bn2", c)
-    hidden = c // ATTN_REDUCTION
-    tensors[f"{prefix}.cot.key.weight"] = _uniform(rng, (c, k, k), k * k)
-    tensors[f"{prefix}.cot.key.bias"] = np.zeros(c)
-    tensors[f"{prefix}.cot.attn1.weight"] = _uniform(rng, (hidden, 2 * c), 2 * c)
-    tensors[f"{prefix}.cot.attn1.bias"] = np.zeros(hidden)
-    tensors[f"{prefix}.cot.attn2.weight"] = _uniform(rng, (k * k, hidden), hidden)
-    tensors[f"{prefix}.cot.attn2.bias"] = np.zeros(k * k)
-    tensors[f"{prefix}.cot.value.weight"] = _uniform(rng, (c, c), c)
-    tensors[f"{prefix}.cot.value.bias"] = np.zeros(c)
-
-
-def _init_tensors(cfg: DetectorConfig, rng) -> dict:
-    """Every tensor of the detector by name, in store order, with weights drawn
-    from rng, or left unfilled when rng is None."""
-    tensors: dict = {}
-    cin = 1
-    for s, (c, n_blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage), start=1):
-        tensors[f"stage{s}.adapter.conv.weight"] = _uniform(rng, (c, cin, 3, 3), cin * 9)
-        tensors[f"stage{s}.adapter.conv.bias"] = np.zeros(c)
-        _init_bn(tensors, f"stage{s}.adapter.bn", c)
+def _walk(cfg: DetectorConfig):
+    """Each unit of the network in call order, as (name, input channels, channels, stride):
+    name is the prefix of the unit's tensors, stage{s}.adapter or stage{s}.block{b}."""
+    channels = cfg.stage_channels
+    for s, (cin, c, n_blocks) in enumerate(zip((1, *channels), channels, cfg.blocks_per_stage), start=1):
+        yield f"stage{s}.adapter", cin, c, 1 if s == 1 else 2
         for b in range(1, n_blocks + 1):
-            _init_block(tensors, f"stage{s}.block{b}", c, cfg.cot_kernel, rng)
-        cin = c
-    d = cfg.stage_channels[-1]
-    tensors["pool.w"] = _uniform(rng, (cfg.pool_hidden, d), d)
-    tensors["pool.b"] = np.zeros(cfg.pool_hidden)
-    tensors["pool.v"] = _uniform(rng, (cfg.pool_hidden,), cfg.pool_hidden)
-    tensors["fc.weight"] = _uniform(rng, (cfg.n_classes, cfg.embedding_dim), cfg.embedding_dim)
-    tensors["fc.bias"] = np.zeros(cfg.n_classes)
-    return tensors
+            yield f"stage{s}.block{b}", c, c, 1
+
+
+def _layout(cfg: DetectorConfig):
+    """Each tensor of the detector in store order, as (name, shape, init): init(rng, shape)
+    is its fresh value, and the weights draw from rng in this order."""
+
+    def linear(prefix, shape, fan_in):  # a fan-in-scaled uniform weight, then a zero bias
+        yield f"{prefix}.weight", shape, partial(_uniform, fan_in=fan_in)
+        yield f"{prefix}.bias", shape[:1], _fill(0.0)
+
+    k = cfg.cot_kernel
+    for name, cin, c, _ in _walk(cfg):
+        block = ".block" in name
+        for i in ("1", "2") if block else ("",):  # a block's conv pair, an adapter's one conv
+            yield from linear(f"{name}.conv{i}", (c, cin, 3, 3), cin * 9)
+            # identity batch norm with frozen unit stats
+            for stat, value in (("gamma", 1.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0)):
+                yield f"{name}.bn{i}.{stat}", (c,), _fill(value)
+        if block:
+            hidden = c // ATTN_REDUCTION
+            yield from linear(f"{name}.cot.key", (c, k, k), k * k)
+            yield from linear(f"{name}.cot.attn1", (hidden, 2 * c), 2 * c)
+            yield from linear(f"{name}.cot.attn2", (k * k, hidden), hidden)
+            yield from linear(f"{name}.cot.value", (c, c), c)
+    d, hidden = cfg.stage_channels[-1], cfg.pool_hidden
+    yield "pool.w", (hidden, d), partial(_uniform, fan_in=d)
+    yield "pool.b", (hidden,), _fill(0.0)
+    yield "pool.v", (hidden,), partial(_uniform, fan_in=hidden)
+    yield from linear("fc", (cfg.n_classes, cfg.embedding_dim), cfg.embedding_dim)
 
 
 def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
     """Deterministic fresh parameters: fan-in-scaled uniform conv/linear
     weights, zero biases, identity batch norm with frozen unit stats."""
+    rng = np.random.default_rng(seed)
     store = ParameterStore(config=asdict(cfg))
-    for name, value in _init_tensors(cfg, np.random.default_rng(seed)).items():
-        store.add(name, value)
+    for name, shape, init in _layout(cfg):
+        store.add(name, init(rng, shape))
     return store
 
 
 def check_parameters(store: ParameterStore, cfg: DetectorConfig) -> None:
     """Raise ValueError unless the store holds exactly the tensors, by name and
     shape, that init_parameters writes for cfg."""
-    want = {name: arr.shape for name, arr in _init_tensors(cfg, None).items()}
+    want = {name: shape for name, shape, _ in _layout(cfg)}
     got = {name: arr.shape for name, arr in store.items()}
     problems = [f"tensor {name} has shape {got[name]}, the config needs {shape}" if name in got
                 else f"missing tensor {name}" for name, shape in want.items() if got.get(name) != shape]
@@ -238,11 +234,11 @@ def _units(store, cfg: DetectorConfig):
     """Each unit of the network in call order, as (forward, stride, halo, output channels):
     output frame t of a unit reads input frames stride*t - halo .. stride*t + halo."""
     block_halo = 2 + cfg.cot_kernel // 2  # two 3x3 convs, then the k x k attention window
-    for s, (c, n_blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage), start=1):
-        stride = 1 if s == 1 else 2
-        yield partial(adapter_forward, params=_unit_params(store, f"stage{s}.adapter"), stride=stride), stride, 1, c
-        for b in range(1, n_blocks + 1):
-            yield partial(res_cot_forward, params=_block_params(store, f"stage{s}.block{b}")), 1, block_halo, c
+    for name, _, c, stride in _walk(cfg):
+        if ".block" in name:
+            yield partial(res_cot_forward, params=_block_params(store, name)), stride, block_halo, c
+        else:
+            yield partial(adapter_forward, params=_unit_params(store, name), stride=stride), stride, 1, c
 
 
 def _window(unit, stride, halo, x, start, fringe, first, last):

@@ -56,12 +56,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def names(self):
         return list(self._tensors)
 

@@ -32,13 +32,15 @@ def each(work, items, threads):
             except Exception as exc:  # fails its item only; the caller reports it
                 results[i] = None, exc
 
-    helpers = [threading.Thread(target=take) for _ in range(min(threads, len(items)) - 1)]
-    for helper in helpers:
-        helper.start()
+    helpers = []
     try:
+        for _ in range(min(threads, len(items)) - 1):
+            helper = threading.Thread(target=take)
+            helper.start()
+            helpers.append(helper)  # only a started helper is joined
         take()
     finally:
-        indices = iter(())  # an interrupted caller leaves the helpers no further item
+        indices = iter(())  # an interrupted caller, or a helper that failed to start, leaves no further item
         for helper in helpers:
             helper.join()
     return results

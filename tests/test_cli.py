@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spoofbench.audio
 from spoofbench import (
     AudioClip,
     DetectorConfig,
@@ -583,7 +584,9 @@ class TestCmdDetect:
         assert [r.checkpoint_s for r in rows] == [2.0, 3.0, 6.0]
 
     @pytest.mark.parametrize("mean_var_norm", [False, True])
-    def test_checkpoint_scores_equal_separate_forwards(self, runner, tmp_path, mean_var_norm):
+    def test_checkpoint_scores_equal_separate_forwards(self, runner, tmp_path, monkeypatch, mean_var_norm):
+        """Each checkpoint scores as its own prefix's forward, though the entry's speech is cut
+        once, for the longest checkpoint, and a shorter prefix is a slice of that cut."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "features": {"mean_var_norm": mean_var_norm}}))
         weights = self.init_weights(runner, str(config), tmp_path)
@@ -596,12 +599,21 @@ class TestCmdDetect:
         write_manifest([ManifestEntry("u", str(wav), "spoof", "d")], manifest)
         out = tmp_path / "scores.csv"
         checkpoints = (6.0, 2.0, 3.0, 5.5)
+        trims, trim = [], spoofbench.audio.trim_nonspeech
+
+        def counted(clip, mask):
+            trims.append(len(clip))
+            return trim(clip, mask)
+
+        monkeypatch.setattr(spoofbench.audio, "trim_nonspeech", counted)
         result = runner.invoke(
             main,
             ["--config", str(config), "detect", "--manifest", str(manifest), "--weights", str(weights),
              "--out", str(out), "--checkpoints", ",".join(map(str, checkpoints))],
         )
         assert result.exit_code == 0, result.output
+        assert len(trims) == 1
+        monkeypatch.undo()
         cfg = load_run_config(config)
         store = load_parameters(weights)
         det_cfg = from_doc(DetectorConfig, store.config)
@@ -1509,6 +1521,33 @@ class TestDetectWorkers:
         with pytest.raises(KeyboardInterrupt):
             each(work, list(range(100)), 2)
         assert len(done) < 10 and threading.active_count() == before  # the helper finished its item and stopped
+
+    def test_a_helper_that_fails_to_start_leaves_none_running(self, monkeypatch):
+        import time
+
+        from spoofbench.parallel import each
+
+        start, starts, done = threading.Thread.start, [], []
+
+        def failing_start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        def work(item):
+            time.sleep(0.01)
+            done.append(item)
+
+        before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            each(work, list(range(40)), 3)
+        monkeypatch.undo()
+        finished = len(done)
+        assert threading.active_count() == before  # the helper that started was joined
+        time.sleep(0.5)
+        assert len(done) == finished < 40  # and took no further item
 
 
 class TestOutputPaths:

@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import threading
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -31,7 +33,7 @@ from spoofbench.detector.model import (
     MAX_STAGE_CHANNELS,
     MIN_INPUT_FRAMES,
     _block_params,
-    _init_block,
+    _layout,
     _unit_params,
     adapter_forward,
     cot_block_forward,
@@ -60,11 +62,12 @@ def random_feat(seed, n_frames=40, n_mels=64):
 
 
 def init_res_cot_params(channels: int, kernel: int, seed: int) -> dict:
-    """Standalone parameter dict for one residual block."""
+    """Standalone parameter dict for one residual block: the first block of a
+    detector that wide, its weights alone drawn from seed."""
+    cfg = DetectorConfig(stage_channels=(channels,) * 4, embedding_dim=2 * channels, cot_kernel=kernel)
     rng = np.random.default_rng(seed)
-    tensors: dict = {}
-    _init_block(tensors, "block", channels, kernel, rng)
-    return _block_params(tensors, "block")
+    tensors = {name: init(rng, shape) for name, shape, init in _layout(cfg) if name.startswith("stage1.block1.")}
+    return _block_params(tensors, "stage1.block1")
 
 
 class TestInit:
@@ -79,6 +82,28 @@ class TestInit:
         a = init_parameters(CFG, seed=3)
         b = init_parameters(CFG, seed=4)
         assert any(not np.array_equal(arr, b[name]) for name, arr in a.items())
+
+    @pytest.mark.parametrize("cfg, seed, sha256", [
+        (CFG, 0, "8787d3769b84e8171ceebd8e6e8c63a34c981eea9f2a8445cbcb5759ec73404b"),
+        (DetectorConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=(1, 2, 1, 3), embedding_dim=128,
+                        cot_kernel=5, pool_hidden=7), 3,
+         "d088436f40e4c3497945664f1bda159e629f9c468be49ad96b6872892fa35bda"),
+    ])
+    def test_weights_file_pinned(self, tmp_path, cfg, seed, sha256):
+        """Names, shapes, store order, draw order and values, byte for byte."""
+        save_parameters(init_parameters(cfg, seed), tmp_path / "w.bin")
+        assert hashlib.sha256((tmp_path / "w.bin").read_bytes()).hexdigest() == sha256
+
+    def test_check_parameters_allocates_no_model(self, store):
+        """The check reads shapes; it builds no model to read them (30.8 MB of arrays at default width)."""
+        model.check_parameters(store, CFG)  # imports and first-call caches outside the measurement
+        tracemalloc.start()
+        try:
+            model.check_parameters(store, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_param_count_in_paper_band(self, store):
         assert 3.0e6 <= count_parameters(store) <= 4.1e6
