@@ -20,6 +20,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 # to a finite floor (-120 dB) instead of -inf.
 _POWER_FLOOR = 1e-12
 
+# The highest common PCM rate; the resampler's filter grows with the rate, so a
+# WAV header or a run config above it is refused.
+MAX_SAMPLE_RATE_HZ = 768_000
+
 
 class WavFormatError(ValueError):
     """Base error for unreadable or unsupported WAV files."""
@@ -121,6 +125,8 @@ def load_wav(path) -> AudioClip:
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels != 1:
         raise WavFormatError(f"{path}: multichannel unsupported ({channels} channels)")
+    if rate > MAX_SAMPLE_RATE_HZ:
+        raise WavFormatError(f"{path}: sample rate {rate} Hz above {MAX_SAMPLE_RATE_HZ} Hz")
     if (audio_format, bits) == (1, 16):
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0
@@ -215,11 +221,8 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     up, down = target_hz // g, src // g
     h, half = _design_polyphase(up, down)
     y = _upfirdn(h, clip.samples, up, down)
-    delay = half // down
-    out = y[delay : delay + n_out]
-    if out.size < n_out:
-        out = np.concatenate([out, np.zeros(n_out - out.size)])
-    return AudioClip(out, target_hz)
+    delay = half // down  # half is a multiple of down, so y holds n_out samples past the filter's delay
+    return AudioClip(y[delay : delay + n_out], target_hz)
 
 
 def _frame_energies_db(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:

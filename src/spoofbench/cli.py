@@ -235,20 +235,16 @@ def _present_job(cfg: RunConfig, global_seed, clip, job: PresentationJob):
 
 
 @main.command("pool")
-@click.option("--manifests", "manifest_opts", multiple=True, type=click.Path(exists=True))
+@click.option("--manifests", "manifest_paths", required=True, multiple=True, type=click.Path(exists=True))
 @click.option("--per-class", type=click.IntRange(min=1), default=3000, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--min-net-speech", type=click.FloatRange(min=0), default=MIN_NET_SPEECH_S, show_default=True,
               callback=_not_nan)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.argument("manifest_args", nargs=-1, type=click.Path(exists=True))
 @click.pass_obj
-def cmd_pool(cfg: RunConfig, manifest_opts, per_class, seed, min_net_speech, out_path, manifest_args):
+def cmd_pool(cfg: RunConfig, manifest_paths, per_class, seed, min_net_speech, out_path):
     """Build the balanced pooled test set from per-dataset manifests."""
-    paths = list(manifest_opts) + list(manifest_args)
-    if not paths:
-        raise click.UsageError("no manifests given")
-    manifests = [read_manifest(p) for p in paths]
+    manifests = [read_manifest(p) for p in manifest_paths]
     spec = PoolSpec(
         per_class_per_dataset=per_class,
         seed=cfg.global_seed if seed is None else seed,
@@ -276,7 +272,7 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     entries = read_manifest(manifest_path)
     store = load_parameters(weights_path)
     try:
-        det_cfg = from_doc(DetectorConfig, store.config) if store.config else cfg.detector
+        det_cfg = from_doc(DetectorConfig, store.config)
     except ValueError as exc:  # an unknown key, a value of the wrong type, a bad value or not an object
         raise ValueError(f"{weights_path}: detector config: {exc}") from exc
     try:

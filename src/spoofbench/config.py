@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .audio import VadConfig
+from .audio import MAX_SAMPLE_RATE_HZ, VadConfig
 from .corpus import from_doc, loads
 from .detector.model import DetectorConfig
 from .features import FeatureConfig
@@ -25,6 +25,8 @@ class RunConfig:
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        if self.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
+            raise ValueError(f"sample_rate_hz {self.sample_rate_hz} Hz above {MAX_SAMPLE_RATE_HZ} Hz")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 

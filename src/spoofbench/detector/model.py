@@ -186,8 +186,8 @@ def _unit_params(tensors, prefix: str) -> dict:
 def adapter_forward(x, params, stride: int = 1):
     """Channel-raising adapter: 3x3 conv -> BN -> ReLU."""
     y = conv2d(x, params["conv.weight"], params["conv.bias"], stride=stride)
-    batch_norm(y, params["bn.gamma"], params["bn.beta"], params["bn.mean"], params["bn.var"], out=y)
-    return relu(y, out=y)
+    batch_norm(y, params["bn.gamma"], params["bn.beta"], params["bn.mean"], params["bn.var"])
+    return relu(y)
 
 
 def cot_block_forward(x, params):
@@ -202,7 +202,7 @@ def cot_block_forward(x, params):
     """
     static = depthwise_conv2d(x, params["key.weight"], params["key.bias"])
     head = conv1x1(np.concatenate([static, x], axis=0), params["attn1.weight"], params["attn1.bias"])
-    logits = conv1x1(relu(head, out=head), params["attn2.weight"], params["attn2.bias"])
+    logits = conv1x1(relu(head), params["attn2.weight"], params["attn2.bias"])
     weights = softmax(logits)
     del head, logits  # not needed by the aggregation, the widest step
     values = conv1x1(x, params["value.weight"], params["value.bias"])
@@ -222,12 +222,12 @@ def res_cot_forward(x, params):
     the shortcut is the identity, so the block keeps its channel count.
     params is a _block_params dict."""
     y = conv2d(x, params["conv1.weight"], params["conv1.bias"])
-    batch_norm(y, params["bn1.gamma"], params["bn1.beta"], params["bn1.mean"], params["bn1.var"], out=y)
-    y = conv2d(relu(y, out=y), params["conv2.weight"], params["conv2.bias"])
-    batch_norm(y, params["bn2.gamma"], params["bn2.beta"], params["bn2.mean"], params["bn2.var"], out=y)
+    batch_norm(y, params["bn1.gamma"], params["bn1.beta"], params["bn1.mean"], params["bn1.var"])
+    y = conv2d(relu(y), params["conv2.weight"], params["conv2.bias"])
+    batch_norm(y, params["bn2.gamma"], params["bn2.beta"], params["bn2.mean"], params["bn2.var"])
     y = cot_block_forward(y, params["cot"])
     y += x
-    return relu(y, out=y)
+    return relu(y)
 
 
 def _units(store, cfg: DetectorConfig):

@@ -75,19 +75,18 @@ def depthwise_conv2d(x, weight, bias):
     return out
 
 
-def batch_norm(x, gamma, beta, mean, var, out=None):
-    """Inference-mode BN over the channel axis with fixed running stats.
-
-    out=x normalizes x in place, for a caller that owns x."""
+def batch_norm(x, gamma, beta, mean, var):
+    """Inference-mode BN over the channel axis with fixed running stats, in place: returns x normalized."""
     scale = gamma / np.sqrt(var + BN_EPS)
     shift = beta - mean * scale
-    out = np.multiply(x, scale[:, None, None], out=out)
-    out += shift[:, None, None]
-    return out
+    x *= scale[:, None, None]
+    x += shift[:, None, None]
+    return x
 
 
-def relu(x, out=None):
-    return np.maximum(x, 0.0, out=out)
+def relu(x):
+    """max(x, 0) in place: returns x."""
+    return np.maximum(x, 0.0, out=x)
 
 
 def gelu(x):

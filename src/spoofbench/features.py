@@ -43,7 +43,6 @@ class LogMelSpectrogram:
     """frames x n_mels matrix of natural-log mel power."""
 
     values: np.ndarray
-    frame_hop_s: float
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -122,4 +121,4 @@ def log_mel(clip, cfg: FeatureConfig = FeatureConfig()) -> LogMelSpectrogram:
         mu = out.mean(axis=0, keepdims=True)
         sd = out.std(axis=0, keepdims=True)
         out = (out - mu) / np.maximum(sd, 1e-8)
-    return LogMelSpectrogram(out, cfg.hop_s)
+    return LogMelSpectrogram(out)

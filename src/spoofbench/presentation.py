@@ -28,6 +28,9 @@ CODECS = ("mulaw", "alaw", "none")
 
 TELEPHONY_BAND_HZ = (300.0, 3400.0)
 
+# Level at which the analog path's soft clip saturates.
+CLIP_THRESHOLD = 0.95
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -41,15 +44,12 @@ class ChannelConfig:
     codec: str = "mulaw"
     gain_db: float | tuple = 0.0
     noise_snr_db: float | tuple | None = None
-    clip_threshold: float = 0.95
 
     def __post_init__(self):
         if self.path not in PATHS:
             raise ValueError(f"unknown path {self.path!r} (expected one of {PATHS})")
         if self.codec not in CODECS:
             raise ValueError(f"unknown codec {self.codec!r}")
-        if not (0.0 < self.clip_threshold <= 1.0):
-            raise ValueError("clip_threshold must be in (0, 1]")
         if self.ir is not None and len(self.ir) == 0:
             raise ValueError("impulse response is empty")
 
@@ -238,7 +238,7 @@ def present(clip: AudioClip, cfg: ChannelConfig, seed: int) -> AudioClip:
             out = codec_roundtrip(out, cfg.codec)
         out = maybe_noise(out)
     elif cfg.path == "injection_analog":
-        out = soft_clip(out, cfg.clip_threshold)
+        out = soft_clip(out, CLIP_THRESHOLD)
         out = maybe_noise(out)
         out = bandpass_telephony(out)
         if cfg.codec != "none":

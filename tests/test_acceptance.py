@@ -225,13 +225,13 @@ def test_criterion_4_detector_shape_determinism(tmp_path):
 
     rng = np.random.default_rng(4)
     for frames in (16, 33, 128, 400):
-        feat = LogMelSpectrogram(rng.standard_normal((frames, 64)), 0.01)
+        feat = LogMelSpectrogram(rng.standard_normal((frames, 64)))
         logits = detector_forward(feat, store, cfg)
         assert np.isfinite(logits.l_spoof) and np.isfinite(logits.l_bonafide)
 
     # zero input: mu half of the embedding is exactly zero; the sigma half is
     # sqrt(1e-9), bounding |logit| by that times the FC row mass (< 1e-3)
-    logits = detector_forward(LogMelSpectrogram(np.zeros((64, 64)), 0.01), store, cfg)
+    logits = detector_forward(LogMelSpectrogram(np.zeros((64, 64))), store, cfg)
     assert abs(logits.l_spoof) < 1e-3 and abs(logits.l_bonafide) < 1e-3
 
     path = tmp_path / "w.bin"

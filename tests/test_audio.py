@@ -87,6 +87,13 @@ class TestLoadWav:
         with pytest.raises(WavFormatError, match="not a RIFF/WAVE file"):
             load_wav(p)
 
+    def test_sample_rate_above_the_bound_rejected(self, tmp_path):
+        payload = struct.pack("<2h", 1, 2)
+        assert load_wav(make_wav(tmp_path / "a.wav", payload, rate=768_000)).sample_rate_hz == 768_000
+        p = make_wav(tmp_path / "b.wav", payload, rate=2**31 - 1)
+        with pytest.raises(WavFormatError, match=f"^{re.escape(str(p))}: sample rate 2147483647 Hz above 768000 Hz$"):
+            load_wav(p)
+
     def test_save_load_roundtrip(self, tmp_path):
         clip = AudioClip(tone(440.0, 0.1), SR)
         save_wav(clip, tmp_path / "a.wav")
@@ -315,6 +322,18 @@ def test_resample_identity_property(seed, n):
     x = np.random.default_rng(seed).uniform(-1, 1, n)
     clip = AudioClip(x, SR)
     assert np.array_equal(resample(clip, SR).samples, clip.samples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(44101, 8000), (8000, 44100), (44100, 8000), (8000, 11025), (16000, 8000), (8000, 16000),
+                        (48000, 8000), (7, 3), (3, 7)]), st.integers(1, 3000))
+@example((44101, 8000), 1)
+@example((8000, 44100), 1)
+def test_resample_gives_the_rounded_length(rates, n):
+    """round(n * dst / src) samples, every one of them filtered: the filter's delay, half // down,
+    leaves floor((n - 1) * up / down) + half // down + 1 >= that many outputs past it."""
+    src, dst = rates
+    assert len(resample(AudioClip(np.zeros(n), src), dst)) == round(n * dst / src)
 
 
 @settings(max_examples=200, deadline=None)

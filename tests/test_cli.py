@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -115,6 +116,20 @@ class TestCmdVad:
         kept = __import__("spoofbench").read_manifest(out)
         assert [e.utt_id for e in kept] == ["ok"]
 
+    def test_sample_rate_above_the_bound_fails_only_its_entry(self, runner, tmp_path):
+        """Refused as the header is read: resampling from 2**31 - 1 Hz would ask for a 32 GiB filter."""
+        manifest = make_manifest(tmp_path, [("bad", "spoof", "d", 0.5), ("good", "bonafide", "d", 0.5)])
+        bad = tmp_path / "bad.wav"
+        raw = bytearray(bad.read_bytes())
+        raw[24:28] = (2**31 - 1).to_bytes(4, "little")  # the fmt chunk's sample rate
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(main, ["vad", "--in", str(manifest), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: bad: {bad}: sample rate 2147483647 Hz above 768000 Hz\n"
+        assert [e.utt_id for e in __import__("spoofbench").read_manifest(out)] == ["good"]
+
     def test_trim_dir(self, runner, tmp_path):
         manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
         out = tmp_path / "out.jsonl"
@@ -227,6 +242,8 @@ class TestCmdPresent:
             json.dumps({**good, "output": str(tmp_path / "b.wav"), "gain_db": [1, 2, 3]}),
             json.dumps({**good, "output": str(tmp_path / "c.wav"), "path": "wire", "utt_id": "c"}),
             json.dumps({**good, "output": str(tmp_path / "d.wav"), "utt_id": "d"}),
+            json.dumps({**good, "output": str(tmp_path / "e.wav"), "codec": "opus", "utt_id": "e"}),
+            json.dumps({**good, "output": str(tmp_path / "f\0.wav"), "utt_id": "f"}),
         ]) + "\n")
         result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1", "--parallelism", "2"])
         assert result.exit_code == 1
@@ -236,6 +253,8 @@ class TestCmdPresent:
             "error: line 3: input must be a string, not 5",
             "error: line 4: gain_db must be a number or an array of 2, not [1, 2, 3]",
             "error: c: unknown path 'wire' (expected one of ('injection_digital', 'injection_analog', 'playback'))",
+            "error: e: unknown codec 'opus'",
+            "error: f: embedded null byte",
         ]
         assert sorted(p.name for p in tmp_path.glob("?.wav")) == ["a.wav", "d.wav"]
 
@@ -431,6 +450,28 @@ class TestCmdPool:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert result.stderr == "error: insufficient bonafide in ds0: 0 < 1\n"
+        assert not out.exists()
+
+    def test_utt_id_in_two_datasets_fails_closed(self, runner, tmp_path):
+        paths = []
+        for dataset in ("d1", "d2"):  # each holds a bonafide "x"
+            path = tmp_path / f"{dataset}.jsonl"
+            write_manifest([ManifestEntry("x", "x.wav", "bonafide", dataset, net_speech_s=1.0),
+                            ManifestEntry(f"{dataset}-s", "x.wav", "spoof", dataset, net_speech_s=1.0)], path)
+            paths += ["--manifests", str(path)]
+        out = tmp_path / "pool.jsonl"
+        result = runner.invoke(main, ["pool", *paths, "--per-class", "1", "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == "error: utt_id 'x' appears in more than one dataset\n"
+        assert not out.exists()
+
+    def test_manifests_are_required(self, runner, tmp_path):
+        out = tmp_path / "pool.jsonl"
+        result = runner.invoke(main, ["pool", "--out", str(out)])
+        assert result.exit_code == 2  # click's usage error
+        assert isinstance(result.exception, SystemExit)
+        assert "Missing option '--manifests'" in result.stderr
         assert not out.exists()
 
 
@@ -749,6 +790,9 @@ class TestUnreadableInputs:
          "net_speech_s must be a number, not true"),
         ('{"utt_id": "a", "path": "x.wav", "label": "spoof", "dataset": "d", "attack_id": 7}',
          "attack_id must be a string or null, not 7"),
+        ('{"utt_id": "", "path": "x.wav", "label": "spoof", "dataset": "d"}', "utt_id must be nonempty"),
+        ('{"utt_id": "a", "path": "x.wav", "label": "spoof", "dataset": "d", "presentation": "radio"}',
+         "a: presentation must be one of ('raw', 'injected', 'played')"),
     ])
     def test_manifest_line_of_the_wrong_shape(self, runner, tmp_path, line, named):
         bad = tmp_path / "bad.jsonl"
@@ -816,6 +860,12 @@ class TestUnreadableInputs:
         ({"protocol": {"checkpoints_s": "26"}}, 'protocol.checkpoints_s must be an array, not "26"'),
         ({"detector": {"cot_kernel": 3.0}}, "detector.cot_kernel must be an integer, not 3.0"),
         ({"vad": None}, "vad must be a mapping, not null"),
+        ({"features": {"n_mels": 0}}, "n_mels must be >= 1"),
+        ({"features": {"fmin_hz": 5000, "fmax_hz": 4000}}, "require 0 <= fmin_hz < fmax_hz"),
+        ({"sample_rate_hz": 0}, "sample_rate_hz must be positive"),
+        ({"sample_rate_hz": 1000000}, "sample_rate_hz 1000000 Hz above 768000 Hz"),
+        ({"parallelism": 0}, "parallelism must be >= 1"),
+        ({"detector": {"stage_channels": [8, 16, 32]}}, "config requires exactly four stages"),
     ])
     def test_run_config_of_the_wrong_type(self, runner, tmp_path, config, named):
         path = tmp_path / "config.json"
@@ -876,6 +926,8 @@ class TestUnreadableInputs:
         ({**COMPACT_DETECTOR, "embedding_dim": 100}, "embedding_dim must equal 2 x last stage channels"),
         ([1, 2], "must be a mapping"),
         ({**COMPACT_DETECTOR, "stage_channels": "4444"}, 'stage_channels must be an array, not "4444"\n'),
+        (None, "DetectorConfig must be a mapping, not null\n"),
+        ([], "DetectorConfig must be a mapping, not []\n"),
     ])
     def test_bad_detector_config_in_weights(self, runner, tmp_path, config, named):
         store = init_parameters(DetectorConfig(**COMPACT_DETECTOR), seed=0)
@@ -895,10 +947,10 @@ class TestUnreadableInputs:
         ("extra", "unexpected tensor stage1.block1.proj.weight\n"),
     ], ids=["missing", "shape", "extra"])
     def test_weights_that_do_not_fit_the_config(self, runner, tmp_path, change, named):
-        """Checked before any entry: a missing tensor, a compact-width file run
-        at the default width (its config left out) and a tensor no unit reads."""
+        """Checked before any entry: a missing tensor, compact-width tensors under a
+        default-width header config and a tensor no unit reads."""
         cfg = DetectorConfig(**COMPACT_DETECTOR)
-        store = ParameterStore(config=[] if change == "shape" else asdict(cfg))
+        store = ParameterStore(config=asdict(DetectorConfig() if change == "shape" else cfg))
         for name, arr in init_parameters(cfg, seed=0).items():
             if not (change == "missing" and name == "fc.bias"):
                 store.add(name, arr)
@@ -911,6 +963,21 @@ class TestUnreadableInputs:
         result = runner.invoke(main, ["detect", "--manifest", str(manifest), "--weights", str(weights), "--out", str(out)])
         self.assert_fails_closed(result, f"{weights}: weights do not fit the detector config: ")
         assert named in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, blob, named", [
+        (b'{"format": "spoofbench-weights", "\xff": 1}', b"", "unreadable manifest: 'utf-8' codec can't decode byte 0xff"),
+        (json.dumps({"format": "spoofbench-weights", "format_version": 1, "blob_bytes": 4,
+                     "blob_sha256": hashlib.sha256(bytes(4)).hexdigest(), "tensors": []}).encode(), bytes(4),
+         "blob has 4 trailing bytes\n"),
+    ], ids=["header-not-utf8", "trailing-bytes"])
+    def test_unreadable_weights_bytes(self, runner, tmp_path, header, blob, named):
+        weights = tmp_path / "w.bin"
+        weights.write_bytes(header + b"\n" + blob)
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["detect", "--manifest", str(manifest), "--weights", str(weights), "--out", str(out)])
+        self.assert_fails_closed(result, f"{weights}: {named}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["vad", "pool", "detect-manifest", "detect-weights", "present", "eval", "det"])

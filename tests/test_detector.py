@@ -58,7 +58,7 @@ def store():
 
 def random_feat(seed, n_frames=40, n_mels=64):
     rng = np.random.default_rng(seed)
-    return LogMelSpectrogram(rng.standard_normal((n_frames, n_mels)), 0.01)
+    return LogMelSpectrogram(rng.standard_normal((n_frames, n_mels)))
 
 
 def init_res_cot_params(channels: int, kernel: int, seed: int) -> dict:
@@ -254,7 +254,7 @@ class TestDetectorForward:
 
     def test_time_duplication_changes_but_stays_finite(self, store):
         feat = random_feat(4, n_frames=24)
-        doubled = LogMelSpectrogram(np.vstack([feat.values, feat.values]), 0.01)
+        doubled = LogMelSpectrogram(np.vstack([feat.values, feat.values]))
         a = detector_forward(feat, store, CFG)
         b = detector_forward(doubled, store, CFG)
         assert np.isfinite(b.l_spoof) and np.isfinite(b.l_bonafide)
@@ -264,7 +264,7 @@ class TestDetectorForward:
         # the mu half of the embedding is exactly zero; the sigma half is
         # sqrt(pool eps) = 3.2e-5, so logits are bounded by that times the
         # FC row mass
-        logits = detector_forward(LogMelSpectrogram(np.zeros((32, 64)), 0.01), store, CFG)
+        logits = detector_forward(LogMelSpectrogram(np.zeros((32, 64))), store, CFG)
         assert abs(logits.l_spoof) < 1e-3
         assert abs(logits.l_bonafide) < 1e-3
 
@@ -476,7 +476,7 @@ def test_forward_finite_property(seed, n_frames):
     )
     store = init_parameters(cfg, seed=0)
     rng = np.random.default_rng(seed)
-    feat = LogMelSpectrogram(rng.standard_normal((n_frames, 64)) * 10, 0.01)
+    feat = LogMelSpectrogram(rng.standard_normal((n_frames, 64)) * 10)
     logits = detector_forward(feat, store, cfg)
     assert np.isfinite(logits.l_spoof) and np.isfinite(logits.l_bonafide)
 
@@ -507,7 +507,7 @@ def test_prefix_frames_equal_separate_forwards(seed, counts, extra, kernel, bloc
     store = _compact_store(cfg)
     feat = random_feat(seed, n_frames=max(counts) + extra)
     got = detector_forward(feat, store, cfg, prefix_frames=counts)
-    want = [detector_forward(LogMelSpectrogram(feat.values[:n], 0.01), store, cfg) for n in counts]
+    want = [detector_forward(LogMelSpectrogram(feat.values[:n]), store, cfg) for n in counts]
     assert got == want
 
 
@@ -562,7 +562,7 @@ def test_default_width_tiles_are_exact():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_TILE_ELEMS", 10**12)
         assert detector_forward(feat, store, CFG, prefix_frames=counts, threads=1) == got
-    assert [detector_forward(LogMelSpectrogram(feat.values[:n], 0.01), store, CFG, threads=2) for n in counts] == got
+    assert [detector_forward(LogMelSpectrogram(feat.values[:n]), store, CFG, threads=2) for n in counts] == got
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["per-channel", "shared"])

@@ -14,6 +14,7 @@ from spoofbench import (
     present,
     soft_clip,
 )
+from spoofbench.presentation import CLIP_THRESHOLD
 from spoofbench.seeding import derive_seed
 from spoofbench import g711
 
@@ -229,20 +230,16 @@ class TestPresent:
     def test_playback_with_unit_ir_equals_analog_without_clip_or_noise(self, sine):
         unit = AudioClip(np.array([1.0]), SR)
         play = present(sine, ChannelConfig(path="playback", ir=unit, codec="mulaw"), seed=1)
-        # analog path with a clip threshold of 1.0 on a <=0.5 peak signal:
-        # tanh still bends the waveform, so compose the stages by hand instead
+        # the analog path's tanh clip bends even a <=0.5 peak signal, so compose the stages by hand instead
         manual = codec_roundtrip(bandpass_telephony(apply_gain(sine, 0.0)), "mulaw")
         assert np.array_equal(play.samples, manual.samples)
 
     def test_pipeline_composition_analog(self, sine):
-        cfg = ChannelConfig(
-            path="injection_analog", codec="alaw", gain_db=2.0, noise_snr_db=25.0,
-            clip_threshold=0.9,
-        )
+        cfg = ChannelConfig(path="injection_analog", codec="alaw", gain_db=2.0, noise_snr_db=25.0)
         seed = 77
         out = present(sine, cfg, seed)
         manual = apply_gain(sine, 2.0)
-        manual = soft_clip(manual, 0.9)
+        manual = soft_clip(manual, CLIP_THRESHOLD)
         manual = add_colored_noise(manual, 25.0, derive_seed(seed, "noise"))
         manual = bandpass_telephony(manual)
         manual = codec_roundtrip(manual, "alaw")

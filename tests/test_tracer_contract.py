@@ -42,7 +42,7 @@ def test_traced_forward_splits_into_every_unit(tracer, monkeypatch):
 
     blocks = (2, 1, 1, 2)
     cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=blocks, embedding_dim=128)
-    feat = LogMelSpectrogram(np.random.default_rng(0).standard_normal((64, 64)), 0.01)
+    feat = LogMelSpectrogram(np.random.default_rng(0).standard_normal((64, 64)))
     cli.detector_forward(feat, init_parameters(cfg, 0), cfg)
 
     [(_, parts)] = tracer.forward_parts(spans.spans, blocks)
