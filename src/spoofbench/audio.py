@@ -169,12 +169,18 @@ def save_wav(clip: AudioClip, path) -> None:
 _KAISER_BETA = 9.0
 _ROLLOFF = 0.945
 _TAPS_PER_PHASE = 64
+# 16 MiB of float64: every rate up to MAX_SAMPLE_RATE_HZ resamples to 8 or 16 kHz
+# under it, while a ratio such as 767,999 -> 768,000 Hz would take 50.7M taps
+_MAX_FILTER_TAPS = 2**21
 
 
 @lru_cache(maxsize=8)
 def _design_polyphase(up: int, down: int) -> tuple[np.ndarray, int]:
-    """(filter, half its length) for the ratio up/down, designed once per ratio; the filter is read-only."""
+    """(filter, half its length) for the ratio up/down, designed once per ratio; the filter is read-only.
+    A filter longer than _MAX_FILTER_TAPS is refused before it is allocated."""
     half = int(math.ceil((_TAPS_PER_PHASE // 2) * up / down)) * down
+    if 2 * half + 1 > _MAX_FILTER_TAPS:
+        raise ValueError(f"a {2 * half + 1}-tap filter, above {_MAX_FILTER_TAPS} taps")
     n = np.arange(-half, half + 1, dtype=np.float64)
     fc = 0.5 * _ROLLOFF / max(up, down)
     h = 2.0 * fc * np.sinc(2.0 * fc * n) * np.kaiser(2 * half + 1, _KAISER_BETA)
@@ -219,7 +225,10 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
         return AudioClip(np.zeros(n_out), target_hz)
     g = math.gcd(src, target_hz)
     up, down = target_hz // g, src // g
-    h, half = _design_polyphase(up, down)
+    try:
+        h, half = _design_polyphase(up, down)
+    except ValueError as exc:
+        raise ValueError(f"resampling {src} Hz to {target_hz} Hz needs {exc}") from None
     y = _upfirdn(h, clip.samples, up, down)
     delay = half // down  # half is a multiple of down, so y holds n_out samples past the filter's delay
     return AudioClip(y[delay : delay + n_out], target_hz)

@@ -124,12 +124,17 @@ def main(ctx, config_path):
 def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
     """Fill net_speech_s for each manifest entry; optionally write trimmed WAVs."""
     entries = read_manifest(in_path)
+    failures = {}  # utt_id -> message
     if trim_dir:
         Path(trim_dir).mkdir(parents=True, exist_ok=True)
-    workers = _workers(cfg, parallelism, len(entries))
-    results = each(partial(_vad_entry, cfg, trim_dir), entries, workers)
+        failures = _collisions([(e.utt_id, f"entry {e.utt_id}",
+                                 {"path": e.path, "output": str(Path(trim_dir) / f"{e.utt_id}.wav")}) for e in entries])
+    runnable = [e for e in entries if e.utt_id not in failures]
+    workers = _workers(cfg, parallelism, len(runnable))
+    results = each(partial(_vad_entry, cfg, trim_dir), runnable, workers)
     write_manifest(sorted((e for e, _ in results if e is not None), key=lambda e: e.utt_id), out_path)
-    if _report_failures([(e.utt_id, str(exc)) for e, (_, exc) in zip(entries, results) if exc is not None]):
+    failures.update((e.utt_id, str(exc)) for e, (_, exc) in zip(runnable, results) if exc is not None)
+    if _report_failures([(e.utt_id, failures[e.utt_id]) for e in entries if e.utt_id in failures]):
         sys.exit(1)
 
 
@@ -167,8 +172,9 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
             jobs.append((lineno, from_doc(PresentationJob, loads(line))))
         except ValueError as exc:  # not JSON, or of the wrong shape
             failures.append((lineno, f"line {lineno}", str(exc)))
-    collisions = _collisions(jobs)
-    failures += collisions.values()
+    collisions = _collisions([(lineno, f"line {lineno}", {"input": job.input, "ir": job.ir, "output": job.output})
+                              for lineno, job in jobs])
+    failures += [(lineno, job.name, collisions[lineno]) for lineno, job in jobs if lineno in collisions]
     jobs = [(lineno, job) for lineno, job in jobs if lineno not in collisions]
     workers = _workers(cfg, parallelism, len(jobs))
     groups = _input_groups(jobs, -(-len(jobs) // workers))
@@ -179,20 +185,21 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
         sys.exit(1)
 
 
-def _collisions(jobs):
-    """{line number: failure} of each job whose output another job also reads or writes: which of
-    the two ran first would decide the result."""
-    real = {path: _resolved(path) for _, job in jobs for path in (job.input, job.ir, job.output) if path is not None}
-    users = {}  # resolved path -> (line number, role) of each job that names it, in file order
-    for lineno, job in jobs:
-        for role, path in (("input", job.input), ("ir", job.ir), ("output", job.output)):
+def _collisions(items):
+    """{key: message} of each item whose output another item also reads or writes: which of the two
+    ran first would decide the result.  items: (key, name, {role: path}) with the path an item writes
+    under "output"; a path of None names no file."""
+    real = {path: _resolved(path) for _, _, paths in items for path in paths.values() if path is not None}
+    users = {}  # resolved path -> (key, name, role) of each item that names it, in item order
+    for key, name, paths in items:
+        for role, path in paths.items():
             if path is not None:
-                users.setdefault(real[path], []).append((lineno, role))
+                users.setdefault(real[path], []).append((key, name, role))
     collisions = {}
-    for lineno, job in jobs:
-        other = next(((n, role) for n, role in users[real[job.output]] if n != lineno), None)
+    for key, _, paths in items:
+        other = next(((name, role) for k, name, role in users[real[paths["output"]]] if k != key), None)
         if other is not None:
-            collisions[lineno] = (lineno, job.name, f"output {job.output} is also the {other[1]} of line {other[0]}")
+            collisions[key] = f"output {paths['output']} is also the {other[1]} of {other[0]}"
     return collisions
 
 

@@ -9,7 +9,11 @@ Conventions (fixed so results are reproducible across implementations):
   empirical operating points,
 * MDR@FAR is reported at an achievable threshold: the smallest candidate
   threshold (score values, midpoints between neighbours, and one step
-  beyond each extreme) whose FAR does not exceed the target.
+  beyond each extreme) whose FAR does not exceed the target,
+* the operating points are the distinct scores plus two extremes, which are
+  all-accept (FAR 1, MDR 0) and all-reject (FAR 0, MDR 1) by definition: their
+  thresholds, one below the lowest score and one above the highest, may round
+  onto that score at magnitudes past 2**53.
 """
 
 from __future__ import annotations
@@ -125,27 +129,26 @@ class DetCurve:
     mdr: np.ndarray
 
 
-def _split_scores(trials, context: str = "") -> tuple[np.ndarray, np.ndarray]:
+def _operating_points(trials, context: str = ""):
+    """(thresholds, far, mdr, n_bonafide, n_spoof) at the all-accept extreme, each distinct score
+    ascending, and the all-reject extreme, from one sort of the scores."""
     table = ScoreTable.of(trials)
-    bona, spoof = table.score[~table.is_spoof], table.score[table.is_spoof]
-    if bona.size == 0 or spoof.size == 0:
+    order = np.argsort(table.score)
+    scores, is_spoof = table.score[order], table.is_spoof[order]
+    n_spoof = int(np.count_nonzero(is_spoof))
+    n_bona = scores.size - n_spoof
+    if n_bona == 0 or n_spoof == 0:
         where = f" in {context}" if context else ""
         raise EvalError(f"need at least one trial of each class{where}")
-    return np.sort(bona), np.sort(spoof)
-
-
-def _rates_at(thresholds, bona_sorted, spoof_sorted):
-    # integer counts first so boundary rates are exact fractions
-    far = (bona_sorted.size - np.searchsorted(bona_sorted, thresholds, side="left")) / bona_sorted.size
-    mdr = np.searchsorted(spoof_sorted, thresholds, side="left") / spoof_sorted.size
-    return far, mdr
-
-
-def _operating_points(bona_sorted, spoof_sorted):
-    vals = np.unique(np.concatenate([bona_sorted, spoof_sorted]))
+    first = np.flatnonzero(np.concatenate([[True], scores[1:] != scores[:-1]]))  # each distinct score's first row
+    spoof_below = np.concatenate([[0], np.cumsum(is_spoof)])[first]
+    # integer counts first so boundary rates are exact fractions; the extremes
+    # hold by definition, whatever float64 makes of their thresholds
+    far = np.concatenate([[1.0], (n_bona - (first - spoof_below)) / n_bona, [0.0]])
+    mdr = np.concatenate([[0.0], spoof_below / n_spoof, [1.0]])
+    vals = scores[first]
     thresholds = np.concatenate([[vals[0] - 1.0], vals, [vals[-1] + 1.0]])
-    far, mdr = _rates_at(thresholds, bona_sorted, spoof_sorted)
-    return thresholds, far, mdr
+    return thresholds, far, mdr, n_bona, n_spoof
 
 
 def _eer_from_points(thresholds, far, mdr):
@@ -159,11 +162,6 @@ def _eer_from_points(thresholds, far, mdr):
     return float(eer), float(threshold)
 
 
-def _mdr_candidates(vals: np.ndarray) -> np.ndarray:
-    mids = (vals[:-1] + vals[1:]) / 2.0
-    return np.sort(np.concatenate([[vals[0] - 1.0], vals, mids, [vals[-1] + 1.0]]))
-
-
 def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricReport:
     """EER and MDR@FAR over one set of trials (a ScoreTable or TrialScore rows), as a full report.
 
@@ -171,21 +169,22 @@ def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricRepor
     """
     if not (0.0 < far_target <= 1.0):
         raise EvalError("far_target must be in (0, 1]")
-    bona, spoof = _split_scores(trials, context)
-    thresholds, far, mdr = _operating_points(bona, spoof)
+    thresholds, far, mdr, n_bona, n_spoof = _operating_points(trials, context)
     eer, eer_thr = _eer_from_points(thresholds, far, mdr)
-    cands = _mdr_candidates(thresholds[1:-1])  # the distinct scores
-    far, mdr = _rates_at(cands, bona, spoof)
-    idx = int(np.argmax(far <= far_target))  # first hit; far is non-increasing
+    j = int(np.argmax(far <= far_target))  # first hit; far is non-increasing
+    threshold = thresholds[j]
+    if 1 < j < thresholds.size - 1:  # the rates hold on (score below, score j]: the smallest candidate
+        mid = (thresholds[j - 1] + threshold) / 2.0  # is their midpoint, unless it rounds onto either
+        threshold = mid if thresholds[j - 1] < mid < threshold else threshold
     return MetricReport(
         eer=eer,
         eer_threshold=eer_thr,
-        mdr_at_far=float(mdr[idx]),
-        threshold_at_far=float(cands[idx]),
+        mdr_at_far=float(mdr[j]),
+        threshold_at_far=float(threshold),
         far_target=far_target,
-        detection_rate=100.0 * (1.0 - float(mdr[idx])),
-        n_spoof=spoof.size,
-        n_bonafide=bona.size,
+        detection_rate=100.0 * (1.0 - float(mdr[j])),
+        n_spoof=n_spoof,
+        n_bonafide=n_bona,
     )
 
 
@@ -252,8 +251,7 @@ def checkpoint_eval(trials, protocol: EvalProtocol = EvalProtocol(), far_target:
 def det_curve(trials) -> DetCurve:
     """DET staircase: one point per distinct threshold step, plus the
     all-accept and all-reject extremes."""
-    bona, spoof = _split_scores(trials)
-    thresholds, far, mdr = _operating_points(bona, spoof)
+    thresholds, far, mdr, _, _ = _operating_points(trials)
     return DetCurve(thresholds=thresholds, far=far, mdr=mdr)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spoofbench import AudioClip, VadConfig, VadMask
 from spoofbench.audio import (
+    _MAX_FILTER_TAPS,
     WavFormatError,
     _design_polyphase,
     _upfirdn,
@@ -363,6 +364,15 @@ def test_upfirdn_equals_scipy_exactly_on_the_resampler_filters(src, dst):
     for n in (1, 2, len(h) // up - 1, 3 * src):
         x = np.random.default_rng(n).uniform(-1, 1, n)
         assert np.array_equal(_upfirdn(h, x, up, down), upfirdn(h, x, up=up, down=down))
+
+
+@pytest.mark.parametrize("src, dst, taps", [(767_999, 8000, 1_535_999), (511_999, 16000, 2_047_997)])
+def test_longest_filters_under_the_bound_still_resample(src, dst, taps):
+    """The longest filters that any rate up to 768 kHz needs at 8 and at 16 kHz."""
+    g = math.gcd(src, dst)
+    assert len(_design_polyphase(dst // g, src // g)[0]) == taps <= _MAX_FILTER_TAPS
+    out = resample(AudioClip(np.ones(src // 25), src), dst)  # 40 ms of DC
+    assert len(out) == dst // 25 and np.allclose(out.samples[len(out) // 4 : -len(out) // 4], 1.0)
 
 
 def test_polyphase_filter_is_designed_once_per_ratio_and_read_only():

@@ -161,6 +161,50 @@ class TestCmdVad:
         assert result.exit_code == 0, result.output
         assert [e.utt_id for e in __import__("spoofbench").read_manifest(out)] == ["../escaped", "a/b", "u1"]
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_trim_dir_refuses_an_entry_that_writes_another_entrys_input(self, runner, tmp_path, monkeypatch,
+                                                                         parallelism):
+        """a's trimmed file would be b's and c's input, b's a's: which ran first would decide the result."""
+        from spoofbench import cli, net_speech_seconds
+
+        monkeypatch.setattr(cli, "cores", lambda: 2)
+        d = tmp_path / "d"
+        d.mkdir()
+        short, long = make_clip_file(d / "a.wav", 0.6), make_clip_file(d / "b.wav", 1.6)
+        before = {p: p.read_bytes() for p in (short, long)}
+        write_manifest([ManifestEntry("a", str(long), "spoof", "x"), ManifestEntry("b", str(short), "spoof", "x"),
+                        ManifestEntry("c", str(short), "spoof", "x")], tmp_path / "m.jsonl")
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(main, ["vad", "--in", str(tmp_path / "m.jsonl"), "--out", str(out),
+                                      "--trim-dir", str(d), "--parallelism", str(parallelism)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [f"error: a: output {short} is also the path of entry b",
+                                              f"error: b: output {long} is also the path of entry a"]
+        assert {p: p.read_bytes() for p in before} == before
+        [entry] = __import__("spoofbench").read_manifest(out)
+        assert entry.utt_id == "c" and entry.path == str(d / "c.wav")
+        assert entry.net_speech_s == net_speech_seconds(detect_voice(load_wav(short)))
+
+    def test_entry_whose_resampling_filter_is_over_the_bound_fails_alone(self, runner, tmp_path):
+        """767,999 Hz -> 768,000 Hz needs a 50.7M-tap filter: refused before it is allocated."""
+        rate = 768_000
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sample_rate_hz": rate}))
+        bad, good = tmp_path / "bad.wav", tmp_path / "good.wav"
+        save_wav(AudioClip(np.zeros(30_720), rate - 1), bad)
+        save_wav(AudioClip(0.5 * np.sin(np.arange(rate // 2) * 0.05), rate), good)
+        write_manifest([ManifestEntry("bad", str(bad), "spoof", "x"),
+                        ManifestEntry("good", str(good), "bonafide", "x")], tmp_path / "m.jsonl")
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(main, ["--config", str(config), "vad", "--in", str(tmp_path / "m.jsonl"),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == ("error: bad: resampling 767999 Hz to 768000 Hz needs a 50687935-tap filter, "
+                                 "above 2097152 taps\n")
+        assert [e.utt_id for e in __import__("spoofbench").read_manifest(out)] == ["good"]
+
 
 class TestCmdPresent:
     def test_identity_job_byte_equal(self, runner, tmp_path):
@@ -1050,6 +1094,22 @@ class TestCmdEval:
         assert set(report["per_dataset"]) == {"dsA", "dsB"}
         assert "per_dataset_average" in report
         assert "pooled" in report
+
+    def test_scaled_scores_report_as_unscaled(self, runner, tmp_path):
+        """An inverted detector at 1e20 scale: float64 rounds the top score + 1 onto it, and the
+        all-reject extreme still holds, so every rate is the unit-scale file's."""
+        pooled = []
+        for scale in (1e0, 1e20):
+            path = tmp_path / f"scores-{scale:g}.csv"
+            write_scores_csv([TrialScore("b0", "bonafide", 3 * scale), TrialScore("b1", "bonafide", 4 * scale),
+                              TrialScore("s0", "spoof", 1 * scale), TrialScore("s1", "spoof", 2 * scale)], path)
+            out = tmp_path / f"report-{scale:g}.json"
+            result = runner.invoke(main, ["eval", "--scores", str(path), "--out", str(out), "--no-timestamp"])
+            assert result.exit_code == 0, result.output
+            pooled.append(json.loads(out.read_text())["pooled"])
+        assert pooled[0]["mdr_at_far"] == 1.0 and pooled[0]["detection_rate"] == 0.0
+        for key in ("eer", "mdr_at_far", "detection_rate"):
+            assert pooled[1][key] == pooled[0][key], key
 
     def test_single_class_fails(self, runner, tmp_path):
         path = tmp_path / "scores.csv"

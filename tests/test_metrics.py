@@ -77,6 +77,10 @@ class TestComputeEer:
         with pytest.raises(EvalError):
             compute_eer([TrialScore("a", "spoof", 0.5)])
 
+    @pytest.mark.parametrize("value", [1.0, 1e20])
+    def test_one_tie_is_half_at_any_scale(self, value):
+        assert compute_eer(trials_from([value], [value]))[0] == 0.5
+
     def test_tied_scores(self):
         trials = trials_from([0.5, 0.5, 0.2], [0.5, 0.5, 0.9])
         eer, _ = compute_eer(trials)
@@ -140,17 +144,18 @@ class TestScoreOrderInvariance:
     @given(st.integers(0, 2**32 - 1))
     def test_increasing_transform_preserves_metrics(self, seed):
         bona, spoof = gaussian_trials(seed, 5, 50)
+        bona.append(max(bona + spoof) + 1.0)  # a bonafide top score: only all-reject reaches FAR 0
         base = trials_from(bona, spoof)
-        transformed = trials_from(
-            [3.0 * b + 1.0 for b in bona], [3.0 * s + 1.0 for s in spoof]
-        )
-        assert compute_eer(base)[0] == pytest.approx(compute_eer(transformed)[0], abs=1e-9)
-        assert compute_mdr_at_far(base, 0.01)[0] == pytest.approx(
-            compute_mdr_at_far(transformed, 0.01)[0], abs=1e-9
-        )
-        curve_a, curve_b = det_curve(base), det_curve(transformed)
-        assert np.allclose(curve_a.far, curve_b.far)
-        assert np.allclose(curve_a.mdr, curve_b.mdr)
+        # past 2**53, top + 1.0 rounds onto top, and the extremes must hold all the same
+        for transform in (lambda v: 3.0 * v + 1.0, lambda v: v * 2.0**70):
+            transformed = trials_from([transform(b) for b in bona], [transform(s) for s in spoof])
+            assert compute_eer(base)[0] == pytest.approx(compute_eer(transformed)[0], abs=1e-9)
+            assert compute_mdr_at_far(base, 0.01)[0] == pytest.approx(
+                compute_mdr_at_far(transformed, 0.01)[0], abs=1e-9
+            )
+            curve_a, curve_b = det_curve(base), det_curve(transformed)
+            assert np.allclose(curve_a.far, curve_b.far)
+            assert np.allclose(curve_a.mdr, curve_b.mdr)
 
 
 class TestPooledEval:
@@ -289,9 +294,11 @@ class TestDetCurve:
         assert (np.diff(curve.thresholds) > 0).all()
 
     def test_endpoints(self):
-        curve = det_curve(trials_from([0.4, 0.5], [0.45, 0.55]))
-        assert curve.far[0] == 1.0 and curve.mdr[0] == 0.0
-        assert curve.far[-1] == 0.0 and curve.mdr[-1] == 1.0
+        """All-accept first and all-reject last, also where float64 rounds the top score + 1 onto it."""
+        for bona, spoof in (([0.4, 0.5], [0.45, 0.55]), ([0.5e20, 0.55e20], [0.4e20, 0.45e20])):
+            curve = det_curve(trials_from(bona, spoof))
+            assert curve.far[0] == 1.0 and curve.mdr[0] == 0.0
+            assert curve.far[-1] == 0.0 and curve.mdr[-1] == 1.0
 
     def test_eer_recoverable_from_curve(self):
         rng = np.random.default_rng(5)
