@@ -222,8 +222,16 @@ def build_pool(manifests, spec: PoolSpec = PoolSpec()) -> list[ManifestEntry]:
 
     Per (dataset, label): sort by utt_id, shuffle with a seed derived from
     (spec.seed, dataset, label), take the first per_class_per_dataset.  The
-    pool is emitted sorted by (dataset, label, utt_id).
+    pool is emitted sorted by (dataset, label, utt_id).  A utt_id held by more
+    than one entry of the manifests, filtered out or not, is a PoolError.
     """
+    owner = {}  # utt_id -> the dataset of its entry
+    for entry in (entry for manifest in manifests for entry in manifest):
+        if entry.utt_id in owner:
+            first = owner[entry.utt_id]
+            where = f"more than once in dataset {first!r}" if first == entry.dataset else "in more than one dataset"
+            raise PoolError(f"utt_id {entry.utt_id!r} appears {where}")
+        owner[entry.utt_id] = entry.dataset
     groups: dict[tuple[str, str], list[ManifestEntry]] = {}
     for manifest in manifests:
         for entry in filter_min_net_speech(manifest, spec.min_net_speech_s):
@@ -244,10 +252,4 @@ def build_pool(manifests, spec: PoolSpec = PoolSpec()) -> list[ManifestEntry]:
             order = rng.permutation(len(candidates))
             chosen = [candidates[i] for i in order[: spec.per_class_per_dataset]]
             pool.extend(sorted(chosen, key=lambda e: e.utt_id))
-
-    seen = set()
-    for entry in pool:
-        if entry.utt_id in seen:
-            raise PoolError(f"utt_id {entry.utt_id!r} appears in more than one dataset")
-        seen.add(entry.utt_id)
     return pool

@@ -41,7 +41,7 @@ def alaw_expand(y):
     return np.sign(y) * mag
 
 
-_LAWS = {
+LAWS = {
     "mulaw": (mulaw_compress, mulaw_expand),
     "alaw": (alaw_compress, alaw_expand),
 }
@@ -49,13 +49,13 @@ _LAWS = {
 
 def encode(samples, law: str) -> np.ndarray:
     """Compand and quantize to int8 codes."""
-    compress, _ = _LAWS[law]
+    compress, _ = LAWS[law]
     y = compress(np.asarray(samples, dtype=np.float64))
     return np.clip(np.rint(y * _LEVELS), -_LEVELS, _LEVELS - 1).astype(np.int8)
 
 
 def decode(codes, law: str) -> np.ndarray:
-    _, expand = _LAWS[law]
+    _, expand = LAWS[law]
     return expand(codes.astype(np.float64) / _LEVELS)
 
 

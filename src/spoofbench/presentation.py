@@ -24,7 +24,7 @@ from .audio import AudioClip
 from .seeding import derive_seed
 
 PATHS = ("injection_digital", "injection_analog", "playback")
-CODECS = ("mulaw", "alaw", "none")
+CODECS = (*g711.LAWS, "none")
 
 TELEPHONY_BAND_HZ = (300.0, 3400.0)
 
@@ -36,7 +36,9 @@ CLIP_THRESHOLD = 0.95
 class ChannelConfig:
     """One presentation path and its processing parameters.
 
-    gain_db and noise_snr_db may be (lo, hi) ranges sampled per seed.
+    gain_db and noise_snr_db may be (lo, hi) ranges sampled per seed.  Every
+    channel rule is checked as it is built: path is one of PATHS, codec one of
+    CODECS, ir is not empty and playback has one, and each range has lo <= hi.
     """
 
     path: str
@@ -52,6 +54,11 @@ class ChannelConfig:
             raise ValueError(f"unknown codec {self.codec!r}")
         if self.ir is not None and len(self.ir) == 0:
             raise ValueError("impulse response is empty")
+        if self.path == "playback" and self.ir is None:
+            raise ValueError("playback path requires an impulse response")
+        for name, value in (("gain_db", self.gain_db), ("noise_snr_db", self.noise_snr_db)):
+            if isinstance(value, (tuple, list)) and not value[0] <= value[1]:
+                raise ValueError(f"{name} range {list(value)} is reversed: lo must be <= hi")
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ def codec_roundtrip(clip: AudioClip, codec: str) -> AudioClip:
     """G.711 companding round trip at the telephony rate."""
     if clip.sample_rate_hz != 8000:
         raise ValueError("G.711 expects 8 kHz input")
-    if codec not in ("mulaw", "alaw"):
+    if codec not in g711.LAWS:
         raise ValueError(f"unknown codec {codec!r}")
     return AudioClip(g711.roundtrip(clip.samples, codec), clip.sample_rate_hz)
 
@@ -116,11 +123,12 @@ def _telephony_sos(sample_rate_hz: int):
 
 
 def bandpass_telephony(clip: AudioClip) -> AudioClip:
-    """300-3400 Hz Butterworth bandpass, cascaded biquads, zero state."""
+    """300-3400 Hz Butterworth bandpass, cascaded biquads, zero state; an empty clip stays empty."""
+    sos = _telephony_sos(clip.sample_rate_hz)
     from scipy.signal import sosfilt
 
-    y = sosfilt(_telephony_sos(clip.sample_rate_hz), clip.samples)
-    return AudioClip(y, clip.sample_rate_hz)
+    # sosfilt cannot filter an empty signal
+    return AudioClip(sosfilt(sos, clip.samples) if len(clip) else clip.samples, clip.sample_rate_hz)
 
 
 def apply_gain(clip: AudioClip, gain_db: float) -> AudioClip:
@@ -206,11 +214,18 @@ def impulsive_noise(clip: AudioClip, rate_per_s: float, amplitude_rel: float, se
     return AudioClip(x + hits * signs * amplitude_rel * local_rms, clip.sample_rate_hz)
 
 
-def _draw(value, rng):
-    if isinstance(value, tuple) or isinstance(value, list):
-        lo, hi = value
-        return float(rng.uniform(lo, hi))
+def _draw(value, seed: int, stage: str) -> float:
+    """value, or a uniform draw from a (lo, hi) range seeded by the stage's name."""
+    if isinstance(value, (tuple, list)):
+        return float(np.random.default_rng(derive_seed(seed, stage)).uniform(*value))
     return float(value)
+
+
+def _noise(clip: AudioClip, cfg: ChannelConfig, seed: int) -> AudioClip:
+    """clip with the channel's colored noise added, or clip when it adds none."""
+    if cfg.noise_snr_db is None:
+        return clip
+    return add_colored_noise(clip, _draw(cfg.noise_snr_db, seed, "snr"), derive_seed(seed, "noise"))
 
 
 def present(clip: AudioClip, cfg: ChannelConfig, seed: int) -> AudioClip:
@@ -220,30 +235,14 @@ def present(clip: AudioClip, cfg: ChannelConfig, seed: int) -> AudioClip:
     injection_analog:  gain -> soft clip -> noise -> bandpass -> codec
     injection_digital: gain -> codec
     """
-    gain_db = _draw(cfg.gain_db, np.random.default_rng(derive_seed(seed, "gain")))
-    out = apply_gain(clip, gain_db)
-
-    def maybe_noise(c: AudioClip) -> AudioClip:
-        if cfg.noise_snr_db is None:
-            return c
-        snr = _draw(cfg.noise_snr_db, np.random.default_rng(derive_seed(seed, "snr")))
-        return add_colored_noise(c, snr, derive_seed(seed, "noise"))
-
+    # each stage is a module global looked up here, so a wrapper put in its place sees every call
+    out = apply_gain(clip, _draw(cfg.gain_db, seed, "gain"))
     if cfg.path == "playback":
-        if cfg.ir is None:
-            raise ValueError("playback path requires an impulse response")
-        out = convolve_ir(out, cfg.ir)
-        out = bandpass_telephony(out)
-        if cfg.codec != "none":
-            out = codec_roundtrip(out, cfg.codec)
-        out = maybe_noise(out)
+        out = bandpass_telephony(convolve_ir(out, cfg.ir))
     elif cfg.path == "injection_analog":
-        out = soft_clip(out, CLIP_THRESHOLD)
-        out = maybe_noise(out)
-        out = bandpass_telephony(out)
-        if cfg.codec != "none":
-            out = codec_roundtrip(out, cfg.codec)
-    else:  # injection_digital
-        if cfg.codec != "none":
-            out = codec_roundtrip(out, cfg.codec)
+        out = bandpass_telephony(_noise(soft_clip(out, CLIP_THRESHOLD), cfg, seed))
+    if cfg.codec != "none":
+        out = codec_roundtrip(out, cfg.codec)
+    if cfg.path == "playback":
+        out = _noise(out, cfg, seed)
     return out

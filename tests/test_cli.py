@@ -251,6 +251,45 @@ class TestCmdPresent:
         assert result.exit_code == 1
         assert "impulse response" in result.stderr
 
+    def test_reversed_range_fails_only_its_job(self, runner, tmp_path):
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        good = {"input": str(src), "path": "injection_analog"}
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(json.dumps(job) + "\n" for job in [
+            {**good, "output": str(tmp_path / "g.wav"), "utt_id": "g", "gain_db": [5, 1]},
+            {**good, "output": str(tmp_path / "s.wav"), "utt_id": "s", "snr_db": [30.5, 10]},
+            {**good, "output": str(tmp_path / "ok.wav"), "utt_id": "ok", "gain_db": [1, 5]},
+        ]))
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == ["error: g: gain_db range [5, 1] is reversed: lo must be <= hi",
+                                              "error: s: noise_snr_db range [30.5, 10] is reversed: lo must be <= hi"]
+        assert [p.name for p in tmp_path.glob("*.wav") if p != src] == ["ok.wav"]
+
+    def test_empty_trimmed_input_presents_to_an_empty_wav_on_every_path(self, runner, tmp_path):
+        silent = tmp_path / "silent.wav"
+        save_wav(AudioClip(silence(1.0), SR), silent)
+        manifest = tmp_path / "m.jsonl"
+        write_manifest([ManifestEntry("quiet", str(silent), "bonafide", "d")], manifest)
+        trim = tmp_path / "trimmed"
+        result = runner.invoke(main, ["vad", "--in", str(manifest), "--out", str(tmp_path / "v.jsonl"),
+                                      "--trim-dir", str(trim)])
+        assert result.exit_code == 0, result.output
+        assert (trim / "quiet.wav").stat().st_size == 44  # a header and no samples
+        ir = tmp_path / "ir.wav"
+        save_wav(AudioClip(np.array([0.9, 0.3, 0.1]), SR), ir)
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(json.dumps({"input": str(trim / "quiet.wav"), "output": str(tmp_path / f"{path}.wav"),
+                                            "path": path, "codec": "mulaw", "gain_db": [-3, 3], "utt_id": path,
+                                            **({"ir": str(ir)} if path == "playback" else {})}) + "\n"
+                                for path in ("injection_digital", "injection_analog", "playback")))
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        for path in ("injection_digital", "injection_analog", "playback"):
+            assert (tmp_path / f"{path}.wav").stat().st_size == 44
+            assert len(load_wav(tmp_path / f"{path}.wav")) == 0
+
     def test_malformed_line_fails_only_that_job(self, runner, tmp_path):
         src = make_clip_file(tmp_path / "in.wav", 0.5)
         dst = tmp_path / "out.wav"
@@ -498,17 +537,31 @@ class TestCmdPool:
 
     def test_utt_id_in_two_datasets_fails_closed(self, runner, tmp_path):
         paths = []
-        for dataset in ("d1", "d2"):  # each holds a bonafide "x"
+        for dataset in ("d1", "d2"):  # each holds a bonafide "x" and one other, so a seed may leave x out
             path = tmp_path / f"{dataset}.jsonl"
-            write_manifest([ManifestEntry("x", "x.wav", "bonafide", dataset, net_speech_s=1.0),
-                            ManifestEntry(f"{dataset}-s", "x.wav", "spoof", dataset, net_speech_s=1.0)], path)
+            write_manifest([ManifestEntry(utt_id, "x.wav", label, dataset, net_speech_s=1.0) for utt_id, label in
+                            [("x", "bonafide"), (f"{dataset}-b", "bonafide"), (f"{dataset}-s", "spoof")]], path)
             paths += ["--manifests", str(path)]
         out = tmp_path / "pool.jsonl"
-        result = runner.invoke(main, ["pool", *paths, "--per-class", "1", "--out", str(out)])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # no traceback
-        assert result.stderr == "error: utt_id 'x' appears in more than one dataset\n"
-        assert not out.exists()
+        for seed in range(6):
+            result = runner.invoke(main, ["pool", *paths, "--per-class", "1", "--seed", str(seed), "--out", str(out)])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)  # no traceback
+            assert result.stderr == "error: utt_id 'x' appears in more than one dataset\n"
+            assert not out.exists()
+
+    def test_manifest_given_twice_names_its_dataset(self, runner, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_manifest([ManifestEntry(f"{label}{i}", "x.wav", label, "d", net_speech_s=1.0)
+                        for label, n in [("bonafide", 2), ("spoof", 3)] for i in range(n)], path)
+        out = tmp_path / "pool.jsonl"
+        for seed in range(6):
+            result = runner.invoke(main, ["pool", "--manifests", str(path), "--manifests", str(path),
+                                          "--per-class", "2", "--seed", str(seed), "--out", str(out)])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)  # no traceback
+            assert result.stderr == "error: utt_id 'bonafide0' appears more than once in dataset 'd'\n"
+            assert not out.exists()
 
     def test_manifests_are_required(self, runner, tmp_path):
         out = tmp_path / "pool.jsonl"

@@ -249,6 +249,13 @@ class TestBuildPool:
         ids = [e.utt_id for e in pool]
         assert len(set(ids)) == len(ids)
 
+    def test_repeated_utt_id_fails_though_the_filter_drops_it(self):
+        manifests = self.make_manifests(per_class=10)
+        first = manifests[0][0]
+        manifests[1].append(ManifestEntry(first.utt_id, first.path, "spoof", "ds1", net_speech_s=0.0))
+        with pytest.raises(PoolError, match=f"^utt_id '{first.utt_id}' appears in more than one dataset$"):
+            build_pool(manifests, PoolSpec(per_class_per_dataset=5, seed=0))
+
     def test_seed_determinism(self):
         spec = PoolSpec(per_class_per_dataset=10, seed=5)
         a = build_pool(self.make_manifests(), spec)

@@ -14,7 +14,7 @@ from spoofbench import (
     present,
     soft_clip,
 )
-from spoofbench.presentation import CLIP_THRESHOLD
+from spoofbench.presentation import CLIP_THRESHOLD, CODECS, PATHS
 from spoofbench.seeding import derive_seed
 from spoofbench import g711
 
@@ -107,6 +107,10 @@ class TestBandpass:
         out = bandpass_telephony(AudioClip(x, SR))
         att_db = 20 * np.log10(rms(out.samples[2 * SR :]) / rms(x[2 * SR :]))
         assert att_db <= -20.0
+
+    def test_empty_clip_stays_empty(self):
+        out = bandpass_telephony(AudioClip(np.zeros(0), SR))
+        assert len(out) == 0 and out.sample_rate_hz == SR
 
     def test_dc_blocked(self):
         x = np.full(4 * SR, 0.5)
@@ -223,9 +227,45 @@ class TestPresent:
         c = present(sine, cfg, seed=12)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_playback_requires_ir(self, sine):
-        with pytest.raises(ValueError, match="impulse response"):
-            present(sine, ChannelConfig(path="playback"), seed=0)
+    def test_playback_requires_ir(self):
+        with pytest.raises(ValueError, match="^playback path requires an impulse response$"):
+            ChannelConfig(path="playback")
+
+    @pytest.mark.parametrize("field", ["gain_db", "noise_snr_db"])
+    def test_reversed_range_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} range \[5, 1\] is reversed: lo must be <= hi$"):
+            ChannelConfig(path="injection_analog", **{field: (5, 1)})
+        ChannelConfig(path="injection_analog", **{field: (3, 3)})  # a range of one value is allowed
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("noise", [None, 25.0, (15.0, 30.0)])
+    @pytest.mark.parametrize("gain", [2.0, (-3.0, 3.0)])
+    def test_equals_the_stages_in_the_documented_order(self, sine, path, codec, noise, gain):
+        ir = AudioClip(np.concatenate([[0.8], 0.1 * np.random.default_rng(0).standard_normal(63)]), SR)
+        seed = 29
+
+        def draw(value, stage):
+            if not isinstance(value, tuple):
+                return value
+            return np.random.default_rng(derive_seed(seed, stage)).uniform(*value)
+
+        def noisy(c):
+            return c if noise is None else add_colored_noise(c, draw(noise, "snr"), derive_seed(seed, "noise"))
+
+        def coded(c):
+            return c if codec == "none" else codec_roundtrip(c, codec)
+
+        out = apply_gain(sine, draw(gain, "gain"))
+        if path == "playback":  # gain -> IR convolution -> bandpass -> codec -> noise
+            manual = noisy(coded(bandpass_telephony(convolve_ir(out, ir))))
+        elif path == "injection_analog":  # gain -> soft clip -> noise -> bandpass -> codec
+            manual = coded(bandpass_telephony(noisy(soft_clip(out, CLIP_THRESHOLD))))
+        else:  # gain -> codec; noise is ignored
+            manual = coded(out)
+        cfg = ChannelConfig(path=path, ir=ir if path == "playback" else None, codec=codec, gain_db=gain,
+                            noise_snr_db=noise)
+        assert np.array_equal(present(sine, cfg, seed).samples, manual.samples)
 
     def test_playback_with_unit_ir_equals_analog_without_clip_or_noise(self, sine):
         unit = AudioClip(np.array([1.0]), SR)
