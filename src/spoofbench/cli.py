@@ -170,7 +170,7 @@ def cmd_present(cfg: RunConfig, jobs_path, seed, parallelism):
     for lineno, line in read_lines(jobs_path):
         try:
             jobs.append((lineno, from_doc(PresentationJob, loads(line))))
-        except ValueError as exc:  # not JSON, or of the wrong shape
+        except ValueError as exc:  # not JSON, of the wrong shape, or a channel rule broken
             failures.append((lineno, f"line {lineno}", str(exc)))
     collisions = _collisions([(lineno, f"line {lineno}", {"input": job.input, "ir": job.ir, "output": job.output})
                               for lineno, job in jobs])
@@ -234,7 +234,7 @@ def _present_group(cfg: RunConfig, global_seed, jobs):
 
 def _present_job(cfg: RunConfig, global_seed, clip, job: PresentationJob):
     """Present clip, job's input read and resampled, through job's channel and write the output."""
-    ir = resample(load_wav(job.ir), cfg.sample_rate_hz) if job.ir else None
+    ir = None if job.ir is None else resample(load_wav(job.ir), cfg.sample_rate_hz)
     channel = ChannelConfig(path=job.path, ir=ir, codec=job.codec, gain_db=job.gain_db, noise_snr_db=job.snr_db)
     out = present(clip, channel, derive_seed(global_seed, job.name) if job.seed is None else job.seed)
     Path(job.output).parent.mkdir(parents=True, exist_ok=True)

@@ -116,7 +116,7 @@ class EvalProtocol:
 
     def __post_init__(self):
         cps = self.checkpoints_s
-        if any(c <= 0 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
+        if not all(0 < c < math.inf for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
             raise EvalError("checkpoints must be positive and strictly increasing")
 
 

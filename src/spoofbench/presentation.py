@@ -32,13 +32,27 @@ TELEPHONY_BAND_HZ = (300.0, 3400.0)
 CLIP_THRESHOLD = 0.95
 
 
+def _check_channel(path: str, codec: str, ir, **ranges) -> None:
+    """Every channel rule, for ChannelConfig and PresentationJob alike, in the order they are checked:
+    path is one of PATHS, codec one of CODECS, each (lo, hi) of ranges, keyed by the caller's own
+    field name, has lo <= hi, and an ir is given (not None) exactly when path is playback."""
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r} (expected one of {PATHS})")
+    if codec not in CODECS:
+        raise ValueError(f"unknown codec {codec!r}")
+    for key, value in ranges.items():
+        if isinstance(value, (tuple, list)) and not value[0] <= value[1]:
+            raise ValueError(f"{key} range {list(value)} is reversed: lo must be <= hi")
+    if (ir is not None) != (path == "playback"):
+        raise ValueError("playback path requires an impulse response" if ir is None
+                         else f"{path} path takes no impulse response")
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
-    """One presentation path and its processing parameters.
+    """One presentation path and its processing parameters, checked by _check_channel as it is built.
 
-    gain_db and noise_snr_db may be (lo, hi) ranges sampled per seed.  Every
-    channel rule is checked as it is built: path is one of PATHS, codec one of
-    CODECS, ir is not empty and playback has one, and each range has lo <= hi.
+    gain_db and noise_snr_db may be (lo, hi) ranges sampled per seed.
     """
 
     path: str
@@ -48,22 +62,13 @@ class ChannelConfig:
     noise_snr_db: float | tuple | None = None
 
     def __post_init__(self):
-        if self.path not in PATHS:
-            raise ValueError(f"unknown path {self.path!r} (expected one of {PATHS})")
-        if self.codec not in CODECS:
-            raise ValueError(f"unknown codec {self.codec!r}")
-        if self.ir is not None and len(self.ir) == 0:
-            raise ValueError("impulse response is empty")
-        if self.path == "playback" and self.ir is None:
-            raise ValueError("playback path requires an impulse response")
-        for name, value in (("gain_db", self.gain_db), ("noise_snr_db", self.noise_snr_db)):
-            if isinstance(value, (tuple, list)) and not value[0] <= value[1]:
-                raise ValueError(f"{name} range {list(value)} is reversed: lo must be <= hi")
+        _check_channel(self.path, self.codec, self.ir, gain_db=self.gain_db, noise_snr_db=self.noise_snr_db)
 
 
 @dataclass(frozen=True)
 class PresentationJob:
-    """One line of a presentation jobs file: where the audio comes from and goes, and its channel.
+    """One line of a presentation jobs file: where the audio comes from and goes, and its channel,
+    checked by _check_channel as it is built, before any file is read.
 
     A missing seed is derived from the global seed and the job's name (utt_id,
     else the input file's stem).
@@ -78,6 +83,9 @@ class PresentationJob:
     ir: str | None = None
     seed: int | None = None
     utt_id: str | None = None
+
+    def __post_init__(self):
+        _check_channel(self.path, self.codec, self.ir, gain_db=self.gain_db, snr_db=self.snr_db)
 
     @property
     def name(self) -> str:

@@ -240,16 +240,21 @@ class TestCmdPresent:
 
     def test_playback_without_ir_fails(self, runner, tmp_path):
         src = make_clip_file(tmp_path / "in.wav", 0.5)
+        empty = tmp_path / "empty.wav"
+        save_wav(AudioClip(np.zeros(0), SR), empty)
         jobs = tmp_path / "jobs.jsonl"
-        jobs.write_text(
-            json.dumps(
-                {"input": str(src), "output": str(tmp_path / "o.wav"), "path": "playback"}
-            )
-            + "\n"
-        )
+        jobs.write_text("".join(json.dumps(job) + "\n" for job in [
+            {"input": str(src), "output": str(tmp_path / "o.wav"), "path": "playback"},
+            {"input": str(src), "output": str(tmp_path / "e.wav"), "path": "playback", "ir": str(empty), "utt_id": "e"},
+            {"input": str(src), "output": str(tmp_path / "d.wav"), "path": "injection_digital"},
+        ]))
         result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
         assert result.exit_code == 1
         assert "impulse response" in result.stderr
+        # an empty IR is given, so it passes the jobs line and fails when its job runs, alone
+        assert result.stderr.splitlines() == ["error: line 1: playback path requires an impulse response",
+                                              "error: e: impulse response is empty"]
+        assert [p.name for p in tmp_path.glob("?.wav")] == ["d.wav"]
 
     def test_reversed_range_fails_only_its_job(self, runner, tmp_path):
         src = make_clip_file(tmp_path / "in.wav", 0.5)
@@ -263,9 +268,41 @@ class TestCmdPresent:
         result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr.splitlines() == ["error: g: gain_db range [5, 1] is reversed: lo must be <= hi",
-                                              "error: s: noise_snr_db range [30.5, 10] is reversed: lo must be <= hi"]
+        assert result.stderr.splitlines() == ["error: line 1: gain_db range [5, 1] is reversed: lo must be <= hi",
+                                              "error: line 2: snr_db range [30.5, 10] is reversed: lo must be <= hi"]
         assert [p.name for p in tmp_path.glob("*.wav") if p != src] == ["ok.wav"]
+
+    def test_job_is_checked_before_any_of_its_files_is_read(self, runner, tmp_path, monkeypatch):
+        """A job that breaks a channel rule fails on that rule, and no file it names is read."""
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        ir = tmp_path / "ir.wav"
+        save_wav(AudioClip(np.array([0.9, 0.3, 0.1]), SR), ir)
+        missing_ir, missing_input = tmp_path / "missing_ir.wav", tmp_path / "missing_input.wav"
+        from spoofbench import cli
+
+        loads = []
+        monkeypatch.setattr(cli, "load_wav", lambda path: loads.append(str(path)) or load_wav(path))
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(json.dumps(job) + "\n" for job in [
+            {"input": str(src), "output": str(tmp_path / "r.wav"), "path": "injection_analog", "utt_id": "r",
+             "gain_db": [5, 1], "ir": str(missing_ir)},
+            {"input": str(src), "output": str(tmp_path / "d.wav"), "path": "injection_digital", "utt_id": "d",
+             "ir": str(ir)},
+            {"input": str(missing_input), "output": str(tmp_path / "s.wav"), "path": "injection_analog",
+             "utt_id": "s", "snr_db": [30, 10]},
+            {"input": str(src), "output": str(tmp_path / "ok.wav"), "path": "injection_analog", "utt_id": "ok",
+             "gain_db": [1, 5]},
+        ]))
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [
+            "error: line 1: gain_db range [5, 1] is reversed: lo must be <= hi",
+            "error: line 2: injection_digital path takes no impulse response",
+            "error: line 3: snr_db range [30, 10] is reversed: lo must be <= hi",
+        ]
+        assert loads == [str(src)]  # the good job's input alone: no refused job's input or IR
+        assert [p.name for p in tmp_path.glob("*.wav") if p not in (src, ir)] == ["ok.wav"]
 
     def test_empty_trimmed_input_presents_to_an_empty_wav_on_every_path(self, runner, tmp_path):
         silent = tmp_path / "silent.wav"
@@ -335,8 +372,8 @@ class TestCmdPresent:
             'error: line 2: PresentationJob must be a mapping, not "utt_id"',
             "error: line 3: input must be a string, not 5",
             "error: line 4: gain_db must be a number or an array of 2, not [1, 2, 3]",
-            "error: c: unknown path 'wire' (expected one of ('injection_digital', 'injection_analog', 'playback'))",
-            "error: e: unknown codec 'opus'",
+            "error: line 5: unknown path 'wire' (expected one of ('injection_digital', 'injection_analog', 'playback'))",
+            "error: line 7: unknown codec 'opus'",
             "error: f: embedded null byte",
         ]
         assert sorted(p.name for p in tmp_path.glob("?.wav")) == ["a.wav", "d.wav"]

@@ -139,7 +139,7 @@ class TestFromDoc:
             from_doc(ManifestEntry, {**doc, "attack_id": 7}, rest="extra")
 
     def test_union_takes_the_first_arm_that_fits(self):
-        job = {"input": "i.wav", "output": "o.wav", "path": "playback"}
+        job = {"input": "i.wav", "output": "o.wav", "path": "injection_analog"}
         assert from_doc(PresentationJob, {**job, "gain_db": 3}).gain_db == 3
         assert from_doc(PresentationJob, {**job, "gain_db": [-3, 3.5]}).gain_db == (-3, 3.5)
         assert from_doc(PresentationJob, {**job, "snr_db": None, "seed": 5}).snr_db is None

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -279,6 +280,10 @@ class TestCheckpointEval:
             EvalProtocol(checkpoints_s=(3.0, 2.0))
         with pytest.raises(EvalError):
             EvalProtocol(checkpoints_s=(0.0, 2.0))
+        with pytest.raises(EvalError):
+            EvalProtocol(checkpoints_s=(math.nan,))
+        with pytest.raises(EvalError):
+            EvalProtocol(checkpoints_s=(2.0, math.inf))
 
 
 class TestDetCurve:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,25 @@ from spoofbench import (
     present,
     soft_clip,
 )
-from spoofbench.presentation import CLIP_THRESHOLD, CODECS, PATHS
+from spoofbench.corpus import from_doc
+from spoofbench.presentation import CLIP_THRESHOLD, CODECS, PATHS, PresentationJob
 from spoofbench.seeding import derive_seed
 from spoofbench import g711
 
 from conftest import SR, tone
+
+
+def refused_alike(message, ir=None, **fields):
+    """ChannelConfig(**fields) and a jobs line of the same fields both raise exactly message, formatted
+    with each one's own name for the SNR key (noise_snr_db, snr_db); ir is the job's path, and the
+    channel gets a unit impulse in its place."""
+    snr = fields.pop("noise_snr_db", None)
+    channel = {**fields, "noise_snr_db": snr, "ir": None if ir is None else AudioClip(np.array([1.0]), SR)}
+    job = {"input": "in.wav", "output": "out.wav", **fields, "snr_db": snr, "ir": ir}
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(snr='noise_snr_db'))}$"):
+        ChannelConfig(**channel)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(snr='snr_db'))}$"):
+        from_doc(PresentationJob, job)
 
 
 def rms(x):
@@ -228,14 +244,20 @@ class TestPresent:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_playback_requires_ir(self):
-        with pytest.raises(ValueError, match="^playback path requires an impulse response$"):
-            ChannelConfig(path="playback")
+        refused_alike("playback path requires an impulse response", path="playback")
+
+    @pytest.mark.parametrize("path", ["injection_digital", "injection_analog"])
+    def test_ir_off_playback_rejected(self, path):
+        refused_alike(f"{path} path takes no impulse response", path=path, ir="ir.wav")
 
     @pytest.mark.parametrize("field", ["gain_db", "noise_snr_db"])
     def test_reversed_range_rejected(self, field):
-        with pytest.raises(ValueError, match=rf"^{field} range \[5, 1\] is reversed: lo must be <= hi$"):
-            ChannelConfig(path="injection_analog", **{field: (5, 1)})
-        ChannelConfig(path="injection_analog", **{field: (3, 3)})  # a range of one value is allowed
+        key = "{snr}" if field == "noise_snr_db" else field
+        refused_alike(f"{key} range [5, 1] is reversed: lo must be <= hi", path="injection_analog", **{field: (5, 1)})
+        # a range of one value is allowed
+        ChannelConfig(path="injection_analog", **{field: (3, 3)})
+        from_doc(PresentationJob, {"input": "in.wav", "output": "out.wav", "path": "injection_analog",
+                                   "snr_db" if field == "noise_snr_db" else field: [3, 3]})
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("codec", CODECS)
@@ -298,5 +320,7 @@ class TestPresent:
             assert np.all(np.isfinite(out.samples))
 
     def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(path="carrier_pigeon")
+        refused_alike(f"unknown path 'carrier_pigeon' (expected one of {PATHS})", path="carrier_pigeon")
+
+    def test_unknown_codec_rejected(self):
+        refused_alike("unknown codec 'opus'", path="injection_analog", codec="opus")
