@@ -25,10 +25,6 @@ _POWER_FLOOR = 1e-12
 MAX_SAMPLE_RATE_HZ = 768_000
 
 
-class WavFormatError(ValueError):
-    """Base error for unreadable or unsupported WAV files."""
-
-
 @dataclass(frozen=True)
 class AudioClip:
     """Mono sample sequence with its sample rate.
@@ -99,7 +95,7 @@ def load_wav(path) -> AudioClip:
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     payload = None
@@ -110,23 +106,23 @@ def load_wav(path) -> AudioClip:
         body = data[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
             if len(body) < 16:  # declared so, or cut short by the end of the file
-                raise WavFormatError(f"{path}: fmt chunk too short")
+                raise ValueError(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             if len(body) < size:
-                raise WavFormatError(
-                    f"{path}: data chunk declares {size} bytes, file has {len(body)}"
-                )
+                raise ValueError(f"{path}: data chunk declares {size} bytes, file has {len(body)}")
             payload = body
         pos += 8 + size + (size & 1)
 
     if fmt is None or payload is None:
-        raise WavFormatError(f"{path}: missing fmt or data chunk")
+        raise ValueError(f"{path}: missing fmt or data chunk")
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels != 1:
-        raise WavFormatError(f"{path}: multichannel unsupported ({channels} channels)")
+        raise ValueError(f"{path}: multichannel unsupported ({channels} channels)")
+    if rate == 0:
+        raise ValueError(f"{path}: sample rate 0 Hz is not positive")
     if rate > MAX_SAMPLE_RATE_HZ:
-        raise WavFormatError(f"{path}: sample rate {rate} Hz above {MAX_SAMPLE_RATE_HZ} Hz")
+        raise ValueError(f"{path}: sample rate {rate} Hz above {MAX_SAMPLE_RATE_HZ} Hz")
     if (audio_format, bits) == (1, 16):
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0
@@ -134,9 +130,7 @@ def load_wav(path) -> AudioClip:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         samples = raw.astype(np.float64)
     else:
-        raise WavFormatError(
-            f"{path}: unsupported encoding (format={audio_format}, bits={bits})"
-        )
+        raise ValueError(f"{path}: unsupported encoding (format={audio_format}, bits={bits})")
     return AudioClip(samples, rate)
 
 

@@ -38,8 +38,9 @@ from .config import RunConfig, load_run_config
 from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, from_doc, loads, read_lines, read_manifest, write_manifest
 from .detector.model import MIN_INPUT_FRAMES, DetectorConfig, check_parameters, detector_forward, init_parameters, score
 from .detector.params import load_parameters, save_parameters
-from .features import FeatureError, frame_count, log_mel
+from .features import frame_count, log_mel
 from .metrics import (
+    EvalProtocol,
     TrialScore,
     checkpoint_eval,
     det_curve,
@@ -60,18 +61,17 @@ def _workers(cfg: RunConfig, parallelism, n_items):
 
 
 def _parse_checkpoints(ctx, param, value):
-    """--checkpoints as a tuple of distinct finite positive seconds; None and the bare flag pass through."""
+    """--checkpoints, sorted, as the checkpoints of an EvalProtocol; None and the bare flag pass through."""
     if value is None or value == "config":
         return value
     try:
-        cps = tuple(float(c) for c in value.split(","))
+        cps = tuple(sorted(float(c) for c in value.split(",")))
     except ValueError:
         raise click.BadParameter(f"{value!r} is not a comma-separated list of seconds") from None
-    if not all(math.isfinite(c) and c > 0 for c in cps):
-        raise click.BadParameter(f"{value!r}: each checkpoint must be a finite number of seconds above 0")
-    if len(set(cps)) < len(cps):
-        raise click.BadParameter(f"{value!r}: a checkpoint repeats")
-    return cps
+    try:
+        return EvalProtocol(cps).checkpoints_s
+    except ValueError as exc:
+        raise click.BadParameter(f"{value!r}: {exc}") from None
 
 
 def _not_nan(ctx, param, value):
@@ -288,12 +288,10 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         raise ValueError(f"{weights_path}: {exc}") from exc
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
     if cps is not None:
-        if not cps:
-            raise ValueError("protocol.checkpoints_s is empty: no checkpoint to score")
         k, sr = min(cps), cfg.sample_rate_hz  # the shortest checkpoint's prefix has the fewest frames
         try:
             frames = frame_count(prefix_samples(k, cfg.vad.hop_s, sr), sr, cfg.features)
-        except FeatureError as exc:  # a prefix shorter than one feature window, or a window over n_fft
+        except ValueError as exc:  # a prefix shorter than one feature window, or a window over n_fft
             raise ValueError(f"checkpoint {k:g}s: {exc}") from exc
         if frames < MIN_INPUT_FRAMES:
             raise ValueError(f"checkpoint {k:g}s: its prefix has {frames} frames; detector needs >= {MIN_INPUT_FRAMES}")

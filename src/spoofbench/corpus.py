@@ -31,14 +31,6 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), b
                str | None: ((str, type(None)), "a string or null")}
 
 
-class ManifestError(ValueError):
-    pass
-
-
-class PoolError(ValueError):
-    pass
-
-
 @cache
 def _fields_of(cls) -> tuple[dict, dict]:
     """Each field of cls with its annotation and the JSON types it takes as they are, resolved
@@ -147,13 +139,13 @@ class ManifestEntry:
 
     def __post_init__(self):
         if not self.utt_id:
-            raise ManifestError("utt_id must be nonempty")
+            raise ValueError("utt_id must be nonempty")
         if self.label not in LABELS:
-            raise ManifestError(f"{self.utt_id}: label must be one of {LABELS}")
+            raise ValueError(f"{self.utt_id}: label must be one of {LABELS}")
         if self.presentation not in PRESENTATIONS:
-            raise ManifestError(f"{self.utt_id}: presentation must be one of {PRESENTATIONS}")
+            raise ValueError(f"{self.utt_id}: presentation must be one of {PRESENTATIONS}")
         if self.net_speech_s < 0:
-            raise ManifestError(f"{self.utt_id}: net_speech_s must be >= 0")
+            raise ValueError(f"{self.utt_id}: net_speech_s must be >= 0")
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
@@ -180,9 +172,9 @@ def read_manifest(path) -> list[ManifestEntry]:
         try:
             entry = from_doc(ManifestEntry, loads(line), rest="extra")
         except ValueError as exc:  # not JSON, a key or value of the wrong kind, a bad value
-            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if entry.utt_id in seen:
-            raise ManifestError(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
         seen.add(entry.utt_id)
         entries.append(entry)
     return entries
@@ -193,7 +185,7 @@ def write_manifest(entries, path) -> None:
     lines = []
     for entry in entries:
         if entry.utt_id in seen:
-            raise ManifestError(f"duplicate utt_id {entry.utt_id!r}")
+            raise ValueError(f"duplicate utt_id {entry.utt_id!r}")
         seen.add(entry.utt_id)
         lines.append(entry.to_json())
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -223,14 +215,14 @@ def build_pool(manifests, spec: PoolSpec = PoolSpec()) -> list[ManifestEntry]:
     Per (dataset, label): sort by utt_id, shuffle with a seed derived from
     (spec.seed, dataset, label), take the first per_class_per_dataset.  The
     pool is emitted sorted by (dataset, label, utt_id).  A utt_id held by more
-    than one entry of the manifests, filtered out or not, is a PoolError.
+    than one entry of the manifests, filtered out or not, is a ValueError.
     """
     owner = {}  # utt_id -> the dataset of its entry
     for entry in (entry for manifest in manifests for entry in manifest):
         if entry.utt_id in owner:
             first = owner[entry.utt_id]
             where = f"more than once in dataset {first!r}" if first == entry.dataset else "in more than one dataset"
-            raise PoolError(f"utt_id {entry.utt_id!r} appears {where}")
+            raise ValueError(f"utt_id {entry.utt_id!r} appears {where}")
         owner[entry.utt_id] = entry.dataset
     groups: dict[tuple[str, str], list[ManifestEntry]] = {}
     for manifest in manifests:
@@ -244,10 +236,7 @@ def build_pool(manifests, spec: PoolSpec = PoolSpec()) -> list[ManifestEntry]:
         for label in LABELS:
             candidates = sorted(groups.get((dataset, label), []), key=lambda e: e.utt_id)
             if len(candidates) < spec.per_class_per_dataset:
-                raise PoolError(
-                    f"insufficient {label} in {dataset}: "
-                    f"{len(candidates)} < {spec.per_class_per_dataset}"
-                )
+                raise ValueError(f"insufficient {label} in {dataset}: {len(candidates)} < {spec.per_class_per_dataset}")
             rng = np.random.default_rng(derive_seed(spec.seed, f"{dataset}/{label}"))
             order = rng.permutation(len(candidates))
             chosen = [candidates[i] for i in order[: spec.per_class_per_dataset]]

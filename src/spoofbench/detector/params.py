@@ -21,10 +21,6 @@ FORMAT_NAME = "spoofbench-weights"
 FORMAT_VERSION = 1
 
 
-class WeightsError(ValueError):
-    """Base error for unreadable weight files."""
-
-
 @dataclass(frozen=True)
 class _Tensor:
     name: str
@@ -94,17 +90,15 @@ def load_parameters(path) -> ParameterStore:
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
-        raise WeightsError(f"{path}: missing manifest line")
+        raise ValueError(f"{path}: missing manifest line")
     try:
         manifest = loads(raw[:nl].decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, a non-finite number or nesting too deep
-        raise WeightsError(f"{path}: unreadable manifest: {exc}") from exc
+        raise ValueError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
-        raise WeightsError(f"{path}: not a {FORMAT_NAME} file")
+        raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     if manifest.get("format_version") != FORMAT_VERSION:
-        raise WeightsError(
-            f"{path}: unknown format version {manifest.get('format_version')}"
-        )
+        raise ValueError(f"{path}: unknown format version {manifest.get('format_version')}")
     try:
         blob_bytes, blob_sha256 = manifest["blob_bytes"], manifest["blob_sha256"]
         tensors = [astuple(from_doc(_Tensor, spec, key=f"tensors[{i}]")) for i, spec in enumerate(manifest["tensors"])]
@@ -113,30 +107,26 @@ def load_parameters(path) -> ParameterStore:
                 if n < 0:
                     raise ValueError(f"tensors[{i}].shape[{j}] must be >= 0, not {n}")
     except KeyError as exc:
-        raise WeightsError(f"{path}: manifest lacks field {exc}") from exc
+        raise ValueError(f"{path}: manifest lacks field {exc}") from exc
     except (TypeError, ValueError) as exc:  # a field of the wrong kind
-        raise WeightsError(f"{path}: malformed manifest: {exc}") from exc
+        raise ValueError(f"{path}: malformed manifest: {exc}") from exc
     blob = raw[nl + 1 :]
     if len(blob) != blob_bytes:
-        raise WeightsError(
-            f"{path}: blob has {len(blob)} bytes, manifest declares {blob_bytes}"
-        )
+        raise ValueError(f"{path}: blob has {len(blob)} bytes, manifest declares {blob_bytes}")
     if hashlib.sha256(blob).hexdigest() != blob_sha256:
-        raise WeightsError(f"{path}: blob checksum mismatch")
+        raise ValueError(f"{path}: blob checksum mismatch")
     store = ParameterStore(config=manifest.get("config"))
     end_seen = 0
     for name, shape, start in tensors:
         size = math.prod(shape)
         end = start + size * 4
         if start != end_seen or end > len(blob):
-            raise WeightsError(
-                f"{path}: tensor {name} shape/offset inconsistent with blob"
-            )
+            raise ValueError(f"{path}: tensor {name} shape/offset inconsistent with blob")
         end_seen = end
         try:
             store.add(name, np.frombuffer(blob[start:end], dtype="<f4").reshape(shape))
         except ValueError as exc:  # a repeated name, a non-finite value or a shape that does not fit
-            raise WeightsError(f"{path}: tensor {name}: {exc}") from exc
+            raise ValueError(f"{path}: tensor {name}: {exc}") from exc
     if end_seen != len(blob):
-        raise WeightsError(f"{path}: blob has {len(blob) - end_seen} trailing bytes")
+        raise ValueError(f"{path}: blob has {len(blob) - end_seen} trailing bytes")
     return store

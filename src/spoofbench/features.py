@@ -12,10 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class FeatureError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     n_mels: int = 64
@@ -29,13 +25,13 @@ class FeatureConfig:
 
     def __post_init__(self):
         if self.n_mels < 1:
-            raise FeatureError("n_mels must be >= 1")
+            raise ValueError("n_mels must be >= 1")
         if not (0 <= self.fmin_hz < self.fmax_hz):
-            raise FeatureError("require 0 <= fmin_hz < fmax_hz")
+            raise ValueError("require 0 <= fmin_hz < fmax_hz")
         if self.win_s <= 0 or self.hop_s <= 0 or self.n_fft < 1:
-            raise FeatureError("window, hop and n_fft must be positive")
+            raise ValueError("window, hop and n_fft must be positive")
         if self.log_floor <= 0:
-            raise FeatureError("log_floor must be positive")
+            raise ValueError("log_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class LogMelSpectrogram:
     def __post_init__(self):
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
         if arr.ndim != 2:
-            raise FeatureError("values must be 2-D (frames x mels)")
+            raise ValueError("values must be 2-D (frames x mels)")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -67,7 +63,7 @@ def mel_filterbank(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
     triangles are unit peak (no area normalization).
     """
     if cfg.fmax_hz > sample_rate_hz / 2:
-        raise FeatureError("fmax_hz above Nyquist")
+        raise ValueError("fmax_hz above Nyquist")
     n_bins = cfg.n_fft // 2 + 1
     bin_mels = hz_to_mel(np.arange(n_bins) * sample_rate_hz / cfg.n_fft)
     edges = np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
@@ -77,9 +73,7 @@ def mel_filterbank(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
     fb = np.maximum(0.0, np.minimum(rising, falling))
     empty = np.flatnonzero(fb.sum(axis=1) == 0.0)
     if empty.size:
-        raise FeatureError(
-            f"mel filter {empty[0]} has no FFT bins: n_mels too large for FFT resolution"
-        )
+        raise ValueError(f"mel filter {empty[0]} has no FFT bins: n_mels too large for FFT resolution")
     return fb
 
 
@@ -87,7 +81,7 @@ def _window_hop(cfg: FeatureConfig, sample_rate_hz: int) -> tuple[int, int]:
     win = int(round(cfg.win_s * sample_rate_hz))
     hop = int(round(cfg.hop_s * sample_rate_hz))
     if cfg.n_fft < win:
-        raise FeatureError(f"n_fft ({cfg.n_fft}) smaller than window ({win} samples)")
+        raise ValueError(f"n_fft ({cfg.n_fft}) smaller than window ({win} samples)")
     return win, hop
 
 
@@ -100,7 +94,7 @@ def frame_count(n_samples: int, sample_rate_hz: int, cfg: FeatureConfig = Featur
     """
     win, hop = _window_hop(cfg, sample_rate_hz)
     if n_samples < win:
-        raise FeatureError("clip too short for features")
+        raise ValueError("clip too short for features")
     return 1 + (n_samples - win) // hop
 
 

@@ -34,10 +34,6 @@ SCORES_HEADER = ["utt_id", "dataset", "label", "checkpoint_s", "score"]
 _CHUNK_ROWS = 65536  # rows parsed per step; a whole file's row lists at once would set the peak memory
 
 
-class EvalError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class TrialScore:
     utt_id: str
@@ -48,11 +44,11 @@ class TrialScore:
 
     def __post_init__(self):
         if self.label not in LABELS:
-            raise EvalError(f"{self.utt_id}: label must be one of {LABELS}")
+            raise ValueError(f"{self.utt_id}: label must be one of {LABELS}")
         if not math.isfinite(self.score):
-            raise EvalError(f"{self.utt_id}: score must be finite")
+            raise ValueError(f"{self.utt_id}: score must be finite")
         if self.checkpoint_s is not None and not (0 < self.checkpoint_s < math.inf):
-            raise EvalError(f"{self.utt_id}: checkpoint_s must be positive and finite")
+            raise ValueError(f"{self.utt_id}: checkpoint_s must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +108,22 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class EvalProtocol:
+    """The decision checkpoints, in net-speech seconds, checked as they are built, for a run config and
+    detect --checkpoints alike: at least one, each finite and above 0, strictly increasing."""
+
     checkpoints_s: tuple[float, ...] = (2.0, 3.0, 6.0, 9.0, 12.0, 15.0)
 
     def __post_init__(self):
         cps = self.checkpoints_s
-        if not all(0 < c < math.inf for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-            raise EvalError("checkpoints must be positive and strictly increasing")
+        if not cps:
+            raise ValueError("checkpoints_s is empty: no checkpoint to score")
+        for c in cps:
+            if not 0 < c < math.inf:
+                raise ValueError(f"checkpoint {c:g} is not a finite number of seconds above 0")
+        for a, b in zip(cps, cps[1:]):
+            if b <= a:
+                raise ValueError(f"checkpoint {b:g} repeats" if b == a else
+                                 f"checkpoint {b:g} follows {a:g}: checkpoints must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ def _operating_points(trials, context: str = ""):
     n_bona = scores.size - n_spoof
     if n_bona == 0 or n_spoof == 0:
         where = f" in {context}" if context else ""
-        raise EvalError(f"need at least one trial of each class{where}")
+        raise ValueError(f"need at least one trial of each class{where}")
     first = np.flatnonzero(np.concatenate([[True], scores[1:] != scores[:-1]]))  # each distinct score's first row
     spoof_below = np.concatenate([[0], np.cumsum(is_spoof)])[first]
     # integer counts first so boundary rates are exact fractions; the extremes
@@ -168,7 +174,7 @@ def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricRepor
     The only place scores become thresholds; every other metric reads it.
     """
     if not (0.0 < far_target <= 1.0):
-        raise EvalError("far_target must be in (0, 1]")
+        raise ValueError("far_target must be in (0, 1]")
     thresholds, far, mdr, n_bona, n_spoof = _operating_points(trials, context)
     eer, eer_thr = _eer_from_points(thresholds, far, mdr)
     j = int(np.argmax(far <= far_target))  # first hit; far is non-increasing
@@ -228,7 +234,7 @@ def _evaluate_groups(trials, column: str, keys, far_target: float, context: str)
     masks = {k: values == k for k in (sorted(set(values.tolist())) if keys is None else keys)}
     masks = {k: m for k, m in masks.items() if m.any()}
     if not masks:
-        raise EvalError(f"no trials in any {column} group")
+        raise ValueError(f"no trials in any {column} group")
     reports = {k: evaluate(table.select(m), far_target, context=context.format(k)) for k, m in masks.items()}
     return reports, _average_reports(list(reports.values()), far_target)
 
@@ -343,7 +349,7 @@ def _first_fault(path) -> str:
 
 def read_scores_csv(path) -> ScoreTable:
     """Parse a scores CSV into columns, a chunk of rows at a time; a file that
-    breaks a rule raises EvalError naming the first row that does, as path:line."""
+    breaks a rule raises ValueError naming the first row that does, as path:line."""
     chunks, clean = [], False
     gc_was_enabled = gc.isenabled()
     gc.disable()  # parsing makes millions of objects and no cycles
@@ -358,7 +364,7 @@ def read_scores_csv(path) -> ScoreTable:
     except csv.Error:  # a line that cannot be split, a field over csv.field_size_limit() say
         clean = False
     except UnicodeDecodeError as exc:
-        raise EvalError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -366,4 +372,4 @@ def read_scores_csv(path) -> ScoreTable:
         table = ScoreTable(*map(np.concatenate, zip(*chunks))) if chunks else ScoreTable.of(())
         if not _has_duplicate(table):
             return table
-    raise EvalError(_first_fault(path))
+    raise ValueError(_first_fault(path))

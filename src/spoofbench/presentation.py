@@ -32,20 +32,23 @@ TELEPHONY_BAND_HZ = (300.0, 3400.0)
 CLIP_THRESHOLD = 0.95
 
 
-def _check_channel(path: str, codec: str, ir, **ranges) -> None:
+def _check_channel(path: str, codec: str, ir, gain_db, snr_key: str, snr_db) -> None:
     """Every channel rule, for ChannelConfig and PresentationJob alike, in the order they are checked:
-    path is one of PATHS, codec one of CODECS, each (lo, hi) of ranges, keyed by the caller's own
-    field name, has lo <= hi, and an ir is given (not None) exactly when path is playback."""
+    path is one of PATHS, codec one of CODECS, a (lo, hi) gain_db or SNR has lo <= hi, an ir is given
+    (not None) exactly when path is playback, and an SNR only off injection_digital, whose stages add
+    no noise.  snr_key is the caller's own name for its SNR field."""
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r} (expected one of {PATHS})")
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}")
-    for key, value in ranges.items():
+    for key, value in (("gain_db", gain_db), (snr_key, snr_db)):
         if isinstance(value, (tuple, list)) and not value[0] <= value[1]:
             raise ValueError(f"{key} range {list(value)} is reversed: lo must be <= hi")
     if (ir is not None) != (path == "playback"):
         raise ValueError("playback path requires an impulse response" if ir is None
                          else f"{path} path takes no impulse response")
+    if snr_db is not None and path == "injection_digital":
+        raise ValueError(f"{path} path takes no {snr_key}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class ChannelConfig:
     noise_snr_db: float | tuple | None = None
 
     def __post_init__(self):
-        _check_channel(self.path, self.codec, self.ir, gain_db=self.gain_db, noise_snr_db=self.noise_snr_db)
+        _check_channel(self.path, self.codec, self.ir, self.gain_db, "noise_snr_db", self.noise_snr_db)
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class PresentationJob:
     utt_id: str | None = None
 
     def __post_init__(self):
-        _check_channel(self.path, self.codec, self.ir, gain_db=self.gain_db, snr_db=self.snr_db)
+        _check_channel(self.path, self.codec, self.ir, self.gain_db, "snr_db", self.snr_db)
 
     @property
     def name(self) -> str:

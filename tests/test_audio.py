@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spoofbench import AudioClip, VadConfig, VadMask
 from spoofbench.audio import (
     _MAX_FILTER_TAPS,
-    WavFormatError,
     _design_polyphase,
     _upfirdn,
     detect_voice,
@@ -63,36 +62,41 @@ class TestLoadWav:
 
     def test_stereo_rejected(self, tmp_path):
         payload = struct.pack("<4h", 0, 0, 0, 0)
-        with pytest.raises(WavFormatError, match=r"multichannel unsupported \(2 channels\)"):
+        with pytest.raises(ValueError, match=r"multichannel unsupported \(2 channels\)"):
             load_wav(make_wav(tmp_path / "a.wav", payload, channels=2))
 
     def test_unsupported_encoding(self, tmp_path):
         payload = struct.pack("<4h", 0, 0, 0, 0)
-        with pytest.raises(WavFormatError, match=r"unsupported encoding \(format=6, bits=16\)"):
+        with pytest.raises(ValueError, match=r"unsupported encoding \(format=6, bits=16\)"):
             load_wav(make_wav(tmp_path / "a.wav", payload, fmt=6))  # A-law WAV
 
     def test_truncated_data(self, tmp_path):
         payload = struct.pack("<2h", 1, 2)
-        with pytest.raises(WavFormatError, match="data chunk declares 1000 bytes, file has 4"):
+        with pytest.raises(ValueError, match="data chunk declares 1000 bytes, file has 4"):
             load_wav(make_wav(tmp_path / "a.wav", payload, data_size=1000))
 
     def test_fmt_chunk_cut_short(self, tmp_path):
         p = tmp_path / "a.wav"  # the fmt chunk declares 16 bytes, the file ends after 6
         p.write_bytes(struct.pack("<4sI4s4sI", b"RIFF", 18, b"WAVE", b"fmt ", 16) + bytes(6))
-        with pytest.raises(WavFormatError, match=f"^{re.escape(str(p))}: fmt chunk too short$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: fmt chunk too short$"):
             load_wav(p)
 
     def test_not_riff(self, tmp_path):
         p = tmp_path / "a.wav"
         p.write_bytes(b"not a wav at all")
-        with pytest.raises(WavFormatError, match="not a RIFF/WAVE file"):
+        with pytest.raises(ValueError, match="not a RIFF/WAVE file"):
             load_wav(p)
 
     def test_sample_rate_above_the_bound_rejected(self, tmp_path):
         payload = struct.pack("<2h", 1, 2)
         assert load_wav(make_wav(tmp_path / "a.wav", payload, rate=768_000)).sample_rate_hz == 768_000
         p = make_wav(tmp_path / "b.wav", payload, rate=2**31 - 1)
-        with pytest.raises(WavFormatError, match=f"^{re.escape(str(p))}: sample rate 2147483647 Hz above 768000 Hz$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: sample rate 2147483647 Hz above 768000 Hz$"):
+            load_wav(p)
+
+    def test_sample_rate_of_zero_rejected(self, tmp_path):
+        p = make_wav(tmp_path / "a.wav", struct.pack("<2h", 1, 2), rate=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: sample rate 0 Hz is not positive$"):
             load_wav(p)
 
     def test_save_load_roundtrip(self, tmp_path):

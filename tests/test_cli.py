@@ -256,6 +256,42 @@ class TestCmdPresent:
                                               "error: e: impulse response is empty"]
         assert [p.name for p in tmp_path.glob("?.wav")] == ["d.wav"]
 
+    def test_noise_on_digital_fails_only_its_job(self, runner, tmp_path):
+        """injection_digital adds no noise, so a job that asks it for an SNR is refused, on an empty input too."""
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        empty = tmp_path / "empty.wav"
+        save_wav(AudioClip(np.zeros(0), SR), empty)
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(json.dumps(job) + "\n" for job in [
+            {"input": str(src), "output": str(tmp_path / "z.wav"), "path": "injection_digital", "snr_db": 0},
+            {"input": str(empty), "output": str(tmp_path / "e.wav"), "path": "injection_digital", "snr_db": [10, 20]},
+            {"input": str(src), "output": str(tmp_path / "a.wav"), "path": "injection_analog", "snr_db": 0},
+            {"input": str(src), "output": str(tmp_path / "d.wav"), "path": "injection_digital"},
+        ]))
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == ["error: line 1: injection_digital path takes no snr_db",
+                                              "error: line 2: injection_digital path takes no snr_db"]
+        assert sorted(p.name for p in tmp_path.glob("?.wav")) == ["a.wav", "d.wav"]
+
+    def test_ir_of_zero_hz_is_named(self, runner, tmp_path):
+        """An IR whose header says 0 Hz fails its job with the IR's path, not the input's."""
+        src = make_clip_file(tmp_path / "in.wav", 0.5)
+        ir = tmp_path / "ir.wav"
+        save_wav(AudioClip(np.array([0.9, 0.3, 0.1]), SR), ir)
+        header = bytearray(ir.read_bytes())
+        header[24:28] = bytes(4)  # the fmt chunk's sample rate
+        ir.write_bytes(bytes(header))
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(json.dumps(job) + "\n" for job in [
+            {"input": str(src), "output": str(tmp_path / "p.wav"), "path": "playback", "ir": str(ir)},
+            {"input": str(src), "output": str(tmp_path / "d.wav"), "path": "injection_digital"},
+        ]))
+        result = runner.invoke(main, ["present", "--jobs", str(jobs), "--seed", "1"])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: in: {ir}: sample rate 0 Hz is not positive\n"
+        assert [p.name for p in tmp_path.glob("?.wav")] == ["d.wav"]
+
     def test_reversed_range_fails_only_its_job(self, runner, tmp_path):
         src = make_clip_file(tmp_path / "in.wav", 0.5)
         good = {"input": str(src), "path": "injection_analog"}
@@ -731,18 +767,21 @@ class TestCmdDetect:
         assert [(r.utt_id, r.checkpoint_s) for r in read_scores_csv(out).rows()] == [("ok", 2.0)]
         assert re.fullmatch(r"short: skipped \(1\.\d\ds net speech < first checkpoint 2s\)\n", result.stderr)
 
-    def test_empty_checkpoint_list_fails_closed(self, runner, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "protocol": {"checkpoints_s": []}}))
-        weights = self.init_weights(runner, str(config), tmp_path)
+    def test_empty_checkpoint_list_fails_closed(self, runner, config_path, tmp_path):
+        """An empty checkpoint list is refused when the run config is loaded, whatever the command."""
+        weights = self.init_weights(runner, config_path, tmp_path)
         manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
-        result = runner.invoke(
-            main,
-            ["--config", str(config), "detect", "--manifest", str(manifest),
-             "--weights", str(weights), "--out", str(tmp_path / "scores.csv"), "--checkpoints"],
-        )
-        assert result.exit_code == 1
-        assert result.stderr == "error: protocol.checkpoints_s is empty: no checkpoint to score\n"
+        scores = tmp_path / "scores.csv"
+        write_scores_csv([TrialScore("u", "spoof", 0.5, "d", 2.0)], scores)
+        config = tmp_path / "empty.json"
+        config.write_text(json.dumps({"detector": COMPACT_DETECTOR, "protocol": {"checkpoints_s": []}}))
+        for argv in (["detect", "--manifest", str(manifest), "--weights", str(weights),
+                      "--out", str(tmp_path / "out.csv"), "--checkpoints"],
+                     ["eval", "--scores", str(scores), "--checkpoint-avg"]):
+            result = runner.invoke(main, ["--config", str(config), *argv])
+            assert result.exit_code == 1
+            assert result.stderr == f"error: {config}: checkpoints_s is empty: no checkpoint to score\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_explicit_checkpoint_list(self, runner, config_path, tmp_path):
         weights = self.init_weights(runner, config_path, tmp_path)
@@ -875,12 +914,12 @@ class TestCmdDetect:
     @pytest.mark.parametrize("value, named", [
         ("2,x", "comma-separated list of seconds"),
         (",", "comma-separated list of seconds"),
-        ("nan", "finite number of seconds above 0"),
-        ("2,inf", "finite number of seconds above 0"),
-        ("0", "finite number of seconds above 0"),
-        ("2,-1", "finite number of seconds above 0"),
-        ("2,2", "a checkpoint repeats"),
-        ("3,2,3.0", "a checkpoint repeats"),
+        ("nan", "'nan': checkpoint nan is not a finite number of seconds above 0"),
+        ("2,inf", "'2,inf': checkpoint inf is not a finite number of seconds above 0"),
+        ("0", "'0': checkpoint 0 is not a finite number of seconds above 0"),
+        ("2,-1", "'2,-1': checkpoint -1 is not a finite number of seconds above 0"),
+        ("2,2", "'2,2': checkpoint 2 repeats"),
+        ("3,2,3.0", "'3,2,3.0': checkpoint 3 repeats"),
     ])
     def test_bad_checkpoint_list_is_a_usage_error(self, runner, tmp_path, value, named):
         manifest = make_manifest(tmp_path, [("u", "spoof", "d", 1.0)])

@@ -40,7 +40,6 @@ from spoofbench.detector.model import (
     res_cot_forward,
 )
 from spoofbench.corpus import from_doc
-from spoofbench.detector.params import WeightsError
 from spoofbench.features import LogMelSpectrogram
 
 from oracles import detector_forward_oracle, detector_param_count_oracle
@@ -397,7 +396,7 @@ class TestWeightsIO:
         save_parameters(store, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-64])
-        with pytest.raises(WeightsError, match=r"blob has \d+ bytes, manifest declares \d+"):
+        with pytest.raises(ValueError, match=r"blob has \d+ bytes, manifest declares \d+"):
             load_parameters(path)
 
     def test_corrupted_blob_checksum(self, store, tmp_path):
@@ -406,7 +405,7 @@ class TestWeightsIO:
         raw = bytearray(path.read_bytes())
         raw[-4] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(WeightsError, match="blob checksum mismatch"):
+        with pytest.raises(ValueError, match="blob checksum mismatch"):
             load_parameters(path)
 
     def test_edited_shape_rejected(self, store, tmp_path):
@@ -417,7 +416,7 @@ class TestWeightsIO:
         manifest = json.loads(raw[:nl])
         manifest["tensors"][0]["shape"] = [1, 2, 3]
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + raw[nl + 1 :])
-        with pytest.raises(WeightsError, match="shape/offset inconsistent with blob"):
+        with pytest.raises(ValueError, match="shape/offset inconsistent with blob"):
             load_parameters(path)
 
     def test_unknown_version_rejected(self, store, tmp_path):
@@ -428,7 +427,7 @@ class TestWeightsIO:
         manifest = json.loads(raw[:nl])
         manifest["format_version"] = 99
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + raw[nl + 1 :])
-        with pytest.raises(WeightsError, match="unknown format version 99"):
+        with pytest.raises(ValueError, match="unknown format version 99"):
             load_parameters(path)
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,6 @@ from spoofbench import (
 from spoofbench import metrics
 from spoofbench.corpus import LABELS
 from spoofbench.metrics import (
-    EvalError,
     evaluate,
     read_scores_csv,
     write_det_csv,
@@ -75,7 +75,7 @@ class TestComputeEer:
         assert thr == pytest.approx(oracle_thr, abs=1e-12)
 
     def test_single_class_rejected(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(ValueError, match="^need at least one trial of each class$"):
             compute_eer([TrialScore("a", "spoof", 0.5)])
 
     @pytest.mark.parametrize("value", [1.0, 1e20])
@@ -136,7 +136,7 @@ class TestMdrAtFar:
         assert all(a >= b for a, b in zip(mdrs, mdrs[1:]))
 
     def test_bad_target_rejected(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(ValueError, match=r"^far_target must be in \(0, 1\]$"):
             compute_mdr_at_far(trials_from([0.1], [0.9]), 0.0)
 
 
@@ -219,7 +219,7 @@ class TestPerDatasetEval:
         trials = trials_from([0.1], [0.9], dataset="ok") + [
             TrialScore("x", "spoof", 0.5, "broken")
         ]
-        with pytest.raises(EvalError, match="broken"):
+        with pytest.raises(ValueError, match="broken"):
             per_dataset_eval(trials)
 
 
@@ -272,18 +272,20 @@ class TestCheckpointEval:
         trials = trials_from([0.1], [0.9], checkpoint_s=2.0) + [
             TrialScore("z", "spoof", 0.5, checkpoint_s=3.0)
         ]
-        with pytest.raises(EvalError, match="checkpoint 3"):
+        with pytest.raises(ValueError, match="checkpoint 3"):
             checkpoint_eval(trials, EvalProtocol())
 
-    def test_protocol_validation(self):
-        with pytest.raises(EvalError):
-            EvalProtocol(checkpoints_s=(3.0, 2.0))
-        with pytest.raises(EvalError):
-            EvalProtocol(checkpoints_s=(0.0, 2.0))
-        with pytest.raises(EvalError):
-            EvalProtocol(checkpoints_s=(math.nan,))
-        with pytest.raises(EvalError):
-            EvalProtocol(checkpoints_s=(2.0, math.inf))
+    @pytest.mark.parametrize("checkpoints, message", [
+        ((3.0, 2.0), "checkpoint 2 follows 3: checkpoints must be strictly increasing"),
+        ((2.0, 3.0, 3.0), "checkpoint 3 repeats"),
+        ((0.0, 2.0), "checkpoint 0 is not a finite number of seconds above 0"),
+        ((math.nan,), "checkpoint nan is not a finite number of seconds above 0"),
+        ((2.0, math.inf), "checkpoint inf is not a finite number of seconds above 0"),
+        ((), "checkpoints_s is empty: no checkpoint to score"),
+    ])
+    def test_protocol_validation(self, checkpoints, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EvalProtocol(checkpoints_s=checkpoints)
 
 
 class TestDetCurve:
@@ -336,13 +338,13 @@ class TestScoresCsv:
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(EvalError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             read_scores_csv(path)
 
     def test_oversized_field_named(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("utt_id,dataset,label,checkpoint_s,score\na,d,spoof,,0.5\n" + "u" * 200_000 + ",d,spoof,,0.5\n")
-        with pytest.raises(EvalError) as info:
+        with pytest.raises(ValueError) as info:
             read_scores_csv(path)
         assert str(info.value) == f"{path}:3: field larger than field limit (131072)"
 
@@ -424,7 +426,7 @@ class TestScoresCsvChunks:
     ])
     def test_first_bad_row_named(self, tmp_path, edits, blank_before, line, message):
         path = self.write(tmp_path, edits, blank_before)
-        with pytest.raises(EvalError) as info:
+        with pytest.raises(ValueError) as info:
             read_scores_csv(path)
         assert str(info.value) == f"{path}:{line}: {message}"
 
@@ -516,7 +518,7 @@ class TestScoresCsvChunks:
             if expected is None:
                 assert read_scores_csv(path).rows() == trials
             else:
-                with pytest.raises(EvalError) as info:
+                with pytest.raises(ValueError) as info:
                     read_scores_csv(path)
                 assert str(info.value) == f"{path}:{expected[0]}: {expected[1]}"
 

@@ -250,6 +250,10 @@ class TestPresent:
     def test_ir_off_playback_rejected(self, path):
         refused_alike(f"{path} path takes no impulse response", path=path, ir="ir.wav")
 
+    @pytest.mark.parametrize("noise", [0.0, (15.0, 30.0)])
+    def test_noise_on_digital_rejected(self, noise):
+        refused_alike("injection_digital path takes no {snr}", path="injection_digital", noise_snr_db=noise)
+
     @pytest.mark.parametrize("field", ["gain_db", "noise_snr_db"])
     def test_reversed_range_rejected(self, field):
         key = "{snr}" if field == "noise_snr_db" else field
@@ -278,12 +282,16 @@ class TestPresent:
         def coded(c):
             return c if codec == "none" else codec_roundtrip(c, codec)
 
+        if path == "injection_digital" and noise is not None:  # its stages add no noise, so it takes no SNR
+            with pytest.raises(ValueError, match="^injection_digital path takes no noise_snr_db$"):
+                ChannelConfig(path=path, codec=codec, gain_db=gain, noise_snr_db=noise)
+            return
         out = apply_gain(sine, draw(gain, "gain"))
         if path == "playback":  # gain -> IR convolution -> bandpass -> codec -> noise
             manual = noisy(coded(bandpass_telephony(convolve_ir(out, ir))))
         elif path == "injection_analog":  # gain -> soft clip -> noise -> bandpass -> codec
             manual = coded(bandpass_telephony(noisy(soft_clip(out, CLIP_THRESHOLD))))
-        else:  # gain -> codec; noise is ignored
+        else:  # gain -> codec
             manual = coded(out)
         cfg = ChannelConfig(path=path, ir=ir if path == "playback" else None, codec=codec, gain_db=gain,
                             noise_snr_db=noise)
@@ -313,8 +321,8 @@ class TestPresent:
         assert len(out) <= len(sine) + len(ir)
 
     def test_finite_and_rate_preserved(self, sine):
-        for path in ("injection_digital", "injection_analog"):
-            cfg = ChannelConfig(path=path, codec="mulaw", gain_db=(-6, 6), noise_snr_db=(10, 20))
+        for path, noise in (("injection_digital", None), ("injection_analog", (10, 20))):
+            cfg = ChannelConfig(path=path, codec="mulaw", gain_db=(-6, 6), noise_snr_db=noise)
             out = present(sine, cfg, seed=3)
             assert out.sample_rate_hz == sine.sample_rate_hz
             assert np.all(np.isfinite(out.samples))

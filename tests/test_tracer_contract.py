@@ -77,7 +77,8 @@ def test_traced_present_spans_every_stage_of_its_path(tracer, monkeypatch, tmp_p
     save_wav(AudioClip(0.3 * np.sin(np.arange(8000) / 3.0), 8000), tmp_path / "in.wav")
     save_wav(AudioClip(np.concatenate([[0.8], 0.1 * rng.standard_normal(31)]), 8000), tmp_path / "ir.wav")
     job = {"input": str(tmp_path / "in.wav"), "output": str(tmp_path / "out.wav"), "path": path, "codec": "alaw",
-           "snr_db": [20, 30], "ir": str(tmp_path / "ir.wav") if path == "playback" else None}
+           "snr_db": None if path == "injection_digital" else [20, 30],
+           "ir": str(tmp_path / "ir.wav") if path == "playback" else None}
     (tmp_path / "jobs.jsonl").write_text(json.dumps(job) + "\n")
     result = CliRunner().invoke(cli.main, ["present", "--jobs", str(tmp_path / "jobs.jsonl"), "--seed", "0"])
     assert result.exit_code == 0, result.output
