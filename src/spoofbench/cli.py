@@ -76,7 +76,7 @@ def _parse_checkpoints(ctx, param, value):
 
 def _not_nan(ctx, param, value):
     if math.isnan(value):
-        raise click.BadParameter("nan is not a number of seconds")
+        raise click.BadParameter("nan is not a number")
     return value
 
 
@@ -361,7 +361,8 @@ def _full_length(trials, path):
 
 @main.command("eval")
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True))
-@click.option("--far", "far_target", type=float, default=0.01, show_default=True)
+@click.option("--far", "far_target", type=click.FloatRange(0, 1, min_open=True), default=0.01, show_default=True,
+              callback=_not_nan)
 @click.option("--pooled", is_flag=True)
 @click.option("--per-dataset", is_flag=True)
 @click.option("--checkpoint-avg", is_flag=True)

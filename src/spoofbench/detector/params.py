@@ -110,7 +110,7 @@ def load_parameters(path) -> ParameterStore:
         raise ValueError(f"{path}: manifest lacks field {exc}") from exc
     except (TypeError, ValueError) as exc:  # a field of the wrong kind
         raise ValueError(f"{path}: malformed manifest: {exc}") from exc
-    blob = raw[nl + 1 :]
+    blob = memoryview(raw)[nl + 1 :]  # a view, as is each tensor's slice: the weights are read into memory once
     if len(blob) != blob_bytes:
         raise ValueError(f"{path}: blob has {len(blob)} bytes, manifest declares {blob_bytes}")
     if hashlib.sha256(blob).hexdigest() != blob_sha256:

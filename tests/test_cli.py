@@ -1210,6 +1210,31 @@ class TestCmdEval:
         assert report["far_target"] == 0.01
         assert report["pooled"]["far_target"] == 0.01
 
+    @pytest.mark.parametrize("far", ["0", "2", "-0.5", "nan"])
+    def test_bad_far_is_a_usage_error(self, runner, tmp_path, far):
+        """--far is checked before the scores are read: on a file with a bad header it
+        is the --far error that is reported, as click's usage error."""
+        scores = tmp_path / "scores.csv"
+        scores.write_text("a,b,c\n1,2,3\n")
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["eval", "--scores", str(scores), "--far", far, "--out", str(out)])
+        assert result.exit_code == 2  # click's usage error
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "Invalid value for '--far'" in result.stderr
+        assert "expected header" not in result.stderr
+        assert not out.exists()
+
+    def test_far_of_one_accepted(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,c\n1,2,3\n")
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["eval", "--scores", str(bad), "--far", "1", "--out", str(out)])
+        self.assert_fails_closed(result, f"{bad}:1: expected header")
+        result = runner.invoke(main, ["eval", "--scores", str(self.write_toy_scores(tmp_path)), "--far", "1",
+                                      "--out", str(out), "--no-timestamp"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["pooled"]["far_target"] == 1.0
+
     def test_per_dataset_and_pooled_sections(self, runner, tmp_path):
         scores = self.write_toy_scores(tmp_path, separated=False)
         out = tmp_path / "report.json"

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -325,6 +326,19 @@ class TestDetCurve:
         assert fars == list(curve.far)
 
 
+    def test_csv_bytes_pinned(self, tmp_path):
+        """The header and one line per point, floats as repr, CRLF line ends."""
+        curve = DetCurve(np.array([-0.5, 1e-20, 0.1 + 0.2, 1.5]), np.array([1.0, 2 / 3, 0.5, 0.0]),
+                         np.array([0.0, 0.25, 1 / 3, 1.0]))
+        path = tmp_path / "det.csv"
+        write_det_csv(curve, path)
+        assert path.read_bytes() == (b"threshold,far,mdr\r\n"
+                                     b"-0.5,1.0,0.0\r\n"
+                                     b"1e-20,0.6666666666666666,0.25\r\n"
+                                     b"0.30000000000000004,0.5,0.3333333333333333\r\n"
+                                     b"1.5,0.0,1.0\r\n")
+
+
 class TestScoresCsv:
     def test_roundtrip(self, tmp_path):
         trials = trials_from([0.12345678901234], [0.9], dataset="dsA") + trials_from(
@@ -365,6 +379,27 @@ class TestScoresCsv:
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
         write_scores_csv(trials, path)
         assert read_scores_csv(path).rows() == trials
+
+    def test_peak_memory_near_the_table(self, tmp_path):
+        """Reading holds about one chunk of rows beyond the table it returns: the traced
+        peak is at most 3x the memory the table holds (12x with the whole file's rows at once)."""
+        scores = np.random.default_rng(9).normal(size=56_000).tolist()
+        lines = [",".join(metrics.SCORES_HEADER)]
+        for i in range(8_000):  # full length and six checkpoints per trial
+            for j, cp in enumerate(("", "2.0", "3.0", "6.0", "9.0", "12.0", "15.0")):
+                lines.append(f"t{i:05d},ds{i % 12},{LABELS[i % 2]},{cp},{scores[7 * i + j]!r}")
+        path, small = tmp_path / "scores.csv", tmp_path / "small.csv"
+        path.write_text("\n".join(lines) + "\n")
+        small.write_text("\n".join(lines[:15]) + "\n")
+        read_scores_csv(small)  # first-call caches outside the measurement
+        tracemalloc.start()
+        try:
+            table = read_scores_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 56_000
+        assert peak <= 3 * held, peak / held
 
     def test_metrics_of_table_equal_metrics_of_rows(self, tmp_path):
         rng = np.random.default_rng(8)
