@@ -45,7 +45,7 @@ from .detector.model import (
     score,
 )
 from .detector.ops import aggregate_layers, attentive_stats_pool
-from .detector.params import ParameterStore, count_parameters, load_parameters, save_parameters
+from .detector.params import ParameterStore, load_parameters, save_parameters
 from .features import FeatureConfig, LogMelSpectrogram, log_mel, mel_filterbank
 from .metrics import (
     DetCurve,
@@ -54,8 +54,6 @@ from .metrics import (
     ScoreTable,
     TrialScore,
     checkpoint_eval,
-    compute_eer,
-    compute_mdr_at_far,
     det_curve,
     per_dataset_eval,
     pooled_eval,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+import wave
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -136,25 +137,12 @@ def load_wav(path) -> AudioClip:
 
 def save_wav(clip: AudioClip, path) -> None:
     """Write a mono PCM16 WAV. Inverse of load_wav for PCM16 content."""
-    pcm = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    body = pcm.tobytes()
-    hdr = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(body),
-        b"WAVE",
-        b"fmt ",
-        16,
-        1,
-        1,
-        clip.sample_rate_hz,
-        clip.sample_rate_hz * 2,
-        2,
-        16,
-        b"data",
-        len(body),
-    )
-    Path(path).write_bytes(hdr + body)
+    pcm = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype(np.int16)  # wave writes native order as LE
+    with open(path, "wb") as fh, wave.open(fh, "wb") as w:  # wave.open takes no Path before Python 3.12
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(clip.sample_rate_hz)
+        w.writeframes(pcm.tobytes())
 
 
 # Resampler: windowed-sinc polyphase with a Kaiser window, ~64 taps per

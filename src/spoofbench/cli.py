@@ -38,7 +38,7 @@ from .config import RunConfig, load_run_config
 from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, from_doc, loads, read_lines, read_manifest, write_manifest
 from .detector.model import MIN_INPUT_FRAMES, DetectorConfig, check_parameters, detector_forward, init_parameters, score
 from .detector.params import load_parameters, save_parameters
-from .features import frame_count, log_mel
+from .features import check_frontend, frame_count, log_mel
 from .metrics import (
     EvalProtocol,
     TrialScore,
@@ -286,12 +286,17 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
         check_parameters(store, det_cfg)
     except ValueError as exc:
         raise ValueError(f"{weights_path}: {exc}") from exc
+    sr = cfg.sample_rate_hz
+    try:  # once here, not in every entry after it is loaded, resampled and VAD-ed
+        check_frontend(cfg.features, sr)
+    except ValueError as exc:
+        raise ValueError(f"features at {sr} Hz: {exc}") from exc
     cps = cfg.protocol.checkpoints_s if checkpoints == "config" else checkpoints
     if cps is not None:
-        k, sr = min(cps), cfg.sample_rate_hz  # the shortest checkpoint's prefix has the fewest frames
+        k = min(cps)  # the shortest checkpoint's prefix has the fewest frames
         try:
             frames = frame_count(prefix_samples(k, cfg.vad.hop_s, sr), sr, cfg.features)
-        except ValueError as exc:  # a prefix shorter than one feature window, or a window over n_fft
+        except ValueError as exc:  # a prefix shorter than one feature window
             raise ValueError(f"checkpoint {k:g}s: {exc}") from exc
         if frames < MIN_INPUT_FRAMES:
             raise ValueError(f"checkpoint {k:g}s: its prefix has {frames} frames; detector needs >= {MIN_INPUT_FRAMES}")

@@ -27,6 +27,8 @@ class RunConfig:
             raise ValueError("sample_rate_hz must be positive")
         if self.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
             raise ValueError(f"sample_rate_hz {self.sample_rate_hz} Hz above {MAX_SAMPLE_RATE_HZ} Hz")
+        if round(self.vad.hop_s * self.sample_rate_hz) < 1:  # the frame is no shorter: frame_len_s >= hop_s
+            raise ValueError(f"vad.hop_s {self.vad.hop_s:g} s is under one sample at {self.sample_rate_hz} Hz")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 

@@ -52,16 +52,8 @@ class ParameterStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
 
-    def names(self):
-        return list(self._tensors)
-
     def items(self):
         return self._tensors.items()
-
-
-def count_parameters(store: ParameterStore) -> int:
-    """Total number of scalar elements across all tensors."""
-    return sum(int(arr.size) for _, arr in store.items())
 
 
 def save_parameters(store: ParameterStore, path) -> None:

@@ -80,9 +80,17 @@ def mel_filterbank(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
 def _window_hop(cfg: FeatureConfig, sample_rate_hz: int) -> tuple[int, int]:
     win = int(round(cfg.win_s * sample_rate_hz))
     hop = int(round(cfg.hop_s * sample_rate_hz))
+    if win < 1 or hop < 1:
+        raise ValueError(f"window ({win} samples) and hop ({hop} samples) must each be at least one sample")
     if cfg.n_fft < win:
         raise ValueError(f"n_fft ({cfg.n_fft}) smaller than window ({win} samples)")
     return win, hop
+
+
+def check_frontend(cfg: FeatureConfig, sample_rate_hz: int) -> None:
+    """Raise ValueError unless log_mel can run cfg at sample_rate_hz: its window and hop, and its mel filters."""
+    _window_hop(cfg, sample_rate_hz)
+    mel_filterbank(cfg, sample_rate_hz)
 
 
 def frame_count(n_samples: int, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig()) -> int:

@@ -198,19 +198,6 @@ def evaluate(trials, far_target: float = 0.01, context: str = "") -> MetricRepor
     )
 
 
-def compute_eer(trials) -> tuple[float, float]:
-    """Equal error rate and its (interpolated) threshold."""
-    report = evaluate(trials)
-    return report.eer, report.eer_threshold
-
-
-def compute_mdr_at_far(trials, far_target: float = 0.01) -> tuple[float, float]:
-    """Missed-detection rate at the smallest achievable threshold with
-    FAR <= far_target (no interpolation)."""
-    report = evaluate(trials, far_target)
-    return report.mdr_at_far, report.threshold_at_far
-
-
 def pooled_eval(trials, far_target: float = 0.01) -> MetricReport:
     """Single-threshold metrics over the union of all datasets."""
     return evaluate(trials, far_target, context="pool")

@@ -25,11 +25,8 @@ from spoofbench import (
     attentive_stats_pool,
     bandpass_telephony,
     codec_roundtrip,
-    compute_eer,
-    compute_mdr_at_far,
     convolutive_distortion,
     convolve_ir,
-    count_parameters,
     detect_voice,
     detector_forward,
     impulsive_noise,
@@ -103,10 +100,10 @@ def test_criterion_1_metric_oracle_equivalence():
         spoof = rng.normal(rng.uniform(0.1, 2.0), 1.0, n_spoof)
         trials = [TrialScore(f"b{i}", "bonafide", float(s)) for i, s in enumerate(bona)]
         trials += [TrialScore(f"s{i}", "spoof", float(s)) for i, s in enumerate(spoof)]
-        eer, _ = compute_eer(trials)
-        assert abs(eer - _oracle_eer(bona, spoof)) < 1e-9
         target = float(rng.choice([0.01, 0.05, 0.1]))
-        mdr, thr = compute_mdr_at_far(trials, target)
+        report = evaluate(trials, target)
+        eer, mdr, thr = report.eer, report.mdr_at_far, report.threshold_at_far
+        assert abs(eer - _oracle_eer(bona, spoof)) < 1e-9
         omdr, othr = _oracle_mdr_at_far(bona, spoof, target)
         assert abs(mdr - omdr) < 1e-9
         assert abs(thr - othr) < 1e-9
@@ -219,7 +216,7 @@ def test_criterion_3_scoring_rule():
 def test_criterion_4_detector_shape_determinism(tmp_path):
     cfg = DetectorConfig()
     store = init_parameters(cfg, seed=11)
-    n = count_parameters(store)
+    n = sum(arr.size for _, arr in store.items())
     assert 3.0e6 <= n <= 4.1e6
     assert n == detector_param_count_oracle()
 
@@ -237,7 +234,7 @@ def test_criterion_4_detector_shape_determinism(tmp_path):
     path = tmp_path / "w.bin"
     save_parameters(store, path)
     back = load_parameters(path)
-    assert back.names() == store.names()
+    assert [n for n, _ in back.items()] == [n for n, _ in store.items()]
     for name, arr in store.items():
         assert np.array_equal(arr, back[name])
     print(f"\n[ACCEPTANCE] criterion 4: PASS - {n} parameters (= shape oracle, "
@@ -397,8 +394,9 @@ def test_criterion_7_protocol_pipeline(tmp_path):
     for cp in protocol.checkpoints_s:
         sub = [r for r in rows if r.checkpoint_s == cp]
         assert len(sub) == 50
-        eers.append(compute_eer(sub)[0])
-        mdrs.append(compute_mdr_at_far(sub, 0.01)[0])
+        report_cp = evaluate(sub, 0.01)
+        eers.append(report_cp.eer)
+        mdrs.append(report_cp.mdr_at_far)
         bona = np.array([r.score for r in sub if r.label == "bonafide"])
         spoof = np.array([r.score for r in sub if r.label == "spoof"])
         assert abs(eers[-1] - _oracle_eer(bona, spoof)) < 1e-9

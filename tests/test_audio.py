@@ -116,6 +116,10 @@ class TestAudioClip:
         with pytest.raises(ValueError):
             AudioClip(np.zeros(4), 0)
 
+    def test_rejects_more_than_one_dimension(self):
+        with pytest.raises(ValueError, match="^AudioClip samples must be one-dimensional$"):
+            AudioClip(np.zeros((2, 4)), SR)
+
     def test_samples_frozen(self, tone_clip):
         with pytest.raises(ValueError):
             tone_clip.samples[0] = 1.0
@@ -219,6 +223,10 @@ class TestNetSpeechSeconds:
     def test_matches_detector_output(self, tone_clip):
         mask = detect_voice(tone_clip)
         assert net_speech_seconds(mask) == pytest.approx(mask.flags.sum() * HOP)
+
+    def test_mask_hop_must_be_positive(self):
+        with pytest.raises(ValueError, match="^hop_s must be positive$"):
+            VadMask(np.zeros(3, dtype=bool), 0.0)
 
 
 class TestTrimNonspeech:

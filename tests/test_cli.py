@@ -898,6 +898,34 @@ class TestCmdDetect:
         assert result.stderr == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, checkpoints, message", [
+        ({"features": {"hop_s": 0.00001}}, [],
+         "features at 8000 Hz: window (200 samples) and hop (0 samples) must each be at least one sample"),
+        ({"features": {"hop_s": 0.00001}}, ["--checkpoints"],
+         "features at 8000 Hz: window (200 samples) and hop (0 samples) must each be at least one sample"),
+        ({"features": {"fmax_hz": 5000}}, [], "features at 8000 Hz: fmax_hz above Nyquist"),
+        ({"features": {"n_mels": 200}}, [],
+         "features at 8000 Hz: mel filter 2 has no FFT bins: n_mels too large for FFT resolution"),
+        ({"features": {"win_s": 0.05}}, [], "features at 8000 Hz: n_fft (256) smaller than window (400 samples)"),
+        ({"sample_rate_hz": 16000}, [], "features at 16000 Hz: n_fft (256) smaller than window (400 samples)"),
+    ], ids=["hop-0-samples", "hop-0-samples-checkpoints", "fmax-over-nyquist", "too-many-mels", "window-over-n_fft",
+            "16khz-window-over-n_fft"])
+    def test_frontend_that_cannot_run_is_refused_before_any_entry(self, runner, tmp_path, config, checkpoints,
+                                                                   message):
+        """Checked once, at the run's rate: the entry's file does not exist, so reading it would fail it."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"detector": COMPACT_DETECTOR, **config}))
+        weights = self.init_weights(runner, str(path), tmp_path)
+        manifest = tmp_path / "m.jsonl"
+        write_manifest([ManifestEntry("u", str(tmp_path / "absent.wav"), "spoof", "d")], manifest)
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(main, ["--config", str(path), "detect", "--manifest", str(manifest),
+                                      "--weights", str(weights), "--out", str(out), *checkpoints])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+
     def test_shortest_scorable_checkpoint_is_scored(self, runner, config_path, tmp_path):
         """The refusal is exact: the shortest checkpoint whose prefix has 16 frames scores."""
         weights = self.init_weights(runner, config_path, tmp_path)
@@ -973,6 +1001,19 @@ class TestUnreadableInputs:
         result = runner.invoke(main, ["vad", "--in", str(bad), "--out", str(tmp_path / "out")])
         self.assert_fails_closed(result, f"{bad}:1: {named}\n")
 
+    @pytest.mark.parametrize("command", ["vad", "detect"])
+    def test_vad_frame_under_one_sample_refused(self, runner, tmp_path, command):
+        """Refused as the config loads: a 0.4-sample hop rounds to none, and every entry would read 0 s of speech."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vad": {"frame_len_s": 0.00005, "hop_s": 0.00005}}))
+        manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
+        out = tmp_path / "out"
+        argv = {"vad": ["vad", "--in", str(manifest), "--out", str(out)],
+                "detect": ["detect", "--manifest", str(manifest), "--weights", str(manifest), "--out", str(out)]}[command]
+        result = runner.invoke(main, ["--config", str(config), *argv])
+        self.assert_fails_closed(result, f"{config}: vad.hop_s 5e-05 s is under one sample at 8000 Hz\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["vad", "pool", "config"])
     def test_json_nested_too_deep(self, runner, tmp_path, command):
         bad = tmp_path / "bad.json"
@@ -1035,6 +1076,9 @@ class TestUnreadableInputs:
         ({"vad": None}, "vad must be a mapping, not null"),
         ({"features": {"n_mels": 0}}, "n_mels must be >= 1"),
         ({"features": {"fmin_hz": 5000, "fmax_hz": 4000}}, "require 0 <= fmin_hz < fmax_hz"),
+        ({"features": {"win_s": 0}}, "window, hop and n_fft must be positive"),
+        ({"features": {"log_floor": 0}}, "log_floor must be positive"),
+        ({"vad": {"hop_s": 0.00005}}, "vad.hop_s 5e-05 s is under one sample at 8000 Hz"),
         ({"sample_rate_hz": 0}, "sample_rate_hz must be positive"),
         ({"sample_rate_hz": 1000000}, "sample_rate_hz 1000000 Hz above 768000 Hz"),
         ({"parallelism": 0}, "parallelism must be >= 1"),
@@ -1143,7 +1187,12 @@ class TestUnreadableInputs:
         (json.dumps({"format": "spoofbench-weights", "format_version": 1, "blob_bytes": 4,
                      "blob_sha256": hashlib.sha256(bytes(4)).hexdigest(), "tensors": []}).encode(), bytes(4),
          "blob has 4 trailing bytes\n"),
-    ], ids=["header-not-utf8", "trailing-bytes"])
+        (b"[]", b"", "not a spoofbench-weights file\n"),
+        (json.dumps({"format": "spoofbench-weights", "format_version": 1, "blob_bytes": 4,
+                     "blob_sha256": hashlib.sha256(np.float32("nan").tobytes()).hexdigest(),
+                     "tensors": [{"name": "a", "shape": [1], "offset": 0}]}).encode(), np.float32("nan").tobytes(),
+         "tensor a: tensor a contains non-finite values\n"),
+    ], ids=["header-not-utf8", "trailing-bytes", "not-an-object", "non-finite-value"])
     def test_unreadable_weights_bytes(self, runner, tmp_path, header, blob, named):
         weights = tmp_path / "w.bin"
         weights.write_bytes(header + b"\n" + blob)
@@ -1387,8 +1436,7 @@ class TestCmdDet:
         assert all(a <= b for a, b in zip(mdrs, mdrs[1:]))
 
     def test_eer_recoverable(self, runner, tmp_path):
-        from spoofbench import compute_eer
-        from spoofbench.metrics import DetCurve
+        from spoofbench.metrics import DetCurve, evaluate
 
         from oracles import eer_from_curve
 
@@ -1402,7 +1450,7 @@ class TestCmdDet:
         lines = out.read_text().strip().splitlines()[1:]
         cols = np.array([[float(v) for v in l.split(",")] for l in lines])
         curve = DetCurve(cols[:, 0], cols[:, 1], cols[:, 2])
-        assert abs(eer_from_curve(curve) - compute_eer(trials)[0]) < 1e-9
+        assert abs(eer_from_curve(curve) - evaluate(trials).eer) < 1e-9
 
 
     def test_checkpoint_rows_are_not_pooled(self, runner, tmp_path):

@@ -71,6 +71,12 @@ class TestManifestIO:
         with pytest.raises(ValueError, match=e.utt_id):
             read_manifest(p)
 
+    def test_write_refuses_a_duplicate_id(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        with pytest.raises(ValueError, match=r"^duplicate utt_id 'ds-bonafide-00001'$"):
+            write_manifest([entry(1), entry(2), entry(1)], p)
+        assert not p.exists()
+
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text(entry(1).to_json() + "\n{not json\n")
@@ -292,6 +298,10 @@ class TestBuildPool:
     def test_nan_min_net_speech_rejected(self):
         with pytest.raises(ValueError, match="min_net_speech_s must be >= 0"):
             PoolSpec(min_net_speech_s=float("nan"))
+
+    def test_per_class_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^per_class_per_dataset must be >= 1$"):
+            PoolSpec(per_class_per_dataset=0)
 
     def test_filter_then_pool_composition(self):
         manifests = self.make_manifests(per_class=30)

@@ -7,6 +7,7 @@ from spoofbench import (
     AudioClip,
     EvalProtocol,
     FeatureConfig,
+    LogMelSpectrogram,
     detect_voice,
     log_mel,
     mel_filterbank,
@@ -54,6 +55,18 @@ class TestFilterbank:
     def test_fmax_above_nyquist_rejected(self):
         with pytest.raises(ValueError, match="^fmax_hz above Nyquist$"):
             mel_filterbank(FeatureConfig(fmax_hz=5000.0), SR)
+
+
+class TestFrameGeometry:
+    @pytest.mark.parametrize("win_s, hop_s", [(0.025, 0.00001), (0.00001, 0.00001)])
+    def test_window_or_hop_under_one_sample_rejected(self, win_s, hop_s):
+        """A ValueError, not a division by zero by a hop of 0 samples."""
+        with pytest.raises(ValueError, match="must each be at least one sample$"):
+            frame_count(SR, SR, FeatureConfig(win_s=win_s, hop_s=hop_s))
+
+    def test_values_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match=r"^values must be 2-D \(frames x mels\)$"):
+            LogMelSpectrogram(np.zeros(64))
 
 
 class TestLogMel:

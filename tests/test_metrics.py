@@ -17,8 +17,6 @@ from spoofbench import (
     ScoreTable,
     TrialScore,
     checkpoint_eval,
-    compute_eer,
-    compute_mdr_at_far,
     det_curve,
     per_dataset_eval,
     pooled_eval,
@@ -58,18 +56,19 @@ def gaussian_trials(seed, n_min=10, n_max=1000):
 
 class TestComputeEer:
     def test_perfect_separation(self):
-        eer, _ = compute_eer(trials_from([0.1, 0.2], [0.8, 0.9]))
+        eer = evaluate(trials_from([0.1, 0.2], [0.8, 0.9])).eer
         assert eer == 0.0
 
     def test_inverted_labels(self):
-        eer, _ = compute_eer(trials_from([0.8, 0.9], [0.1, 0.2]))
+        eer = evaluate(trials_from([0.8, 0.9], [0.1, 0.2])).eer
         assert eer == 1.0
 
     def test_pinned_example(self):
         # bonafide {0.1, 0.4, 0.6}, spoof {0.3, 0.7, 0.9}: oracle value 1/3
         # with the crossing exactly at threshold 0.6
         trials = trials_from([0.1, 0.4, 0.6], [0.3, 0.7, 0.9])
-        eer, thr = compute_eer(trials)
+        report = evaluate(trials)
+        eer, thr = report.eer, report.eer_threshold
         oracle_eer, oracle_thr = eer_oracle([0.1, 0.4, 0.6], [0.3, 0.7, 0.9])
         assert eer == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert eer == pytest.approx(oracle_eer, abs=1e-12)
@@ -77,15 +76,15 @@ class TestComputeEer:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="^need at least one trial of each class$"):
-            compute_eer([TrialScore("a", "spoof", 0.5)])
+            evaluate([TrialScore("a", "spoof", 0.5)])
 
     @pytest.mark.parametrize("value", [1.0, 1e20])
     def test_one_tie_is_half_at_any_scale(self, value):
-        assert compute_eer(trials_from([value], [value]))[0] == 0.5
+        assert evaluate(trials_from([value], [value])).eer == 0.5
 
     def test_tied_scores(self):
         trials = trials_from([0.5, 0.5, 0.2], [0.5, 0.5, 0.9])
-        eer, _ = compute_eer(trials)
+        eer = evaluate(trials).eer
         bona, spoof = [0.5, 0.5, 0.2], [0.5, 0.5, 0.9]
         assert eer == pytest.approx(eer_oracle(bona, spoof)[0], abs=1e-12)
 
@@ -93,7 +92,8 @@ class TestComputeEer:
     @given(st.integers(0, 2**32 - 1))
     def test_matches_oracle_property(self, seed):
         bona, spoof = gaussian_trials(seed, 5, 60)
-        eer, thr = compute_eer(trials_from(bona, spoof))
+        report = evaluate(trials_from(bona, spoof))
+        eer, thr = report.eer, report.eer_threshold
         oracle_eer, oracle_thr = eer_oracle(bona, spoof)
         assert abs(eer - oracle_eer) < 1e-9
         assert abs(thr - oracle_thr) < 1e-9
@@ -102,11 +102,12 @@ class TestComputeEer:
 class TestMdrAtFar:
     def test_perfect_separation_zero(self):
         for target in (0.001, 0.01, 0.5, 1.0):
-            mdr, _ = compute_mdr_at_far(trials_from([0.1, 0.2], [0.8, 0.9]), target)
+            mdr = evaluate(trials_from([0.1, 0.2], [0.8, 0.9]), target).mdr_at_far
             assert mdr == 0.0
 
     def test_degenerate_target_one(self):
-        mdr, thr = compute_mdr_at_far(trials_from([0.4, 0.6], [0.3, 0.8]), 1.0)
+        report = evaluate(trials_from([0.4, 0.6], [0.3, 0.8]), 1.0)
+        mdr, thr = report.mdr_at_far, report.threshold_at_far
         assert mdr == 0.0
         assert thr < 0.3
 
@@ -114,7 +115,8 @@ class TestMdrAtFar:
         rng = np.random.default_rng(0)
         bona = list(rng.normal(0, 1, 200))
         spoof = list(rng.normal(0.5, 1, 200))
-        mdr, thr = compute_mdr_at_far(trials_from(bona, spoof), 0.01)
+        report = evaluate(trials_from(bona, spoof), 0.01)
+        mdr, thr = report.mdr_at_far, report.threshold_at_far
         omdr, othr = mdr_at_far_oracle(bona, spoof, 0.01)
         assert mdr == omdr
         assert thr == othr
@@ -123,7 +125,8 @@ class TestMdrAtFar:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.001, 0.01, 0.05, 0.25, 1.0]))
     def test_matches_oracle_property(self, seed, target):
         bona, spoof = gaussian_trials(seed, 5, 60)
-        mdr, thr = compute_mdr_at_far(trials_from(bona, spoof), target)
+        report = evaluate(trials_from(bona, spoof), target)
+        mdr, thr = report.mdr_at_far, report.threshold_at_far
         omdr, othr = mdr_at_far_oracle(bona, spoof, target)
         assert abs(mdr - omdr) < 1e-9
         assert abs(thr - othr) < 1e-9
@@ -133,12 +136,12 @@ class TestMdrAtFar:
     def test_monotone_in_target(self, seed):
         bona, spoof = gaussian_trials(seed, 5, 60)
         trials = trials_from(bona, spoof)
-        mdrs = [compute_mdr_at_far(trials, t)[0] for t in (0.005, 0.01, 0.05, 0.2, 1.0)]
+        mdrs = [evaluate(trials, t).mdr_at_far for t in (0.005, 0.01, 0.05, 0.2, 1.0)]
         assert all(a >= b for a, b in zip(mdrs, mdrs[1:]))
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError, match=r"^far_target must be in \(0, 1\]$"):
-            compute_mdr_at_far(trials_from([0.1], [0.9]), 0.0)
+            evaluate(trials_from([0.1], [0.9]), 0.0)
 
 
 class TestScoreOrderInvariance:
@@ -151,22 +154,15 @@ class TestScoreOrderInvariance:
         # past 2**53, top + 1.0 rounds onto top, and the extremes must hold all the same
         for transform in (lambda v: 3.0 * v + 1.0, lambda v: v * 2.0**70):
             transformed = trials_from([transform(b) for b in bona], [transform(s) for s in spoof])
-            assert compute_eer(base)[0] == pytest.approx(compute_eer(transformed)[0], abs=1e-9)
-            assert compute_mdr_at_far(base, 0.01)[0] == pytest.approx(
-                compute_mdr_at_far(transformed, 0.01)[0], abs=1e-9
-            )
+            a, b = evaluate(base), evaluate(transformed)
+            assert a.eer == pytest.approx(b.eer, abs=1e-9)
+            assert a.mdr_at_far == pytest.approx(b.mdr_at_far, abs=1e-9)
             curve_a, curve_b = det_curve(base), det_curve(transformed)
             assert np.allclose(curve_a.far, curve_b.far)
             assert np.allclose(curve_a.mdr, curve_b.mdr)
 
 
 class TestPooledEval:
-    def test_single_dataset_equals_compute(self):
-        trials = trials_from([0.1, 0.4, 0.6], [0.3, 0.7, 0.9])
-        report = pooled_eval(trials)
-        assert report.eer == compute_eer(trials)[0]
-        assert report.mdr_at_far == compute_mdr_at_far(trials, 0.01)[0]
-
     def test_duplication_invariance(self):
         trials = trials_from([0.1, 0.4, 0.6], [0.3, 0.7, 0.9], dataset="a")
         double = trials + trials_from([0.1, 0.4, 0.6], [0.3, 0.7, 0.9], dataset="b")
@@ -210,8 +206,9 @@ class TestPerDatasetEval:
             spoof = list(rng.normal(rng.uniform(0.3, 1.5), 1, 40))
             sub = trials_from(bona, spoof, dataset=f"d{d}")
             all_trials += sub
-            expected_eers.append(compute_eer(sub)[0])
-            expected_mdrs.append(compute_mdr_at_far(sub, 0.01)[0])
+            report = evaluate(sub, 0.01)
+            expected_eers.append(report.eer)
+            expected_mdrs.append(report.mdr_at_far)
         _, avg = per_dataset_eval(all_trials)
         assert abs(avg.eer - np.mean(expected_eers)) < 1e-12
         assert abs(avg.mdr_at_far - np.mean(expected_mdrs)) < 1e-12
@@ -312,7 +309,7 @@ class TestDetCurve:
         rng = np.random.default_rng(5)
         trials = trials_from(rng.normal(0, 1, 100), rng.normal(0.8, 1, 100))
         curve = det_curve(trials)
-        assert abs(eer_from_curve(curve) - compute_eer(trials)[0]) < 1e-9
+        assert abs(eer_from_curve(curve) - evaluate(trials).eer) < 1e-9
 
     def test_csv_roundtrip(self, tmp_path):
         trials = trials_from([0.1, 0.4], [0.3, 0.9])

@@ -111,6 +111,10 @@ class TestCodecRoundtrip:
         with pytest.raises(ValueError):
             codec_roundtrip(AudioClip(np.zeros(100), 16000), "mulaw")
 
+    def test_unknown_codec_rejected(self):
+        with pytest.raises(ValueError, match="^unknown codec 'opus'$"):
+            codec_roundtrip(AudioClip(np.zeros(100), SR), "opus")
+
 
 class TestBandpass:
     def test_1khz_passes_within_1db(self, sine):
@@ -127,6 +131,10 @@ class TestBandpass:
     def test_empty_clip_stays_empty(self):
         out = bandpass_telephony(AudioClip(np.zeros(0), SR))
         assert len(out) == 0 and out.sample_rate_hz == SR
+
+    def test_rate_below_twice_the_band_edge_rejected(self):
+        with pytest.raises(ValueError, match="^sample rate too low for the telephony band$"):
+            bandpass_telephony(AudioClip(np.zeros(100), 6000))  # Nyquist 3 kHz, under the 3.4 kHz edge
 
     def test_dc_blocked(self):
         x = np.full(4 * SR, 0.5)
@@ -209,6 +217,14 @@ class TestConvolutiveDistortion:
         out = convolutive_distortion(sine, 5, seed=3)
         assert not np.allclose(out.samples, sine.samples)
 
+    @pytest.mark.parametrize("n_filters, depth, message", [
+        (0, 1.0, r"^n_filters must be >= 1$"),
+        (5, 1.5, r"^depth must be in \[0, 1\]$"),
+    ])
+    def test_bad_argument_rejected(self, sine, n_filters, depth, message):
+        with pytest.raises(ValueError, match=message):
+            convolutive_distortion(sine, n_filters, seed=3, depth=depth)
+
 
 class TestImpulsiveNoise:
     def test_zero_rate_identity(self, sine):
@@ -219,6 +235,10 @@ class TestImpulsiveNoise:
         a = impulsive_noise(sine, 20.0, 2.0, seed=6)
         b = impulsive_noise(sine, 20.0, 2.0, seed=6)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_negative_rate_rejected(self, sine):
+        with pytest.raises(ValueError, match="^rate_per_s must be >= 0$"):
+            impulsive_noise(sine, -1.0, 2.0, seed=5)
 
     def test_expected_count_over_100s(self):
         clip = AudioClip(tone(500.0, 100.0, amplitude=0.4), SR)
