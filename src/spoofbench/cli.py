@@ -415,7 +415,10 @@ def cmd_det(scores_path, out_path):
 @click.pass_obj
 def cmd_init_weights(cfg: RunConfig, seed, out_path):
     """Write a freshly initialized weight file for the configured detector."""
-    store = init_parameters(cfg.detector, cfg.global_seed if seed is None else seed)
+    name, seed = ("global_seed", cfg.global_seed) if seed is None else ("--seed", seed)
+    if seed < 0:  # numpy's generator takes no negative seed
+        raise ValueError(f"init-weights: {name} {seed} is negative; the weights need a seed >= 0")
+    store = init_parameters(cfg.detector, seed)
     save_parameters(store, out_path)
 
 

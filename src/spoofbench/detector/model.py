@@ -13,8 +13,8 @@ No unit writes to its input: BN, ReLU and the additions run in place only
 on arrays the unit itself just created, which keeps the peak memory of a
 forward down without changing a bit of its result.  For the same reason a
 unit's weights are cast from the float32 store to float64 when the forward
-reaches that unit, once for all the tiles of its main pass and its fringe
-passes, and never all at once.
+reaches that unit, once for all the tiles of every prefix, and never all at
+once.
 """
 
 from __future__ import annotations
@@ -42,16 +42,16 @@ ATTN_REDUCTION = 4
 # Three stride-2 stages leave T/8 frames; 16 keeps every stage nonempty.
 MIN_INPUT_FRAMES = 16
 # Upper bounds on the width, each at least 4x its default: only init-weights
-# allocates the whole model a config asks for; check_parameters reads shapes alone.
+# allocates the full model a config asks for; check_parameters reads shapes alone.
 MAX_STAGE_CHANNELS = 1024
 MAX_BLOCKS_PER_STAGE = 8
 MAX_COT_KERNEL = 15
 MAX_POOL_HIDDEN = 512
 # Input elements (channels x mel bands x frames, halo aside) of one tile of a
-# unit's main pass: about 122 frames at every stage of the default width.  It
-# bounds all of a tile's scratch, a 3x3 conv's im2col patch (about 9x, 18 MB)
-# the largest, so the threads' freed buffers held in their own malloc arenas
-# add little to the peak memory of a forward.
+# unit: about 122 frames at every stage of the default width.  It bounds all
+# of a tile's scratch, a 3x3 conv's im2col patch (about 9x, 18 MB) the
+# largest, so the threads' freed buffers held in their own malloc arenas add
+# little to the peak memory of a forward.
 _TILE_ELEMS = 250_000
 
 
@@ -247,19 +247,22 @@ def _window(unit, stride, halo, x, start, fringe, first, last):
     The unit runs on just the input frames those outputs read, in a window
     that starts on the stride grid, and the outputs that read the zero
     padding at a cut edge of the window are dropped: the rest equal the
-    unit's pass over the whole input bit for bit.
+    unit's pass over the full input bit for bit.  Every output asked for
+    reads fringe, so the window reaches it.
     """
     lo = max(0, stride * first - halo) // stride * stride
     hi = min(start + fringe.shape[2], stride * (last - 1) + halo + 1)
-    if hi <= start:
-        window = x[:, :, lo:hi]
+    if lo >= start:
+        window = fringe[:, :, lo - start : hi - start]
     else:
-        window = np.concatenate([x[:, :, lo:start], fringe[:, :, max(0, lo - start) : hi - start]], axis=2)
+        window = np.concatenate([x[:, :, lo:start], fringe[:, :, : hi - start]], axis=2)
     return unit(window)[:, :, first - lo // stride : last - lo // stride]
 
 
-def _tile(y, window, first, last):
-    y[:, :, first:last] = window(first, last)
+def _tile(job):
+    """Write output frames lo .. hi-1 of a prefix into y, its buffer from output frame first on."""
+    y, window, first, lo, hi = job
+    y[:, :, lo - first : hi - first] = window(lo, hi)
 
 
 def _head(x, pool, fc) -> Logits:
@@ -275,21 +278,21 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
 
     With prefix_frames, a sequence of frame counts, returns one Logits per
     count, in order, each bit-identical to the forward of feat.values[:n].
-    Every unit runs once over the longest prefix.  A shorter prefix differs
-    from that pass only in a right-edge fringe of each activation, so the
-    unit runs again on just that fringe plus its halo, and only the fringe
-    is kept: the prefix's activation is the long pass's leading frames
-    followed by its fringe (streaming convolution, Rybakov et al.,
-    arXiv:2005.06720).
+    Each prefix's activation is a pair (start, fringe): the longest prefix's
+    activation x for its first start frames, then fringe; the longest prefix
+    is (0, x).  A shorter prefix differs from the longest only in a right-edge
+    fringe of each activation, so a unit computes just the outputs that read
+    that fringe (streaming convolution, Rybakov et al., arXiv:2005.06720),
+    and for the longest prefix that is every output.
 
-    The same window arithmetic cuts each unit's pass over the longest prefix
-    into tiles of contiguous output frames, each run on its input window of
-    at most about _TILE_ELEMS elements plus its halo.  threads threads, the
-    calling thread among them, run a unit's tiles and fringe passes together,
-    and the unit's outputs are bit-identical for every thread count.  threads
-    None means one per CPU this process may run on (parallel.cores(): its
-    affinity mask, not os.cpu_count()); CPU quotas are not counted.  The first
-    failed job, in job order, ends the forward with its exception.
+    Each prefix's outputs are cut into tiles of contiguous output frames,
+    each run on its input window of at most about _TILE_ELEMS elements plus
+    its halo.  threads threads, the calling thread among them, run all of a
+    unit's tiles, longest prefix first, and the unit's outputs are
+    bit-identical for every thread count.  threads None means one per CPU
+    this process may run on (parallel.cores(): its affinity mask, not
+    os.cpu_count()); CPU quotas are not counted.  The first failed tile, in
+    job order, ends the forward with its exception.
     """
     values = feat.values
     counts = [values.shape[0]] if prefix_frames is None else [int(n) for n in prefix_frames]
@@ -300,37 +303,27 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
             raise ValueError(f"prefix of {n} frames exceeds the input's {values.shape[0]}")
     longest = max(counts)
     x = values[:longest].T[None, :, :]  # (1, mels, frames)
-    # shorter prefix n -> (first frame that differs from x, its frames from there on)
-    fringes = {n: (n, x[:, :, n:n]) for n in set(counts) if n < longest}
+    prefixes = {longest: (0, x), **{n: (n, x[:, :, n:n]) for n in counts if n < longest}}
     threads = cores() if threads is None else threads
     for unit, stride, halo, channels in _units(store, cfg):
-        c, f, length = x.shape
-        y = np.empty((channels, -(-f // stride), -(-length // stride)))
-        whole = partial(_window, unit, stride, halo, x, length, x[:, :, length:])
+        c, f, _ = x.shape
         step = max(1, (_TILE_ELEMS // (c * f) - 2 * halo) // stride)
-        tiles = [partial(_tile, y, whole, t, min(t + step, y.shape[2])) for t in range(0, y.shape[2], step)]
-        # a shorter prefix's outputs from the first one that reads its fringe to its end
-        spans = {n: (max(0, -((halo - start) // stride)), -(-(start + fringe.shape[2]) // stride))
-                 for n, (start, fringe) in fringes.items()}
-        passes = [partial(_window, unit, stride, halo, x, start, fringe, *spans[n])
-                  for n, (start, fringe) in fringes.items()]
-        done = each(_call, tiles + passes, threads)
-        for _, exc in done:
+        jobs, outputs = [], {}
+        for n, (start, fringe) in prefixes.items():
+            # the outputs from the first one that reads the fringe to the prefix's end
+            first, last = max(0, -((halo - start) // stride)), -(-(start + fringe.shape[2]) // stride)
+            y = np.empty((channels, -(-f // stride), last - first))
+            window = partial(_window, unit, stride, halo, x, start, fringe)
+            jobs += [(y, window, first, t, min(t + step, last)) for t in range(first, last, step)]
+            outputs[n] = first, y
+        for _, exc in each(_tile, jobs, threads):
             if exc is not None:
                 raise exc
-        fringes = {n: (spans[n][0], out) for n, (out, _) in zip(fringes, done[len(tiles) :])}
-        x = y
+        prefixes, x = outputs, outputs[longest][1]
     pool, fc = _unit_params(store, "pool"), _unit_params(store, "fc")
-    logits = {longest: _head(x, pool, fc)}
-    for n, (start, fringe) in fringes.items():
-        logits[n] = _head(np.concatenate([x[:, :, :start], fringe], axis=2), pool, fc)
-    if prefix_frames is None:
-        return logits[longest]
-    return [logits[n] for n in counts]
-
-
-def _call(job):
-    return job()
+    logits = {n: _head(np.concatenate([x[:, :, :start], fringe], axis=2), pool, fc)
+              for n, (start, fringe) in prefixes.items()}
+    return logits[longest] if prefix_frames is None else [logits[n] for n in counts]
 
 
 @dataclass(frozen=True)

@@ -164,9 +164,8 @@ def _operating_points(trials, context: str = ""):
 def _eer_from_points(thresholds, far, mdr):
     diff = far - mdr  # non-increasing, starts at 1, ends at -1
     j = int(np.argmax(diff < 0))
-    i = j - 1
-    denom = diff[i] - diff[j]
-    t = 0.0 if denom == 0.0 else diff[i] / denom
+    i = j - 1  # diff[i] >= 0 > diff[j], so the denominator is positive
+    t = diff[i] / (diff[i] - diff[j])
     eer = far[i] + t * (far[j] - far[i])
     threshold = thresholds[i] + t * (thresholds[j] - thresholds[i])
     return float(eer), float(threshold)

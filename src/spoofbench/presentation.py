@@ -31,18 +31,29 @@ TELEPHONY_BAND_HZ = (300.0, 3400.0)
 # Level at which the analog path's soft clip saturates.
 CLIP_THRESHOLD = 0.95
 
+# Largest |gain_db| or |SNR| a channel takes, a range's ends included.  Any
+# bound under about 3,000 dB keeps the power ratio 10 ** (x / 10) finite and
+# nonzero in float64; past it a gain or an SNR overflows mid-job.
+MAX_LEVEL_DB = 1000.0
+
 
 def _check_channel(path: str, codec: str, ir, gain_db, snr_key: str, snr_db) -> None:
     """Every channel rule, for ChannelConfig and PresentationJob alike, in the order they are checked:
-    path is one of PATHS, codec one of CODECS, a (lo, hi) gain_db or SNR has lo <= hi, an ir is given
-    (not None) exactly when path is playback, and an SNR only off injection_digital, whose stages add
-    no noise.  snr_key is the caller's own name for its SNR field."""
+    path is one of PATHS, codec one of CODECS, a gain_db or SNR lies within +-MAX_LEVEL_DB (a NaN does
+    not), each end of a (lo, hi) one too, with lo <= hi, an ir is given (not None) exactly when path is
+    playback, and an SNR only off injection_digital, whose stages add no noise.  snr_key is the
+    caller's own name for its SNR field."""
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r} (expected one of {PATHS})")
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}")
     for key, value in (("gain_db", gain_db), (snr_key, snr_db)):
-        if isinstance(value, (tuple, list)) and not value[0] <= value[1]:
+        pair = isinstance(value, (tuple, list))
+        ends = value if pair else () if value is None else (value,)
+        if not all(-MAX_LEVEL_DB <= end <= MAX_LEVEL_DB for end in ends):
+            named = f"{key} range {list(value)}" if pair else f"{key} {value}"
+            raise ValueError(f"{named} is outside [-{MAX_LEVEL_DB:g}, {MAX_LEVEL_DB:g}] dB")
+        if pair and not value[0] <= value[1]:
             raise ValueError(f"{key} range {list(value)} is reversed: lo must be <= hi")
     if (ir is not None) != (path == "playback"):
         raise ValueError("playback path requires an impulse response" if ir is None

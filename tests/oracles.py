@@ -5,7 +5,8 @@ obtained by counting over explicit candidate thresholds, the parameter
 count by summing shape products from the documented architecture, and the
 detector's logits by a forward that loops over output positions and
 imports nothing from the library's tensor ops; the speech cut by walking
-the mask one hop at a time.
+the mask one hop at a time; the log-mel by direct DFT sums and filters
+evaluated bin by bin; the VAD by per-frame energy loops.
 """
 
 from __future__ import annotations
@@ -215,3 +216,80 @@ def net_speech_prefix_oracle(samples, flags, hop, hop_s, k_seconds):
         return trim_nonspeech_oracle(samples, flags, hop)
     j = int(hit[0])
     return trim_nonspeech_oracle(samples[: (j + 1) * hop], flags[: j + 1], hop)
+
+
+def _hz_to_mel(f):
+    """HTK mel scale."""
+    return 2595.0 * math.log10(1.0 + f / 700.0)
+
+
+def log_mel_oracle(samples, sample_rate_hz, cfg):
+    """(frames, n_mels) log-mel of the documented frontend, computed one frame, bin and filter at a time.
+
+    Each frame of win samples, one every hop, is weighted by the symmetric Hann
+    window 0.5 - 0.5 cos(2 pi n / (win - 1)), whose both ends are 0; its power
+    at bin k of an n_fft-point DFT is |sum_n x[n] w[n] exp(-2 pi i k n / n_fft)|^2.
+    Filter m is the unit-peak triangle over the mel scale from edge m to edge
+    m + 2 of n_mels + 2 edges spaced evenly from fmin to fmax, evaluated at each
+    bin's frequency k * rate / n_fft.  Output is log(max(mel power, log_floor)),
+    then per-band mean/variance normalized when mean_var_norm is on.
+    """
+    win, hop = round(cfg.win_s * sample_rate_hz), round(cfg.hop_s * sample_rate_hz)
+    hann = np.array([0.5 - 0.5 * math.cos(2.0 * math.pi * n / (win - 1)) for n in range(win)] if win > 1 else [1.0])
+    n_bins = cfg.n_fft // 2 + 1
+    # exp(-2 pi i k n / n_fft), the angle reduced mod 2 pi exactly in integers
+    angle = 2.0 * math.pi * (np.outer(np.arange(win), np.arange(n_bins)) % cfg.n_fft) / cfg.n_fft
+    lo_mel, hi_mel = _hz_to_mel(cfg.fmin_hz), _hz_to_mel(cfg.fmax_hz)
+    edges = [lo_mel + j * (hi_mel - lo_mel) / (cfg.n_mels + 1) for j in range(cfg.n_mels + 2)]
+    bank = np.zeros((cfg.n_mels, n_bins))
+    for m in range(cfg.n_mels):
+        lo, ctr, hi = edges[m : m + 3]
+        for k in range(n_bins):
+            mel = _hz_to_mel(k * sample_rate_hz / cfg.n_fft)
+            if lo < mel <= ctr:
+                bank[m, k] = (mel - lo) / (ctr - lo)
+            elif ctr < mel < hi:
+                bank[m, k] = (hi - mel) / (hi - ctr)
+    rows = []
+    for start in range(0, len(samples) - win + 1, hop):
+        frame = np.asarray(samples[start : start + win], dtype=np.float64) * hann
+        re, im = frame @ np.cos(angle), -(frame @ np.sin(angle))
+        power = re * re + im * im
+        rows.append([math.log(max(float(bank[m] @ power), cfg.log_floor)) for m in range(cfg.n_mels)])
+    out = np.array(rows)
+    if cfg.mean_var_norm:
+        out = (out - out.mean(axis=0)) / np.maximum(out.std(axis=0), 1e-8)
+    return out
+
+
+def vad_oracle(samples, sample_rate_hz, cfg):
+    """Speech flags of the documented energy VAD, one frame at a time.
+
+    Frame i covers samples [i * hop, i * hop + frame_len), cut at the clip's end,
+    one per hop while a frame starts inside the clip; its energy is
+    10 log10(max(mean square, 1e-12)) over the samples it covers.  A frame is
+    speech when its energy exceeds max(abs_floor_db, min(floor + margin,
+    peak - margin), peak - margin / 2), with floor the 10th percentile of the
+    energies (linear between order statistics) and peak their maximum.  Each
+    speech frame then flags itself and the next hangover_frames frames.  A clip
+    shorter than one frame has no frames.
+    """
+    frame_len, hop = round(cfg.frame_len_s * sample_rate_hz), round(cfg.hop_s * sample_rate_hz)
+    if len(samples) < frame_len:
+        return []
+    energies = []
+    for start in range(0, len(samples), hop):
+        covered = [float(v) for v in samples[start : start + frame_len]]
+        energies.append(10.0 * math.log10(max(sum(v * v for v in covered) / len(covered), 1e-12)))
+    ordered = sorted(energies)
+    pos = 0.1 * (len(ordered) - 1)
+    below = int(pos)
+    floor = ordered[below] + (pos - below) * (ordered[min(below + 1, len(ordered) - 1)] - ordered[below])
+    peak, margin = ordered[-1], cfg.energy_margin_db
+    threshold = max(cfg.abs_floor_db, min(floor + margin, peak - margin), peak - margin / 2.0)
+    flags = [False] * len(energies)
+    for i, energy in enumerate(energies):
+        if energy > threshold:
+            for j in range(i, min(i + cfg.hangover_frames + 1, len(flags))):
+                flags[j] = True
+    return flags

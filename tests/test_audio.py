@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from spoofbench.audio import (
 )
 
 from conftest import SR, silence, tone
-from oracles import net_speech_prefix_oracle, trim_nonspeech_oracle
+from oracles import net_speech_prefix_oracle, trim_nonspeech_oracle, vad_oracle
 
 HOP = 0.010
 FRAME = 0.025
@@ -327,6 +328,50 @@ def test_speech_cut_equals_the_per_hop_oracle(rate, hop_s, n, flags, hops):
     assert np.array_equal(trimmed.samples, trim_nonspeech_oracle(samples, mask.flags, hop))
     assert np.array_equal(prefix.samples, net_speech_prefix_oracle(samples, mask.flags, hop, hop_s, k))
     assert trimmed.sample_rate_hz == prefix.sample_rate_hz == rate
+
+
+def bursts(seed, rate, seconds):
+    """Noise bursts of random level and length between quiet gaps, some longer than any hangover."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(int(rate * seconds)) * 1e-3
+    start = 0
+    while start < x.size:
+        on = int(rng.uniform(0.05, 0.4) * rate)
+        x[start : start + on] += rng.standard_normal(x[start : start + on].size) * rng.uniform(0.02, 0.5)
+        start += on + int(rng.uniform(0.02, 0.3) * rate)
+    return x
+
+
+@pytest.mark.parametrize("seed, rate, seconds, cfg", [
+    (0, SR, 2.0, VadConfig()),
+    (1, 16000, 2.0, VadConfig()),
+    (2, SR, 2.0, VadConfig(hangover_frames=0)),
+    (3, SR, 2.0, VadConfig(hangover_frames=12, energy_margin_db=6.0)),
+    (4, SR, 2.00113, VadConfig(frame_len_s=0.03, hop_s=0.015)),  # trailing frames cut at the end
+    (5, SR, 0.02, VadConfig()),  # shorter than one frame
+])
+def test_vad_equals_the_per_frame_oracle(seed, rate, seconds, cfg):
+    """An independent reference: per-frame energy loops, the documented threshold rule and an
+    explicit hangover loop flag the same frames."""
+    x = bursts(seed, rate, seconds)
+    assert detect_voice(AudioClip(x, rate), cfg).flags.tolist() == vad_oracle(x, rate, cfg)
+
+
+@pytest.mark.parametrize("extra", [b"", b"LIST" + struct.pack("<I", 3) + b"abc\0"], ids=["plain", "odd-chunk"])
+def test_pcm16_load_wav_equals_the_stdlib_reader(tmp_path, extra):
+    """load_wav's own chunk parser reads what the stdlib wave reader reads: the rate and every int16
+    value over 32768, past an odd-sized chunk and its pad byte before the data."""
+    pcm = np.concatenate([np.arange(-32768, 32768), np.random.default_rng(0).integers(-32768, 32768, 999)])
+    data = pcm.astype("<i2").tobytes()
+    chunks = (b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 22050, 44100, 2, 16) + extra
+              + b"data" + struct.pack("<I", len(data)) + data)
+    path = tmp_path / "x.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    with wave.open(str(path), "rb") as w:
+        rate, frames = w.getframerate(), np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+    clip = load_wav(path)
+    assert clip.sample_rate_hz == rate == 22050
+    assert np.array_equal(clip.samples, frames / 32768.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -326,6 +326,9 @@ class TestCmdPresent:
              "ir": str(ir)},
             {"input": str(missing_input), "output": str(tmp_path / "s.wav"), "path": "injection_analog",
              "utt_id": "s", "snr_db": [30, 10]},
+            # levels whose power ratio overflows or underflows in float64
+            *({"input": str(missing_input), "output": str(tmp_path / f"{i}.wav"), "path": "injection_analog", **level}
+              for i, level in enumerate([{"snr_db": -1e308}, {"gain_db": 1e308}, {"snr_db": [-1e308, 1e308]}])),
             {"input": str(src), "output": str(tmp_path / "ok.wav"), "path": "injection_analog", "utt_id": "ok",
              "gain_db": [1, 5]},
         ]))
@@ -336,6 +339,9 @@ class TestCmdPresent:
             "error: line 1: gain_db range [5, 1] is reversed: lo must be <= hi",
             "error: line 2: injection_digital path takes no impulse response",
             "error: line 3: snr_db range [30, 10] is reversed: lo must be <= hi",
+            "error: line 4: snr_db -1e+308 is outside [-1000, 1000] dB",
+            "error: line 5: gain_db 1e+308 is outside [-1000, 1000] dB",
+            "error: line 6: snr_db range [-1e+308, 1e+308] is outside [-1000, 1000] dB",
         ]
         assert loads == [str(src)]  # the good job's input alone: no refused job's input or IR
         assert [p.name for p in tmp_path.glob("*.wav") if p not in (src, ir)] == ["ok.wav"]
@@ -1090,6 +1096,21 @@ class TestUnreadableInputs:
         out = tmp_path / "w.bin"
         result = runner.invoke(main, ["--config", str(path), "init-weights", "--out", str(out)])
         self.assert_fails_closed(result, f"{path}: {named}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, flag, named", [
+        ({}, ["--seed", "-1"], "--seed -1"),
+        ({"global_seed": -3}, [], "global_seed -3"),
+    ])
+    def test_negative_init_weights_seed(self, runner, tmp_path, config, flag, named):
+        """Only init-weights needs a seed >= 0 (present and pool hash theirs), so it names the seed it refuses."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "w.bin"
+        result = runner.invoke(main, ["--config", str(path), "init-weights", *flag, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: init-weights: {named} is negative; the weights need a seed >= 0\n"
         assert not out.exists()
 
     def test_corrupt_weights(self, runner, config_path, tmp_path):

@@ -283,6 +283,19 @@ class TestPresent:
         from_doc(PresentationJob, {"input": "in.wav", "output": "out.wav", "path": "injection_analog",
                                    "snr_db" if field == "noise_snr_db" else field: [3, 3]})
 
+    @pytest.mark.parametrize("field", ["gain_db", "noise_snr_db"])
+    @pytest.mark.parametrize("value, shown", [
+        (1e308, "1e+308"), (-1e308, "-1e+308"), (1000.5, "1000.5"), (float("nan"), "nan"), (float("-inf"), "-inf"),
+        ((-1e308, 1e308), "range [-1e+308, 1e+308]"), ((0, 1001), "range [0, 1001]"),
+    ])
+    def test_level_out_of_bound_rejected(self, field, value, shown):
+        """A gain or SNR past +-1000 dB, a NaN, or a range with such an end, would overflow the channel's
+        power ratios mid-job; the bound itself is allowed."""
+        key = "{snr}" if field == "noise_snr_db" else field
+        refused_alike(f"{key} {shown} is outside [-1000, 1000] dB", path="injection_analog", **{field: value})
+        for bound in (-1000.0, 1000.0, (-1000.0, 1000.0)):
+            ChannelConfig(path="injection_analog", **{field: bound})
+
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("noise", [None, 25.0, (15.0, 30.0)])
