@@ -30,7 +30,6 @@ from .corpus import (
     ManifestEntry,
     PoolSpec,
     build_pool,
-    filter_min_net_speech,
     read_manifest,
     write_manifest,
 )

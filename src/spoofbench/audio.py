@@ -261,7 +261,7 @@ def detect_voice(clip: AudioClip, cfg: VadConfig = VadConfig()) -> VadMask:
     )
     flags = e > thr
     out = flags.copy()
-    for k in range(1, cfg.hangover_frames + 1):
+    for k in range(1, min(cfg.hangover_frames, flags.size) + 1):  # a longer shift flags nothing
         out[k:] |= flags[:-k]
     return VadMask(out, cfg.hop_s)
 
@@ -280,7 +280,10 @@ def prefix_samples(k_seconds: float, hop_s: float, sample_rate_hz: int) -> int:
     """Samples in the first ceil(k / hop_s) whole VAD hops, which hold >= k seconds."""
     if k_seconds <= 0:
         raise ValueError("k_seconds must be positive")
-    return int(math.ceil(k_seconds / hop_s - 1e-9)) * int(round(hop_s * sample_rate_hz))
+    hops = k_seconds / hop_s
+    if not math.isfinite(hops):
+        raise ValueError(f"{k_seconds:g} s is not a finite number of {hop_s:g} s hops")
+    return int(math.ceil(hops - 1e-9)) * int(round(hop_s * sample_rate_hz))
 
 
 def net_speech_prefix(clip: AudioClip, mask: VadMask, k_seconds: float) -> AudioClip:

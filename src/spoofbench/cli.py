@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .audio import (
 )
 from .config import RunConfig, load_run_config
 from .corpus import MIN_NET_SPEECH_S, PoolSpec, build_pool, from_doc, loads, read_lines, read_manifest, write_manifest
-from .detector.model import MIN_INPUT_FRAMES, DetectorConfig, check_parameters, detector_forward, init_parameters, score
+from .detector.model import MIN_INPUT_FRAMES, check_parameters, detector_forward, init_parameters, score
 from .detector.params import load_parameters, save_parameters
 from .features import check_frontend, frame_count, log_mel
 from .metrics import (
@@ -235,7 +235,7 @@ def _present_group(cfg: RunConfig, global_seed, jobs):
 def _present_job(cfg: RunConfig, global_seed, clip, job: PresentationJob):
     """Present clip, job's input read and resampled, through job's channel and write the output."""
     ir = None if job.ir is None else resample(load_wav(job.ir), cfg.sample_rate_hz)
-    channel = ChannelConfig(path=job.path, ir=ir, codec=job.codec, gain_db=job.gain_db, noise_snr_db=job.snr_db)
+    channel = ChannelConfig(path=job.path, ir=ir, codec=job.codec, gain_db=job.gain_db, snr_db=job.snr_db)
     out = present(clip, channel, derive_seed(global_seed, job.name) if job.seed is None else job.seed)
     Path(job.output).parent.mkdir(parents=True, exist_ok=True)
     save_wav(out, job.output)
@@ -279,11 +279,7 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     entries = read_manifest(manifest_path)
     store = load_parameters(weights_path)
     try:
-        det_cfg = from_doc(DetectorConfig, store.config)
-    except ValueError as exc:  # an unknown key, a value of the wrong type, a bad value or not an object
-        raise ValueError(f"{weights_path}: detector config: {exc}") from exc
-    try:
-        check_parameters(store, det_cfg)
+        det_cfg = check_parameters(store)
     except ValueError as exc:
         raise ValueError(f"{weights_path}: {exc}") from exc
     sr = cfg.sample_rate_hz
@@ -381,11 +377,11 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
         pooled = True
     trials = read_scores_csv(scores_path)
     if pooled:
-        report["pooled"] = pooled_eval(_full_length(trials, scores_path), far_target).to_dict()
+        report["pooled"] = asdict(pooled_eval(_full_length(trials, scores_path), far_target))
     if per_dataset:
         by_ds, average = per_dataset_eval(_full_length(trials, scores_path), far_target)
-        report["per_dataset"] = {ds: r.to_dict() for ds, r in by_ds.items()}
-        report["per_dataset_average"] = average.to_dict()
+        report["per_dataset"] = {ds: asdict(r) for ds, r in by_ds.items()}
+        report["per_dataset_average"] = asdict(average)
     if checkpoint_avg:
         cps = trials.checkpoint_s
         dropped = cps[~(np.isnan(cps) | np.isin(cps, cfg.protocol.checkpoints_s))]
@@ -393,8 +389,8 @@ def cmd_eval(cfg: RunConfig, scores_path, far_target, pooled, per_dataset, check
             values = ",".join(f"{cp:g}s" for cp in sorted(set(dropped.tolist())))
             click.echo(f"note: dropped {dropped.size} rows at checkpoints not in the protocol: {values}", err=True)
         by_cp, average = checkpoint_eval(trials, cfg.protocol, far_target)
-        report["checkpoint_avg"] = average.to_dict()
-        report["per_checkpoint"] = {f"{cp:g}": r.to_dict() for cp, r in by_cp.items()}
+        report["checkpoint_avg"] = asdict(average)
+        report["per_checkpoint"] = {f"{cp:g}": asdict(r) for cp, r in by_cp.items()}
     if not no_timestamp:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,9 @@ class RunConfig:
             raise ValueError("sample_rate_hz must be positive")
         if self.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
             raise ValueError(f"sample_rate_hz {self.sample_rate_hz} Hz above {MAX_SAMPLE_RATE_HZ} Hz")
+        if not math.isfinite(self.vad.frame_len_s * self.sample_rate_hz):  # so is the hop's: hop_s <= frame_len_s
+            raise ValueError(f"vad.frame_len_s {self.vad.frame_len_s:g} s is not a finite number of samples "
+                             f"at {self.sample_rate_hz} Hz")
         if round(self.vad.hop_s * self.sample_rate_hz) < 1:  # the frame is no shorter: frame_len_s >= hop_s
             raise ValueError(f"vad.hop_s {self.vad.hop_s:g} s is under one sample at {self.sample_rate_hz} Hz")
         if self.parallelism < 1:

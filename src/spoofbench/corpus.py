@@ -191,11 +191,6 @@ def write_manifest(entries, path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def filter_min_net_speech(entries, min_s: float = MIN_NET_SPEECH_S) -> list[ManifestEntry]:
-    """Keep entries with net_speech_s >= min_s (boundary included)."""
-    return [e for e in entries if e.net_speech_s >= min_s]
-
-
 @dataclass(frozen=True)
 class PoolSpec:
     per_class_per_dataset: int = 3000
@@ -212,27 +207,26 @@ class PoolSpec:
 def build_pool(manifests, spec: PoolSpec = PoolSpec()) -> list[ManifestEntry]:
     """Sample a balanced pooled test set across datasets.
 
-    Per (dataset, label): sort by utt_id, shuffle with a seed derived from
+    Keeps the entries with net_speech_s >= spec.min_net_speech_s.  Per
+    (dataset, label): sort by utt_id, shuffle with a seed derived from
     (spec.seed, dataset, label), take the first per_class_per_dataset.  The
     pool is emitted sorted by (dataset, label, utt_id).  A utt_id held by more
-    than one entry of the manifests, filtered out or not, is a ValueError.
+    than one entry of the manifests, kept or not, is a ValueError.
     """
     owner = {}  # utt_id -> the dataset of its entry
+    groups: dict[tuple[str, str], list[ManifestEntry]] = {}
     for entry in (entry for manifest in manifests for entry in manifest):
         if entry.utt_id in owner:
             first = owner[entry.utt_id]
             where = f"more than once in dataset {first!r}" if first == entry.dataset else "in more than one dataset"
             raise ValueError(f"utt_id {entry.utt_id!r} appears {where}")
         owner[entry.utt_id] = entry.dataset
-    groups: dict[tuple[str, str], list[ManifestEntry]] = {}
-    for manifest in manifests:
-        for entry in filter_min_net_speech(manifest, spec.min_net_speech_s):
+        if entry.net_speech_s >= spec.min_net_speech_s:
             groups.setdefault((entry.dataset, entry.label), []).append(entry)
 
-    # datasets come from the manifests, so one the filter empties is a shortfall, not left out
-    datasets = sorted({entry.dataset for manifest in manifests for entry in manifest})
     pool = []
-    for dataset in datasets:
+    # datasets come from every entry, so one the filter empties is a shortfall, not left out
+    for dataset in sorted(set(owner.values())):
         for label in LABELS:
             candidates = sorted(groups.get((dataset, label), []), key=lambda e: e.utt_id)
             if len(candidates) < spec.per_class_per_dataset:

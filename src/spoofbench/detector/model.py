@@ -24,6 +24,7 @@ from functools import partial
 
 import numpy as np
 
+from ..corpus import from_doc
 from ..parallel import cores, each
 from .ops import (
     _window_accumulate,
@@ -163,9 +164,13 @@ def init_parameters(cfg: DetectorConfig, seed: int) -> ParameterStore:
     return store
 
 
-def check_parameters(store: ParameterStore, cfg: DetectorConfig) -> None:
-    """Raise ValueError unless the store holds exactly the tensors, by name and
-    shape, that init_parameters writes for cfg."""
+def check_parameters(store: ParameterStore) -> DetectorConfig:
+    """The DetectorConfig of the store's header, which init_parameters writes, once the store holds
+    exactly the tensors, by name and shape, that init_parameters writes for it; else a ValueError."""
+    try:
+        cfg = from_doc(DetectorConfig, store.config)
+    except ValueError as exc:  # an unknown key, a value of the wrong type, a bad value or not an object
+        raise ValueError(f"detector config: {exc}") from exc
     want = {name: shape for name, shape, _ in _layout(cfg)}
     got = {name: arr.shape for name, arr in store.items()}
     problems = [f"tensor {name} has shape {got[name]}, the config needs {shape}" if name in got
@@ -174,6 +179,7 @@ def check_parameters(store: ParameterStore, cfg: DetectorConfig) -> None:
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise ValueError(f"weights do not fit the detector config: {problems[0]}{more}")
+    return cfg
 
 
 def _unit_params(tensors, prefix: str) -> dict:

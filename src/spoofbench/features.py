@@ -7,9 +7,16 @@ mean/variance normalization is off by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Upper bounds, refused as a config loads, so a filterbank holds at most 256 x 16,385 float64s (34 MB):
+# n_mels at 4x its default, as the detector's width bounds are, and n_fft at the power of two above
+# a 25 ms window at audio.MAX_SAMPLE_RATE_HZ (19,200 samples).
+MAX_N_MELS = 256
+MAX_N_FFT = 32_768
 
 
 @dataclass(frozen=True)
@@ -26,10 +33,14 @@ class FeatureConfig:
     def __post_init__(self):
         if self.n_mels < 1:
             raise ValueError("n_mels must be >= 1")
+        if self.n_mels > MAX_N_MELS:
+            raise ValueError(f"n_mels {self.n_mels} above {MAX_N_MELS}")
         if not (0 <= self.fmin_hz < self.fmax_hz):
             raise ValueError("require 0 <= fmin_hz < fmax_hz")
         if self.win_s <= 0 or self.hop_s <= 0 or self.n_fft < 1:
             raise ValueError("window, hop and n_fft must be positive")
+        if self.n_fft > MAX_N_FFT:
+            raise ValueError(f"n_fft {self.n_fft} above {MAX_N_FFT}")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
 
@@ -78,6 +89,9 @@ def mel_filterbank(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
 
 
 def _window_hop(cfg: FeatureConfig, sample_rate_hz: int) -> tuple[int, int]:
+    for key, seconds in (("win_s", cfg.win_s), ("hop_s", cfg.hop_s)):
+        if not math.isfinite(seconds * sample_rate_hz):
+            raise ValueError(f"{key} {seconds:g} s is not a finite number of samples")
     win = int(round(cfg.win_s * sample_rate_hz))
     hop = int(round(cfg.hop_s * sample_rate_hz))
     if win < 1 or hop < 1:

@@ -57,7 +57,3 @@ def encode(samples, law: str) -> np.ndarray:
 def decode(codes, law: str) -> np.ndarray:
     _, expand = LAWS[law]
     return expand(codes.astype(np.float64) / _LEVELS)
-
-
-def roundtrip(samples, law: str) -> np.ndarray:
-    return decode(encode(samples, law), law)

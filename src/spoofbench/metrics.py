@@ -23,7 +23,7 @@ import gc
 import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,9 +105,6 @@ class MetricReport:
     detection_rate: float
     n_spoof: int
     n_bonafide: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

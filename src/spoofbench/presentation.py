@@ -37,17 +37,16 @@ CLIP_THRESHOLD = 0.95
 MAX_LEVEL_DB = 1000.0
 
 
-def _check_channel(path: str, codec: str, ir, gain_db, snr_key: str, snr_db) -> None:
+def _check_channel(path: str, codec: str, ir, gain_db, snr_db) -> None:
     """Every channel rule, for ChannelConfig and PresentationJob alike, in the order they are checked:
-    path is one of PATHS, codec one of CODECS, a gain_db or SNR lies within +-MAX_LEVEL_DB (a NaN does
-    not), each end of a (lo, hi) one too, with lo <= hi, an ir is given (not None) exactly when path is
-    playback, and an SNR only off injection_digital, whose stages add no noise.  snr_key is the
-    caller's own name for its SNR field."""
+    path is one of PATHS, codec one of CODECS, a gain_db or snr_db lies within +-MAX_LEVEL_DB (a NaN
+    does not), each end of a (lo, hi) one too, with lo <= hi, an ir is given (not None) exactly when
+    path is playback, and an snr_db only off injection_digital, whose stages add no noise."""
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r} (expected one of {PATHS})")
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}")
-    for key, value in (("gain_db", gain_db), (snr_key, snr_db)):
+    for key, value in (("gain_db", gain_db), ("snr_db", snr_db)):
         pair = isinstance(value, (tuple, list))
         ends = value if pair else () if value is None else (value,)
         if not all(-MAX_LEVEL_DB <= end <= MAX_LEVEL_DB for end in ends):
@@ -59,24 +58,24 @@ def _check_channel(path: str, codec: str, ir, gain_db, snr_key: str, snr_db) -> 
         raise ValueError("playback path requires an impulse response" if ir is None
                          else f"{path} path takes no impulse response")
     if snr_db is not None and path == "injection_digital":
-        raise ValueError(f"{path} path takes no {snr_key}")
+        raise ValueError(f"{path} path takes no snr_db")
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """One presentation path and its processing parameters, checked by _check_channel as it is built.
 
-    gain_db and noise_snr_db may be (lo, hi) ranges sampled per seed.
+    gain_db and snr_db may be (lo, hi) ranges sampled per seed.
     """
 
     path: str
     ir: AudioClip | None = None
     codec: str = "mulaw"
     gain_db: float | tuple = 0.0
-    noise_snr_db: float | tuple | None = None
+    snr_db: float | tuple | None = None
 
     def __post_init__(self):
-        _check_channel(self.path, self.codec, self.ir, self.gain_db, "noise_snr_db", self.noise_snr_db)
+        _check_channel(self.path, self.codec, self.ir, self.gain_db, self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class PresentationJob:
     utt_id: str | None = None
 
     def __post_init__(self):
-        _check_channel(self.path, self.codec, self.ir, self.gain_db, "snr_db", self.snr_db)
+        _check_channel(self.path, self.codec, self.ir, self.gain_db, self.snr_db)
 
     @property
     def name(self) -> str:
@@ -131,7 +130,7 @@ def codec_roundtrip(clip: AudioClip, codec: str) -> AudioClip:
         raise ValueError("G.711 expects 8 kHz input")
     if codec not in g711.LAWS:
         raise ValueError(f"unknown codec {codec!r}")
-    return AudioClip(g711.roundtrip(clip.samples, codec), clip.sample_rate_hz)
+    return AudioClip(g711.decode(g711.encode(clip.samples, codec), codec), clip.sample_rate_hz)
 
 
 @lru_cache(maxsize=8)
@@ -245,9 +244,9 @@ def _draw(value, seed: int, stage: str) -> float:
 
 def _noise(clip: AudioClip, cfg: ChannelConfig, seed: int) -> AudioClip:
     """clip with the channel's colored noise added, or clip when it adds none."""
-    if cfg.noise_snr_db is None:
+    if cfg.snr_db is None:
         return clip
-    return add_colored_noise(clip, _draw(cfg.noise_snr_db, seed, "snr"), derive_seed(seed, "noise"))
+    return add_colored_noise(clip, _draw(cfg.snr_db, seed, "snr"), derive_seed(seed, "noise"))
 
 
 def present(clip: AudioClip, cfg: ChannelConfig, seed: int) -> AudioClip:

@@ -312,7 +312,7 @@ def test_criterion_6_dsp_suite():
         lambda: present(
             clip,
             ChannelConfig(path="injection_analog", codec="mulaw",
-                          gain_db=(-3, 3), noise_snr_db=(10, 30)),
+                          gain_db=(-3, 3), snr_db=(10, 30)),
             seed=77,
         ),
     ]

@@ -205,6 +205,13 @@ class TestDetectVoice:
             after = net_speech_seconds(detect_voice(longer, cfg))
             assert abs(after - before) <= (cfg.hangover_frames + 1) * cfg.hop_s + 1e-9
 
+    def test_hangover_past_the_frames_is_the_frame_count(self, burst_clip):
+        """A shift past the last frame flags nothing, so a hangover of 10**12 frames is one of every
+        frame, and as quick."""
+        n = detect_voice(burst_clip).flags.size
+        long = detect_voice(burst_clip, VadConfig(hangover_frames=10**12))
+        assert np.array_equal(long.flags, detect_voice(burst_clip, VadConfig(hangover_frames=n)).flags)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             VadConfig(frame_len_s=0.005, hop_s=0.010)

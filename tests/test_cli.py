@@ -885,6 +885,18 @@ class TestCmdDetect:
         assert result.stderr == "error: checkpoint 0.1s: its prefix has 8 frames; detector needs >= 16\n"
         assert not out.exists()
 
+    def test_checkpoint_of_no_finite_hop_count_is_refused(self, runner, config_path, tmp_path):
+        """Refused before any entry is scored, as one line, not a traceback from ceil() of an infinite count."""
+        weights = self.init_weights(runner, config_path, tmp_path)
+        manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(main, ["--config", config_path, "detect", "--manifest", str(manifest),
+                                      "--weights", str(weights), "--out", str(out), "--checkpoints", "1e308"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == "error: checkpoint 1e+308s: 1e+308 s is not a finite number of 0.01 s hops\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("checkpoints, message", [
         ([0.17, 2.0], "checkpoint 0.17s: its prefix has 15 frames; detector needs >= 16"),
         ([0.01], "checkpoint 0.01s: clip too short for features"),
@@ -914,8 +926,10 @@ class TestCmdDetect:
          "features at 8000 Hz: mel filter 2 has no FFT bins: n_mels too large for FFT resolution"),
         ({"features": {"win_s": 0.05}}, [], "features at 8000 Hz: n_fft (256) smaller than window (400 samples)"),
         ({"sample_rate_hz": 16000}, [], "features at 16000 Hz: n_fft (256) smaller than window (400 samples)"),
+        ({"features": {"win_s": 1e308}}, [], "features at 8000 Hz: win_s 1e+308 s is not a finite number of samples"),
+        ({"features": {"hop_s": 1e308}}, [], "features at 8000 Hz: hop_s 1e+308 s is not a finite number of samples"),
     ], ids=["hop-0-samples", "hop-0-samples-checkpoints", "fmax-over-nyquist", "too-many-mels", "window-over-n_fft",
-            "16khz-window-over-n_fft"])
+            "16khz-window-over-n_fft", "window-of-no-finite-sample-count", "hop-of-no-finite-sample-count"])
     def test_frontend_that_cannot_run_is_refused_before_any_entry(self, runner, tmp_path, config, checkpoints,
                                                                    message):
         """Checked once, at the run's rate: the entry's file does not exist, so reading it would fail it."""
@@ -1007,17 +1021,23 @@ class TestUnreadableInputs:
         result = runner.invoke(main, ["vad", "--in", str(bad), "--out", str(tmp_path / "out")])
         self.assert_fails_closed(result, f"{bad}:1: {named}\n")
 
+    @pytest.mark.parametrize("vad, named", [
+        ({"frame_len_s": 0.00005, "hop_s": 0.00005}, "vad.hop_s 5e-05 s is under one sample at 8000 Hz"),
+        ({"frame_len_s": 1e308, "hop_s": 1e308}, "vad.frame_len_s 1e+308 s is not a finite number of samples at 8000 Hz"),
+        ({"frame_len_s": 1e308, "hop_s": 0.01}, "vad.frame_len_s 1e+308 s is not a finite number of samples at 8000 Hz"),
+    ], ids=["hop-under-one-sample", "frame-and-hop-not-finite", "frame-not-finite"])
     @pytest.mark.parametrize("command", ["vad", "detect"])
-    def test_vad_frame_under_one_sample_refused(self, runner, tmp_path, command):
-        """Refused as the config loads: a 0.4-sample hop rounds to none, and every entry would read 0 s of speech."""
+    def test_vad_frame_out_of_range_refused(self, runner, tmp_path, command, vad, named):
+        """Refused as the config loads: a 0.4-sample hop rounds to none, and every entry would read 0 s of
+        speech; round() of an infinite count is an OverflowError, at load or in every entry."""
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"vad": {"frame_len_s": 0.00005, "hop_s": 0.00005}}))
+        config.write_text(json.dumps({"vad": vad}))
         manifest = make_manifest(tmp_path, [("u1", "bonafide", "d", 1.0)])
         out = tmp_path / "out"
         argv = {"vad": ["vad", "--in", str(manifest), "--out", str(out)],
                 "detect": ["detect", "--manifest", str(manifest), "--weights", str(manifest), "--out", str(out)]}[command]
         result = runner.invoke(main, ["--config", str(config), *argv])
-        self.assert_fails_closed(result, f"{config}: vad.hop_s 5e-05 s is under one sample at 8000 Hz\n")
+        self.assert_fails_closed(result, f"{config}: {named}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["vad", "pool", "config"])
@@ -1081,6 +1101,8 @@ class TestUnreadableInputs:
         ({"detector": {"cot_kernel": 3.0}}, "detector.cot_kernel must be an integer, not 3.0"),
         ({"vad": None}, "vad must be a mapping, not null"),
         ({"features": {"n_mels": 0}}, "n_mels must be >= 1"),
+        ({"features": {"n_mels": 257}}, "n_mels 257 above 256"),
+        ({"features": {"n_fft": 32769}}, "n_fft 32769 above 32768"),
         ({"features": {"fmin_hz": 5000, "fmax_hz": 4000}}, "require 0 <= fmin_hz < fmax_hz"),
         ({"features": {"win_s": 0}}, "window, hop and n_fft must be positive"),
         ({"features": {"log_floor": 0}}, "log_floor must be positive"),
@@ -1698,6 +1720,15 @@ class TestDetectWorkers:
         result = self.run_detect(runner, config_path, weights, manifest, tmp_path / "scores.csv", 4)
         assert result.exit_code == 0, result.output
         assert threads == dict.fromkeys("abc", threading.get_ident())
+
+    @pytest.mark.parametrize("cpu_count, want", [(None, 1), (8, 8)])
+    def test_cores_without_an_affinity_mask(self, monkeypatch, cpu_count, want):
+        """Every CPU where the platform has no sched_getaffinity, and one when their count is unknown."""
+        from spoofbench.parallel import cores
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert cores() == want
 
     def test_environment_restored_and_no_worker_left(self, runner, config_path, tmp_path, monkeypatch):
         import spoofbench

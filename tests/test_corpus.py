@@ -11,7 +11,6 @@ from spoofbench import (
     RunConfig,
     VadConfig,
     build_pool,
-    filter_min_net_speech,
     read_manifest,
     write_manifest,
 )
@@ -216,21 +215,6 @@ class TestLoads:
             loads("{not json")
 
 
-class TestFilterMinNetSpeech:
-    def test_min_zero_is_identity(self):
-        entries = [entry(i, net=0.1 * i) for i in range(5)]
-        assert filter_min_net_speech(entries, 0.0) == entries
-
-    def test_all_below_gives_empty(self):
-        entries = [entry(i, net=0.1) for i in range(5)]
-        assert filter_min_net_speech(entries, 0.5) == []
-
-    def test_boundary_kept(self):
-        entries = [entry(0, net=0.49), entry(1, net=0.5), entry(2, net=0.51)]
-        kept = filter_min_net_speech(entries, 0.5)
-        assert [e.utt_id for e in kept] == [entries[1].utt_id, entries[2].utt_id]
-
-
 class TestBuildPool:
     def make_manifests(self, n_datasets=3, per_class=30):
         manifests = []
@@ -291,6 +275,14 @@ class TestBuildPool:
         with pytest.raises(ValueError, match="insufficient bonafide in ds0"):
             build_pool(manifests, PoolSpec(per_class_per_dataset=10, seed=0))
 
+    def test_min_net_speech_boundary_kept(self):
+        manifest = [entry(i, label=label, net=net) for label in ("bonafide", "spoof")
+                    for i, net in enumerate((0.49, 0.5, 0.51))]
+        pool = build_pool([manifest], PoolSpec(per_class_per_dataset=2, min_net_speech_s=0.5))
+        assert [e.net_speech_s for e in pool] == [0.5, 0.51] * 2
+        with pytest.raises(ValueError, match="^insufficient bonafide in ds: 2 < 3$"):
+            build_pool([manifest], PoolSpec(per_class_per_dataset=3, min_net_speech_s=0.5))
+
     def test_dataset_the_filter_empties_is_a_shortfall(self):
         with pytest.raises(ValueError, match="insufficient bonafide in ds0: 0 < 5"):
             build_pool(self.make_manifests(per_class=10), PoolSpec(per_class_per_dataset=5, min_net_speech_s=1000.0))
@@ -306,7 +298,7 @@ class TestBuildPool:
     def test_filter_then_pool_composition(self):
         manifests = self.make_manifests(per_class=30)
         spec = PoolSpec(per_class_per_dataset=10, seed=3, min_net_speech_s=0.5)
-        pre_filtered = [filter_min_net_speech(m, 0.5) for m in manifests]
+        pre_filtered = [[e for e in m if e.net_speech_s >= 0.5] for m in manifests]
         assert build_pool(pre_filtered, spec) == build_pool(manifests, spec)
 
     def test_paper_pool_structure(self):

@@ -94,10 +94,10 @@ class TestInit:
 
     def test_check_parameters_allocates_no_model(self, store):
         """The check reads shapes; it builds no model to read them (30.8 MB of arrays at default width)."""
-        model.check_parameters(store, CFG)  # imports and first-call caches outside the measurement
+        assert model.check_parameters(store) == CFG  # imports and first-call caches outside the measurement
         tracemalloc.start()
         try:
-            model.check_parameters(store, CFG)
+            model.check_parameters(store)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,7 +14,7 @@ from spoofbench import (
     net_speech_prefix,
     net_speech_seconds,
 )
-from spoofbench.features import frame_count, hz_to_mel
+from spoofbench.features import MAX_N_FFT, MAX_N_MELS, frame_count, hz_to_mel
 
 from conftest import SR, silence, tone
 from oracles import log_mel_oracle
@@ -32,6 +32,13 @@ class TestMelScale:
 
 
 class TestFilterbank:
+    @pytest.mark.parametrize("field, bound", [("n_mels", MAX_N_MELS), ("n_fft", MAX_N_FFT)])
+    def test_size_bounds(self, field, bound):
+        """Each bound is allowed and one past it is refused, before any filterbank is made."""
+        assert getattr(FeatureConfig(**{field: bound}), field) == bound
+        with pytest.raises(ValueError, match=f"^{field} {bound + 1} above {bound}$"):
+            FeatureConfig(**{field: bound + 1})
+
     def test_shape(self):
         fb = mel_filterbank(CFG, SR)
         assert fb.shape == (64, 129)

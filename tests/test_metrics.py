@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -352,6 +353,14 @@ class TestScoresCsv:
         with pytest.raises(ValueError, match="header"):
             read_scores_csv(path)
 
+    def test_header_the_csv_module_cannot_split(self, tmp_path):
+        """A header field over csv.field_size_limit() is no header, not a csv.Error."""
+        path = tmp_path / "scores.csv"
+        path.write_text("u" * (csv.field_size_limit() + 1) + ",dataset,label,checkpoint_s,score\na,d,spoof,,0.5\n")
+        with pytest.raises(ValueError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == f"{path}:1: expected header utt_id,dataset,label,checkpoint_s,score"
+
     def test_oversized_field_named(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("utt_id,dataset,label,checkpoint_s,score\na,d,spoof,,0.5\n" + "u" * 200_000 + ",d,spoof,,0.5\n")
@@ -556,9 +565,9 @@ class TestScoresCsvChunks:
 
 
 class TestMetricReport:
-    def test_to_dict_fields(self):
+    def test_asdict_fields(self):
         report = evaluate(trials_from([0.1, 0.4], [0.7, 0.9]), 0.01)
-        doc = report.to_dict()
+        doc = asdict(report)
         assert set(doc) == {
             "eer", "eer_threshold", "mdr_at_far", "threshold_at_far",
             "far_target", "detection_rate", "n_spoof", "n_bonafide",

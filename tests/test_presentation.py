@@ -25,15 +25,13 @@ from conftest import SR, tone
 
 
 def refused_alike(message, ir=None, **fields):
-    """ChannelConfig(**fields) and a jobs line of the same fields both raise exactly message, formatted
-    with each one's own name for the SNR key (noise_snr_db, snr_db); ir is the job's path, and the
-    channel gets a unit impulse in its place."""
-    snr = fields.pop("noise_snr_db", None)
-    channel = {**fields, "noise_snr_db": snr, "ir": None if ir is None else AudioClip(np.array([1.0]), SR)}
-    job = {"input": "in.wav", "output": "out.wav", **fields, "snr_db": snr, "ir": ir}
-    with pytest.raises(ValueError, match=f"^{re.escape(message.format(snr='noise_snr_db'))}$"):
+    """ChannelConfig(**fields) and a jobs line of the same fields both raise exactly message; ir is the
+    job's path, and the channel gets a unit impulse in its place."""
+    channel = {**fields, "ir": None if ir is None else AudioClip(np.array([1.0]), SR)}
+    job = {"input": "in.wav", "output": "out.wav", **fields, "ir": ir}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ChannelConfig(**channel)
-    with pytest.raises(ValueError, match=f"^{re.escape(message.format(snr='snr_db'))}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         from_doc(PresentationJob, job)
 
 
@@ -255,7 +253,7 @@ class TestPresent:
 
     def test_seed_determinism(self, sine):
         cfg = ChannelConfig(
-            path="injection_analog", codec="mulaw", gain_db=(-3.0, 3.0), noise_snr_db=(15.0, 30.0)
+            path="injection_analog", codec="mulaw", gain_db=(-3.0, 3.0), snr_db=(15.0, 30.0)
         )
         a = present(sine, cfg, seed=11)
         b = present(sine, cfg, seed=11)
@@ -272,18 +270,16 @@ class TestPresent:
 
     @pytest.mark.parametrize("noise", [0.0, (15.0, 30.0)])
     def test_noise_on_digital_rejected(self, noise):
-        refused_alike("injection_digital path takes no {snr}", path="injection_digital", noise_snr_db=noise)
+        refused_alike("injection_digital path takes no snr_db", path="injection_digital", snr_db=noise)
 
-    @pytest.mark.parametrize("field", ["gain_db", "noise_snr_db"])
+    @pytest.mark.parametrize("field", ["gain_db", "snr_db"])
     def test_reversed_range_rejected(self, field):
-        key = "{snr}" if field == "noise_snr_db" else field
-        refused_alike(f"{key} range [5, 1] is reversed: lo must be <= hi", path="injection_analog", **{field: (5, 1)})
+        refused_alike(f"{field} range [5, 1] is reversed: lo must be <= hi", path="injection_analog", **{field: (5, 1)})
         # a range of one value is allowed
         ChannelConfig(path="injection_analog", **{field: (3, 3)})
-        from_doc(PresentationJob, {"input": "in.wav", "output": "out.wav", "path": "injection_analog",
-                                   "snr_db" if field == "noise_snr_db" else field: [3, 3]})
+        from_doc(PresentationJob, {"input": "in.wav", "output": "out.wav", "path": "injection_analog", field: [3, 3]})
 
-    @pytest.mark.parametrize("field", ["gain_db", "noise_snr_db"])
+    @pytest.mark.parametrize("field", ["gain_db", "snr_db"])
     @pytest.mark.parametrize("value, shown", [
         (1e308, "1e+308"), (-1e308, "-1e+308"), (1000.5, "1000.5"), (float("nan"), "nan"), (float("-inf"), "-inf"),
         ((-1e308, 1e308), "range [-1e+308, 1e+308]"), ((0, 1001), "range [0, 1001]"),
@@ -291,8 +287,7 @@ class TestPresent:
     def test_level_out_of_bound_rejected(self, field, value, shown):
         """A gain or SNR past +-1000 dB, a NaN, or a range with such an end, would overflow the channel's
         power ratios mid-job; the bound itself is allowed."""
-        key = "{snr}" if field == "noise_snr_db" else field
-        refused_alike(f"{key} {shown} is outside [-1000, 1000] dB", path="injection_analog", **{field: value})
+        refused_alike(f"{field} {shown} is outside [-1000, 1000] dB", path="injection_analog", **{field: value})
         for bound in (-1000.0, 1000.0, (-1000.0, 1000.0)):
             ChannelConfig(path="injection_analog", **{field: bound})
 
@@ -316,8 +311,8 @@ class TestPresent:
             return c if codec == "none" else codec_roundtrip(c, codec)
 
         if path == "injection_digital" and noise is not None:  # its stages add no noise, so it takes no SNR
-            with pytest.raises(ValueError, match="^injection_digital path takes no noise_snr_db$"):
-                ChannelConfig(path=path, codec=codec, gain_db=gain, noise_snr_db=noise)
+            with pytest.raises(ValueError, match="^injection_digital path takes no snr_db$"):
+                ChannelConfig(path=path, codec=codec, gain_db=gain, snr_db=noise)
             return
         out = apply_gain(sine, draw(gain, "gain"))
         if path == "playback":  # gain -> IR convolution -> bandpass -> codec -> noise
@@ -327,7 +322,7 @@ class TestPresent:
         else:  # gain -> codec
             manual = coded(out)
         cfg = ChannelConfig(path=path, ir=ir if path == "playback" else None, codec=codec, gain_db=gain,
-                            noise_snr_db=noise)
+                            snr_db=noise)
         assert np.array_equal(present(sine, cfg, seed).samples, manual.samples)
 
     def test_playback_with_unit_ir_equals_analog_without_clip_or_noise(self, sine):
@@ -338,7 +333,7 @@ class TestPresent:
         assert np.array_equal(play.samples, manual.samples)
 
     def test_pipeline_composition_analog(self, sine):
-        cfg = ChannelConfig(path="injection_analog", codec="alaw", gain_db=2.0, noise_snr_db=25.0)
+        cfg = ChannelConfig(path="injection_analog", codec="alaw", gain_db=2.0, snr_db=25.0)
         seed = 77
         out = present(sine, cfg, seed)
         manual = apply_gain(sine, 2.0)
@@ -355,7 +350,7 @@ class TestPresent:
 
     def test_finite_and_rate_preserved(self, sine):
         for path, noise in (("injection_digital", None), ("injection_analog", (10, 20))):
-            cfg = ChannelConfig(path=path, codec="mulaw", gain_db=(-6, 6), noise_snr_db=noise)
+            cfg = ChannelConfig(path=path, codec="mulaw", gain_db=(-6, 6), snr_db=noise)
             out = present(sine, cfg, seed=3)
             assert out.sample_rate_hz == sine.sample_rate_hz
             assert np.all(np.isfinite(out.samples))
