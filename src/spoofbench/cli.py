@@ -130,6 +130,7 @@ def cmd_vad(cfg: RunConfig, in_path, out_path, trim_dir, parallelism):
         failures = _collisions([(e.utt_id, f"entry {e.utt_id}",
                                  {"path": e.path, "output": str(Path(trim_dir) / f"{e.utt_id}.wav")}) for e in entries])
     runnable = [e for e in entries if e.utt_id not in failures]
+    Path(out_path).write_text("", encoding="utf-8")  # an unwritable --out fails here, before any entry runs
     workers = _workers(cfg, parallelism, len(runnable))
     results = each(partial(_vad_entry, cfg, trim_dir), runnable, workers)
     write_manifest(sorted((e for e, _ in results if e is not None), key=lambda e: e.utt_id), out_path)
@@ -279,7 +280,7 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
     entries = read_manifest(manifest_path)
     store = load_parameters(weights_path)
     try:
-        det_cfg = check_parameters(store)
+        check_parameters(store)
     except ValueError as exc:
         raise ValueError(f"{weights_path}: {exc}") from exc
     sr = cfg.sample_rate_hz
@@ -296,9 +297,10 @@ def cmd_detect(cfg: RunConfig, manifest_path, weights_path, out_path, checkpoint
             raise ValueError(f"checkpoint {k:g}s: {exc}") from exc
         if frames < MIN_INPUT_FRAMES:
             raise ValueError(f"checkpoint {k:g}s: its prefix has {frames} frames; detector needs >= {MIN_INPUT_FRAMES}")
+    open(out_path, "w", newline="").close()  # an unwritable --out fails here, before any entry is scored
     workers = _workers(cfg, parallelism, len(entries))
     # each worker's forwards run their tiles on an equal share of the cores
-    work = partial(_score_entry, cfg, cps, store, det_cfg, cores() // workers)
+    work = partial(_score_entry, cfg, cps, store, cores() // workers)
     # the largest files start first, so no worker is left with a long entry at the end
     order = sorted(range(len(entries)), key=lambda i: _file_size(entries[i].path), reverse=True)
     results = [None] * len(entries)
@@ -322,7 +324,7 @@ def _file_size(path):
         return -1
 
 
-def _score_entry(cfg: RunConfig, cps, store, det_cfg, threads, entry):
+def _score_entry(cfg: RunConfig, cps, store, threads, entry):
     """(rows, skip note) of one manifest entry: load -> resample -> VAD -> (checkpoint prefixes) ->
     log-mel -> detector, one row per checkpoint, or one for the full length when cps is None.
     threads: the tile threads of each forward."""
@@ -347,7 +349,7 @@ def _score_entry(cfg: RunConfig, cps, store, det_cfg, threads, entry):
     del speech
     scores = []
     for feat, frames in inputs:
-        logits = detector_forward(feat, store, det_cfg, prefix_frames=frames, threads=threads)
+        logits = detector_forward(feat, store, prefix_frames=frames, threads=threads)
         scores += [score(l).s for l in logits]
     return [TrialScore(entry.utt_id, entry.label, s, entry.dataset, k) for k, s in zip(ks, scores)], None
 

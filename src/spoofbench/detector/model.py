@@ -279,8 +279,9 @@ def _head(x, pool, fc) -> Logits:
     return Logits(l_spoof=float(out[0]), l_bonafide=float(out[1]))
 
 
-def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_frames=None, threads=None):
-    """Forward pass from a log-mel spectrogram to the two class logits.
+def detector_forward(feat, store: ParameterStore, prefix_frames=None, threads=None):
+    """Forward pass from a log-mel spectrogram to the two class logits of the network
+    the store's header describes; check_parameters raises ValueError on a misfit.
 
     With prefix_frames, a sequence of frame counts, returns one Logits per
     count, in order, each bit-identical to the forward of feat.values[:n].
@@ -311,7 +312,7 @@ def detector_forward(feat, store: ParameterStore, cfg: DetectorConfig, prefix_fr
     x = values[:longest].T[None, :, :]  # (1, mels, frames)
     prefixes = {longest: (0, x), **{n: (n, x[:, :, n:n]) for n in counts if n < longest}}
     threads = cores() if threads is None else threads
-    for unit, stride, halo, channels in _units(store, cfg):
+    for unit, stride, halo, channels in _units(store, check_parameters(store)):
         c, f, _ = x.shape
         step = max(1, (_TILE_ELEMS // (c * f) - 2 * halo) // stride)
         jobs, outputs = [], {}

@@ -125,18 +125,17 @@ def attentive_stats_pool(h, w, b, v):
     return np.concatenate([mu, sigma])
 
 
-def aggregate_layers(stack, params, cfg):
+def aggregate_layers(stack, params):
     """Fuse per-layer representations into one (T, proj_dim) sequence.
 
     Each layer is projected to proj_dim, passed through GeLU and layer norm,
     then the layers are combined with softmax weights and normalized again.
+    The layer count L and input width D are those of params["proj.weight"].
     """
     stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[0] != cfg.n_layers or stack.shape[2] != cfg.in_dim:
-        raise ValueError(
-            f"aggregate_layers: expected ({cfg.n_layers}, T, {cfg.in_dim}), got {stack.shape}"
-        )
     proj_w = params["proj.weight"].astype(np.float64)  # (L, proj, D)
+    if stack.ndim != 3 or stack.shape[::2] != proj_w.shape[::2]:
+        raise ValueError(f"aggregate_layers: expected ({proj_w.shape[0]}, T, {proj_w.shape[2]}), got {stack.shape}")
     proj_b = params["proj.bias"].astype(np.float64)  # (L, proj)
     layers = np.einsum("ltd,lpd->ltp", stack, proj_w) + proj_b[:, None, :]
     layers = layer_norm(gelu(layers), params["ln1.gamma"], params["ln1.beta"])

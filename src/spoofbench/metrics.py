@@ -36,6 +36,9 @@ SCORES_HEADER = ["utt_id", "dataset", "label", "checkpoint_s", "score"]
 # 65,536 -> 113.9 MB, 16,384 -> 91.5, 8,192 -> 83.6, 4,096 -> 85.5, 2,048 -> 84.6,
 # 1,024 -> 91.8; from 2,048 to 8,192 that is within what allocation layout moves it
 _CHUNK_ROWS = 4096
+# largest |score| a trial may hold: below it, every threshold, midpoint, interpolated EER
+# threshold and average of reports that evaluate derives from the scores stays finite
+MAX_ABS_SCORE = 1e300
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,8 @@ class TrialScore:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"{self.utt_id}: label must be one of {LABELS}")
-        if not math.isfinite(self.score):
-            raise ValueError(f"{self.utt_id}: score must be finite")
+        if not abs(self.score) <= MAX_ABS_SCORE:  # NaN fails it too
+            raise ValueError(f"{self.utt_id}: score must be finite and within ±{MAX_ABS_SCORE:g}")
         if self.checkpoint_s is not None and not (0 < self.checkpoint_s < math.inf):
             raise ValueError(f"{self.utt_id}: checkpoint_s must be positive and finite")
 
@@ -293,7 +296,7 @@ def _parse_chunk(rows) -> tuple | None:
     cp_of[""] = math.nan
     cp = np.fromiter(map(cp_of.__getitem__, cp_text), np.float64, len(cp_text))
     score = _floats(score_text)
-    valid = (is_spoof | (label == "bonafide")) & np.isfinite(score)
+    valid = (is_spoof | (label == "bonafide")) & (np.abs(score) <= MAX_ABS_SCORE)
     return (utt_id, dataset, is_spoof, cp, score) if valid.all() else None
 
 

@@ -223,12 +223,12 @@ def test_criterion_4_detector_shape_determinism(tmp_path):
     rng = np.random.default_rng(4)
     for frames in (16, 33, 128, 400):
         feat = LogMelSpectrogram(rng.standard_normal((frames, 64)))
-        logits = detector_forward(feat, store, cfg)
+        logits = detector_forward(feat, store)
         assert np.isfinite(logits.l_spoof) and np.isfinite(logits.l_bonafide)
 
     # zero input: mu half of the embedding is exactly zero; the sigma half is
     # sqrt(1e-9), bounding |logit| by that times the FC row mass (< 1e-3)
-    logits = detector_forward(LogMelSpectrogram(np.zeros((64, 64))), store, cfg)
+    logits = detector_forward(LogMelSpectrogram(np.zeros((64, 64))), store)
     assert abs(logits.l_spoof) < 1e-3 and abs(logits.l_bonafide) < 1e-3
 
     path = tmp_path / "w.bin"
@@ -259,7 +259,7 @@ def test_criterion_5_pooling_and_aggregation():
     params = init_aggregator_parameters(acfg, seed=0)
     assert not params["layer_logits"].any()
     stack = rng.standard_normal((6, 15, 32))
-    fused = aggregate_layers(stack, params, acfg)
+    fused = aggregate_layers(stack, params)
 
     from spoofbench.detector.ops import gelu, layer_norm
 

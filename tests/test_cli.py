@@ -38,7 +38,6 @@ from spoofbench import (
     write_manifest,
 )
 from spoofbench.cli import main
-from spoofbench.corpus import from_doc
 from spoofbench.metrics import read_scores_csv, write_scores_csv
 
 from conftest import SR, silence, tone
@@ -836,11 +835,10 @@ class TestCmdDetect:
         monkeypatch.undo()
         cfg = load_run_config(config)
         store = load_parameters(weights)
-        det_cfg = from_doc(DetectorConfig, store.config)
         clip = resample(load_wav(wav), cfg.sample_rate_hz)
         mask = detect_voice(clip, cfg.vad)
         want = {
-            k: score(detector_forward(log_mel(net_speech_prefix(clip, mask, k), cfg.features), store, det_cfg)).s
+            k: score(detector_forward(log_mel(net_speech_prefix(clip, mask, k), cfg.features), store)).s
             for k in checkpoints
         }
         assert {r.checkpoint_s: r.score for r in read_scores_csv(out).rows()} == want
@@ -854,9 +852,9 @@ class TestCmdDetect:
         manifest = make_manifest(tmp_path, [("u", "spoof", "d", 2.5)])
         calls = []
 
-        def spy(feat, store, cfg, prefix_frames=None, threads=None):
+        def spy(feat, store, prefix_frames=None, threads=None):
             calls.append((feat.n_frames, prefix_frames))
-            return detector_forward(feat, store, cfg, prefix_frames=prefix_frames, threads=threads)
+            return detector_forward(feat, store, prefix_frames=prefix_frames, threads=threads)
 
         monkeypatch.setattr("spoofbench.cli.detector_forward", spy)
         out = tmp_path / "scores.csv"
@@ -867,7 +865,7 @@ class TestCmdDetect:
         cfg, store = load_run_config(config), load_parameters(weights)
         clip = resample(load_wav(manifest.parent / "u.wav"), cfg.sample_rate_hz)
         feat = log_mel(trim_nonspeech(clip, detect_voice(clip, cfg.vad)), cfg.features)
-        want = score(detector_forward(feat, store, from_doc(DetectorConfig, store.config))).s
+        want = score(detector_forward(feat, store)).s
         assert [r.score for r in read_scores_csv(out).rows()] == [want]
 
     def test_checkpoint_below_min_frames_is_refused(self, runner, config_path, tmp_path):
@@ -1387,6 +1385,18 @@ class TestCmdEval:
         result = runner.invoke(main, [command, "--scores", str(scores), "--out", str(out)])
         self.assert_fails_closed(result, f"{scores}:4: ")
         assert "finite" in result.stderr
+        assert not out.exists()
+
+    def test_score_past_the_bound_fails_closed(self, runner, tmp_path):
+        """Scores near the float limit would overflow a midpoint and an average into an Infinity
+        that strict JSON refuses; the file is refused at its first such row instead."""
+        scores = tmp_path / "scores.csv"
+        scores.write_text("utt_id,dataset,label,checkpoint_s,score\na,d1,bonafide,,-1.5e308\nb,d1,spoof,,1.5e308\n"
+                          "c,d2,bonafide,,1.6e308\nd,d2,spoof,,1.7e308\n")
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["eval", "--scores", str(scores), "--pooled", "--per-dataset", "--out", str(out)])
+        self.assert_fails_closed(result, f"{scores}:2: a: score must be finite and within ±1e+300\n")
+        assert len(result.stderr.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "det"])
@@ -1969,6 +1979,17 @@ class TestOutputPaths:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.strip().splitlines() == [f"error: {out}: No such file or directory"]
+
+    @pytest.mark.parametrize("command", ["vad", "detect"])
+    def test_unwritable_out_fails_before_any_entry(self, runner, tmp_path, monkeypatch, command):
+        """An --out that cannot be written fails before the first entry runs, not after every one."""
+        argv = self.argv(runner, command, tmp_path, str(tmp_path / "missing" / "out"))
+        calls = []
+        monkeypatch.setattr("spoofbench.cli.detect_voice", lambda *args, **kwargs: calls.append("detect_voice"))
+        monkeypatch.setattr("spoofbench.cli.detector_forward", lambda *args, **kwargs: calls.append("forward"))
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert calls == []
 
 
 class TestBoundary:

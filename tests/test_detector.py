@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import re
 import threading
 import tracemalloc
 from dataclasses import asdict
@@ -214,36 +215,36 @@ class TestAttentiveStatsPool:
 
 class TestDetectorForward:
     def test_two_finite_logits(self, store):
-        logits = detector_forward(random_feat(0), store, CFG)
+        logits = detector_forward(random_feat(0), store)
         assert isinstance(logits, Logits)
         assert np.isfinite(logits.l_spoof) and np.isfinite(logits.l_bonafide)
 
     def test_deterministic(self, store):
         feat = random_feat(1)
-        a = detector_forward(feat, store, CFG)
-        b = detector_forward(feat, store, CFG)
+        a = detector_forward(feat, store)
+        b = detector_forward(feat, store)
         assert (a.l_spoof, a.l_bonafide) == (b.l_spoof, b.l_bonafide)
 
     def test_too_few_frames(self, store):
         with pytest.raises(ValueError, match="frames"):
-            detector_forward(random_feat(2, n_frames=MIN_INPUT_FRAMES - 1), store, CFG)
+            detector_forward(random_feat(2, n_frames=MIN_INPUT_FRAMES - 1), store)
 
     def test_min_frames_accepted(self, store):
-        detector_forward(random_feat(3, n_frames=MIN_INPUT_FRAMES), store, CFG)
+        detector_forward(random_feat(3, n_frames=MIN_INPUT_FRAMES), store)
 
     def test_prefix_below_min_frames(self, store):
         with pytest.raises(ValueError, match=f"input has 15 frames; detector needs >= {MIN_INPUT_FRAMES}"):
-            detector_forward(random_feat(2, n_frames=40), store, CFG, prefix_frames=[40, MIN_INPUT_FRAMES - 1])
+            detector_forward(random_feat(2, n_frames=40), store, prefix_frames=[40, MIN_INPUT_FRAMES - 1])
 
     def test_prefix_beyond_input(self, store):
         with pytest.raises(ValueError, match="exceeds"):
-            detector_forward(random_feat(2, n_frames=40), store, CFG, prefix_frames=[41])
+            detector_forward(random_feat(2, n_frames=40), store, prefix_frames=[41])
 
     def test_time_duplication_changes_but_stays_finite(self, store):
         feat = random_feat(4, n_frames=24)
         doubled = LogMelSpectrogram(np.vstack([feat.values, feat.values]))
-        a = detector_forward(feat, store, CFG)
-        b = detector_forward(doubled, store, CFG)
+        a = detector_forward(feat, store)
+        b = detector_forward(doubled, store)
         assert np.isfinite(b.l_spoof) and np.isfinite(b.l_bonafide)
         assert (a.l_spoof, a.l_bonafide) != (b.l_spoof, b.l_bonafide)
 
@@ -251,9 +252,24 @@ class TestDetectorForward:
         # the mu half of the embedding is exactly zero; the sigma half is
         # sqrt(pool eps) = 3.2e-5, so logits are bounded by that times the
         # FC row mass
-        logits = detector_forward(LogMelSpectrogram(np.zeros((32, 64))), store, CFG)
+        logits = detector_forward(LogMelSpectrogram(np.zeros((32, 64))), store)
         assert abs(logits.l_spoof) < 1e-3
         assert abs(logits.l_bonafide) < 1e-3
+
+    @pytest.mark.parametrize("config, named", [
+        ({**asdict(CFG), "blocks_per_stage": (1, 1, 1, 1)}, "fit the detector config: unexpected tensor stage1.block2."),
+        ({**asdict(CFG), "cot_kernel": 1},
+         "fit the detector config: tensor stage1.block1.cot.key.weight has shape (32, 3, 3), the config needs (32, 1, 1)"),
+        (None, "detector config: DetectorConfig must be a mapping, not null"),
+    ], ids=["blocks_per_stage", "cot_kernel", "no-config"])
+    def test_header_that_contradicts_the_tensors(self, store, config, named):
+        """The forward runs the network the store's header describes, so default-width tensors under a
+        header with fewer blocks or a smaller attention window, or under none, are refused, not run."""
+        reheadered = ParameterStore(config=config)
+        for name, arr in store.items():
+            reheadered.add(name, arr)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            detector_forward(random_feat(0), reheadered)
 
     # Logits recorded before the depthwise conv and the CoT aggregation
     # shared one windowed-accumulate loop; inputs are random_feat(n, n).
@@ -265,7 +281,7 @@ class TestDetectorForward:
     @pytest.mark.parametrize("n_frames", sorted(GOLDEN))
     def test_golden_logits(self, n_frames):
         cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), embedding_dim=128)
-        logits = detector_forward(random_feat(n_frames, n_frames), init_parameters(cfg, seed=0), cfg)
+        logits = detector_forward(random_feat(n_frames, n_frames), init_parameters(cfg, seed=0))
         got = np.array([logits.l_spoof, logits.l_bonafide])
         want = np.array(self.GOLDEN[n_frames])
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
@@ -299,14 +315,14 @@ class TestOracle:
         cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), cot_kernel=kernel, embedding_dim=128)
         store = store_with_stats(cfg, seed=kernel)
         feat = random_feat(n_frames, n_frames)
-        self.assert_close(detector_forward(feat, store, cfg), detector_forward_oracle(feat.values, store, cfg))
+        self.assert_close(detector_forward(feat, store), detector_forward_oracle(feat.values, store, cfg))
 
     def test_prefix_frames_match_oracle(self):
         cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), embedding_dim=128)
         store = store_with_stats(cfg, seed=1)
         counts = [61, 17, 33, 45]
         feat = random_feat(61, 63)
-        for n, got in zip(counts, detector_forward(feat, store, cfg, prefix_frames=counts)):
+        for n, got in zip(counts, detector_forward(feat, store, prefix_frames=counts)):
             self.assert_close(got, detector_forward_oracle(feat.values[:n], store, cfg))
 
 
@@ -341,7 +357,7 @@ class TestAggregateLayers:
         cfg = AggregatorConfig(n_layers=1, in_dim=32, proj_dim=16)
         params = init_aggregator_parameters(cfg, seed=0)
         x = np.random.default_rng(12).standard_normal((1, 9, 32))
-        out = aggregate_layers(x, params, cfg)
+        out = aggregate_layers(x, params)
         assert out.shape == (9, 16)
 
     def test_equal_logits_average_layers(self):
@@ -363,22 +379,23 @@ class TestAggregateLayers:
         expected = layer_norm(
             np.mean(per_layer, axis=0), params["ln2.gamma"], params["ln2.beta"]
         )
-        out = aggregate_layers(stack, params, cfg)
+        out = aggregate_layers(stack, params)
         assert np.abs(out - expected).max() < 1e-9
 
     def test_final_layer_norm_stats(self):
         cfg = AggregatorConfig(n_layers=3, in_dim=24, proj_dim=128)
         params = init_aggregator_parameters(cfg, seed=2)
         stack = np.random.default_rng(14).standard_normal((3, 11, 24))
-        out = aggregate_layers(stack, params, cfg)
+        out = aggregate_layers(stack, params)
         assert np.abs(out.mean(axis=1)).max() < 1e-6
         assert np.abs(out.var(axis=1) - 1.0).max() < 1e-4
 
-    def test_dimension_mismatch(self):
-        cfg = AggregatorConfig(n_layers=3, in_dim=24)
-        params = init_aggregator_parameters(cfg, seed=3)
-        with pytest.raises(ValueError):
-            aggregate_layers(np.zeros((2, 5, 24)), params, cfg)
+    @pytest.mark.parametrize("shape", [(2, 5, 24), (3, 5, 16)], ids=["layers", "width"])
+    def test_dimension_mismatch(self, shape):
+        """The layer count and the width are those of proj.weight, (L, proj, D)."""
+        params = init_aggregator_parameters(AggregatorConfig(n_layers=3, in_dim=24), seed=3)
+        with pytest.raises(ValueError, match=re.escape(f"aggregate_layers: expected (3, T, 24), got {shape}")):
+            aggregate_layers(np.zeros(shape), params)
 
 
 class TestWeightsIO:
@@ -476,7 +493,7 @@ def test_forward_finite_property(seed, n_frames):
     store = init_parameters(cfg, seed=0)
     rng = np.random.default_rng(seed)
     feat = LogMelSpectrogram(rng.standard_normal((n_frames, 64)) * 10)
-    logits = detector_forward(feat, store, cfg)
+    logits = detector_forward(feat, store)
     assert np.isfinite(logits.l_spoof) and np.isfinite(logits.l_bonafide)
 
 
@@ -505,8 +522,8 @@ def test_prefix_frames_equal_separate_forwards(seed, counts, extra, kernel, bloc
     )
     store = _compact_store(cfg)
     feat = random_feat(seed, n_frames=max(counts) + extra)
-    got = detector_forward(feat, store, cfg, prefix_frames=counts)
-    want = [detector_forward(LogMelSpectrogram(feat.values[:n]), store, cfg) for n in counts]
+    got = detector_forward(feat, store, prefix_frames=counts)
+    want = [detector_forward(LogMelSpectrogram(feat.values[:n]), store) for n in counts]
     assert got == want
 
 
@@ -538,12 +555,12 @@ def test_tiles_are_exact(seed, counts, tile_frames, threads, kernel, block_elems
     feat = random_feat(seed, n_frames=max(counts))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ops, "_WINDOW_BLOCK_ELEMS", 10**12)
-        whole = detector_forward(feat, store, cfg, prefix_frames=counts, threads=1)  # one tile, one block
+        whole = detector_forward(feat, store, prefix_frames=counts, threads=1)  # one tile, one block
     halo = 2 + kernel // 2
     with pytest.MonkeyPatch.context() as mp:  # tile_frames output frames per tile of a stage-1 block
         mp.setattr(model, "_TILE_ELEMS", 8 * 64 * (tile_frames + 2 * halo))
         mp.setattr(ops, "_WINDOW_BLOCK_ELEMS", block_elems)
-        got = detector_forward(feat, store, cfg, prefix_frames=counts, threads=threads)
+        got = detector_forward(feat, store, prefix_frames=counts, threads=threads)
     assert got == whole
     for n, logits in zip(counts, got):
         TestOracle.assert_close(logits, detector_forward_oracle(feat.values[:n], store, cfg))
@@ -556,12 +573,12 @@ def test_default_width_tiles_are_exact():
     store = _stats_store(CFG)
     feat = random_feat(11, n_frames=1000)
     counts = [1000, 611, 203]
-    got = detector_forward(feat, store, CFG, prefix_frames=counts, threads=2)
+    got = detector_forward(feat, store, prefix_frames=counts, threads=2)
     assert CFG.stage_channels[-1] * (64 // 8) * (1000 // 8) > model._TILE_ELEMS  # stage 4 gets more than one tile
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_TILE_ELEMS", 10**12)
-        assert detector_forward(feat, store, CFG, prefix_frames=counts, threads=1) == got
-    assert [detector_forward(LogMelSpectrogram(feat.values[:n]), store, CFG, threads=2) for n in counts] == got
+        assert detector_forward(feat, store, prefix_frames=counts, threads=1) == got
+    assert [detector_forward(LogMelSpectrogram(feat.values[:n]), store, threads=2) for n in counts] == got
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["per-channel", "shared"])
@@ -601,6 +618,6 @@ def test_a_failed_tile_ends_the_forward_with_its_exception(monkeypatch):
     monkeypatch.setattr(model, "_tile", tile)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as info:
-        detector_forward(feat, _stats_store(cfg), cfg, threads=2)
+        detector_forward(feat, _stats_store(cfg), threads=2)
     assert info.value is boom
     assert len(seen) == 2 and threading.active_count() == before

@@ -75,6 +75,14 @@ class TestComputeEer:
         assert eer == pytest.approx(oracle_eer, abs=1e-12)
         assert thr == pytest.approx(oracle_thr, abs=1e-12)
 
+    def test_scores_are_bounded(self):
+        """The bound is inclusive, and every threshold evaluate derives at it is finite."""
+        report = evaluate(trials_from([-1e300, 1e300], [1e300, -1e300]))
+        assert all(math.isfinite(v) for v in asdict(report).values())
+        for score in (np.nextafter(1e300, math.inf), np.nextafter(-1e300, -math.inf)):
+            with pytest.raises(ValueError, match=re.escape("u: score must be finite and within ±1e+300")):
+                TrialScore("u", "spoof", float(score))
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="^need at least one trial of each class$"):
             evaluate([TrialScore("a", "spoof", 0.5)])
@@ -374,7 +382,7 @@ class TestScoresCsv:
             TrialScore,
             utt_id=st.text(max_size=6),
             label=st.sampled_from(LABELS),
-            score=st.floats(allow_nan=False, allow_infinity=False),
+            score=st.floats(-metrics.MAX_ABS_SCORE, metrics.MAX_ABS_SCORE),
             dataset=st.text(max_size=4),
             checkpoint_s=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         ),
@@ -450,7 +458,7 @@ class TestScoresCsvChunks:
 
     @pytest.mark.parametrize("edits, blank_before, line, message", [
         ([(3, "u3,ds,spoof,,0.3,x")], None, 5, "expected 5 fields, got 6"),
-        ([(4, "u4,ds,bonafide,,nan")], None, 6, "u4: score must be finite"),
+        ([(4, "u4,ds,bonafide,,nan")], None, 6, "u4: score must be finite and within ±1e+300"),
         ([(3, "u3,ds,fake,,0.3")], None, 5, "u3: label must be one of ('bonafide', 'spoof')"),
         ([(4, "u4,ds,bonafide,0,0.4")], None, 6, "u4: checkpoint_s must be positive and finite"),
         ([(4, "u4,ds,bonafide,two,0.4")], None, 6, "could not convert string to float: 'two'"),
@@ -463,7 +471,7 @@ class TestScoresCsvChunks:
         ([(2, "u2,ds,spoof,,0.2"), (5, "u5,ds,spoof,-1,0.5"), (8, "u2,ds,spoof,,0.8")], None, 7,
          "u5: checkpoint_s must be positive and finite"),
         # a blank line is skipped but counted
-        ([(4, "u4,ds,bonafide,,inf")], 4, 7, "u4: score must be finite"),
+        ([(4, "u4,ds,bonafide,,inf")], 4, 7, "u4: score must be finite and within ±1e+300"),
     ])
     def test_first_bad_row_named(self, tmp_path, edits, blank_before, line, message):
         path = self.write(tmp_path, edits, blank_before)
@@ -486,8 +494,10 @@ class TestScoresCsvChunks:
         "4 fields": ("{u},ds,spoof,0.5", "expected 5 fields, got 4"),
         "6 fields, text score": ("{u},ds,spoof,,abc,x", "expected 5 fields, got 6"),
         "bad label": ("{u},ds,fake,,0.5", f"{{u}}: label must be one of {LABELS}"),
-        "nan score": ("{u},ds,spoof,,nan", "{u}: score must be finite"),
-        "inf score": ("{u},ds,bonafide,,-inf", "{u}: score must be finite"),
+        "nan score": ("{u},ds,spoof,,nan", "{u}: score must be finite and within ±1e+300"),
+        "inf score": ("{u},ds,bonafide,,-inf", "{u}: score must be finite and within ±1e+300"),
+        "score past the bound": ("{u},ds,bonafide,,-1.0000000000000002e+300",  # the next float past -1e300
+                                 "{u}: score must be finite and within ±1e+300"),
         "text score": ("{u},ds,spoof,,abc", "could not convert string to float: 'abc'"),
         "nan checkpoint": ("{u},ds,spoof,nan,0.5", "{u}: checkpoint_s must be positive and finite"),
         "inf checkpoint": ("{u},ds,spoof,inf,0.5", "{u}: checkpoint_s must be positive and finite"),
@@ -498,7 +508,7 @@ class TestScoresCsvChunks:
         "text score, text checkpoint": ("{u},ds,spoof,two,abc", "could not convert string to float: 'abc'"),
         "text checkpoint, bad label": ("{u},ds,fake,two,0.5", "could not convert string to float: 'two'"),
         "bad label, nan score": ("{u},ds,fake,,nan", f"{{u}}: label must be one of {LABELS}"),
-        "nan score, zero checkpoint": ("{u},ds,spoof,0,nan", "{u}: score must be finite"),
+        "nan score, zero checkpoint": ("{u},ds,spoof,0,nan", "{u}: score must be finite and within ±1e+300"),
         "field over the csv limit": ("{u}" + "x" * 140_000 + ",ds,spoof,,0.5", "field larger than field limit (131072)"),
         "quoted newline": ("{u}\nx,ds,bonafide,,0.25", None),  # a valid row on two lines, its first field quoted
     }
@@ -514,7 +524,7 @@ class TestScoresCsvChunks:
         n = draw(st.integers(sum(2 if k in cls.DUPLICATES else k in cls.ROW_EDITS for k in kinds), 12))
         rows = [[f"u{i}", f"ds{i % 3}", draw(st.sampled_from(LABELS)),
                  draw(st.just("") | st.floats(0, exclude_min=True, allow_infinity=False).map(repr)),
-                 repr(draw(st.floats(allow_nan=False, allow_infinity=False)))] for i in range(n)]
+                 repr(draw(st.floats(-metrics.MAX_ABS_SCORE, metrics.MAX_ABS_SCORE)))] for i in range(n)]
         free, faults = draw(st.permutations(range(n))), {}  # each edit takes rows of its own; row -> message
         for kind in kinds:
             if kind in cls.DUPLICATES:

@@ -52,7 +52,7 @@ def test_traced_forward_splits_into_every_unit(tracer, monkeypatch):
     blocks = (2, 1, 1, 2)
     cfg = DetectorConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=blocks, embedding_dim=128)
     feat = LogMelSpectrogram(np.random.default_rng(0).standard_normal((64, 64)))
-    cli.detector_forward(feat, init_parameters(cfg, 0), cfg)
+    cli.detector_forward(feat, init_parameters(cfg, 0))
 
     [(_, parts)] = tracer.forward_parts(spans.spans, blocks)
     units = tracer._stage_layout(blocks)
